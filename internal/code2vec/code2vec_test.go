@@ -48,23 +48,7 @@ func TestExtractContextsDeterministic(t *testing.T) {
 func TestExtractContextsRespectsBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxContexts = 10
-	s := loopStmt(t, `
-float A[64][64];
-float B[64][64];
-float C[64][64];
-void f() {
-    for (int i = 0; i < 64; i++) {
-        for (int j = 0; j < 64; j++) {
-            float s = 0;
-            for (int k = 0; k < 64; k++) {
-                s += A[i][k] * B[k][j];
-            }
-            C[i][j] = s;
-        }
-    }
-}
-`)
-	ctxs := ExtractContexts(s, cfg)
+	ctxs := ExtractContexts(loopStmt(t, matmulSrc), cfg)
 	if len(ctxs) != 10 {
 		t.Fatalf("contexts = %d, want exactly the budget 10", len(ctxs))
 	}

@@ -55,52 +55,34 @@ type State struct {
 	alpha []float64   // attention weights
 }
 
-// Forward embeds a context bag into a code vector. An empty bag yields the
-// zero vector (e.g. a degenerate loop with no terminals).
+// Forward embeds a context bag into a code vector and keeps the State its
+// Backward needs. An empty bag yields the zero vector (e.g. a degenerate loop
+// with no terminals). The activations come from ForwardInto, so training and
+// inference share one projection kernel and agree bit for bit.
 func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
+	var s Scratch
+	vec := m.ForwardInto(make([]float64, out), ctxs, &s)
 	st := &State{ctxs: ctxs}
-	vec := make([]float64, out)
 	if len(ctxs) == 0 {
 		return vec, st
 	}
 
+	// s is this call's own, so State keeps views of its buffers.
 	n := len(ctxs)
 	st.c = make([][]float64, n)
 	st.h = make([][]float64, n)
-	scores := make([]float64, n)
+	cs := make([]float64, n*3*d)
 	for i, cx := range ctxs {
-		c := make([]float64, 3*d)
+		c := cs[i*3*d : (i+1)*3*d]
 		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
 		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
 		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
 		st.c[i] = c
-
-		h := make([]float64, out)
-		for o := 0; o < out; o++ {
-			row := m.W.W[o*3*d : (o+1)*3*d]
-			s := m.B.W[o]
-			for k, cv := range c {
-				s += row[k] * cv
-			}
-			h[o] = math.Tanh(s)
-		}
-		st.h[i] = h
-
-		sc := 0.0
-		for o := 0; o < out; o++ {
-			sc += m.Attn.W[o] * h[o]
-		}
-		scores[i] = sc
+		st.h[i] = s.h[i*out : (i+1)*out]
 	}
-	st.alpha = nn.Softmax(scores)
-	for i := range ctxs {
-		a := st.alpha[i]
-		for o := 0; o < out; o++ {
-			vec[o] += a * st.h[i][o]
-		}
-	}
+	st.alpha = s.alpha[:n]
 	return vec, st
 }
 
@@ -108,8 +90,9 @@ func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
 // one caller at a time; pool or confine it. The zero value is ready to use —
 // buffers grow on demand and are retained across calls.
 type Scratch struct {
-	c      []float64 // one context input, 3*EmbedDim
-	h      []float64 // all squashed projections, n*OutDim
+	slot   []int     // per context: index of its left terminal among the distinct ones
+	rows   []uint32  // table rows of one kernel pass: distinct lefts, paths or rights
+	h      []float64 // all projections, n*OutDim: pre-activation, then squashed
 	scores []float64 // attention logits, n
 	alpha  []float64 // attention weights, n
 }
@@ -124,8 +107,15 @@ func growF(buf []float64, n int) []float64 {
 // ForwardInto is Forward for inference: it writes the code vector into dst
 // (which must have length Cfg.OutDim), keeps no State for Backward, and
 // performs zero heap allocations once s's buffers have grown to the bag
-// size. The result is bit-identical to Forward's — same floating-point
-// operation order throughout.
+// size: after a bag of n contexts, any bag of at most n.
+//
+// Each context's pre-activation is B[o] + Σ_k W[o][k]·c[k] over its input
+// c = [Tok[Left] | Path[Path] | Tok[Right]], summed in k order. After the
+// first EmbedDim terms the running sum depends only on (o, Left), so that
+// prefix is computed once per distinct left terminal; every context then
+// continues from its own left's prefix over the path terms and the right
+// terms. Both passes run through accum, which keeps every sum's order,
+// so the result is bit-identical to the plain per-context loop.
 func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64 {
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
@@ -140,41 +130,164 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	}
 
 	n := len(ctxs)
-	s.c = growF(s.c, 3*d)
-	s.h = growF(s.h, n*out)
+	if cap(s.slot) < n {
+		s.slot = make([]int, n)
+		s.rows = make([]uint32, n)
+	}
+	s.slot = s.slot[:n]
+	h := growF(s.h, n*out)
+	s.h = h
 	s.scores = growF(s.scores, n)
 	s.alpha = growF(s.alpha, n)
-	c := s.c
+
+	// Number the distinct left terminals in first-seen order.
+	lefts := s.rows[:0]
 	for i, cx := range ctxs {
-		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
-		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
-		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
-
-		h := s.h[i*out : (i+1)*out]
-		for o := 0; o < out; o++ {
-			row := m.W.W[o*3*d : (o+1)*3*d]
-			sum := m.B.W[o]
-			for k, cv := range c {
-				sum += row[k] * cv
-			}
-			h[o] = math.Tanh(sum)
+		j := 0
+		for j < len(lefts) && lefts[j] != cx.Left {
+			j++
 		}
+		if j == len(lefts) {
+			lefts = append(lefts, cx.Left)
+		}
+		s.slot[i] = j
+	}
 
+	// Pass 1: row j of h gets the bias plus the terms of the j-th distinct
+	// left. Then every context takes its left's row. A context's left is
+	// numbered no higher than its own index, so copying from the last
+	// context down overwrites no row before its last reader.
+	u := len(lefts)
+	for j := 0; j < u; j++ {
+		copy(h[j*out:(j+1)*out], m.B.W)
+	}
+	accum(h[:u*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0)
+	for i := n - 1; i >= 0; i-- {
+		if j := s.slot[i]; j != i {
+			copy(h[i*out:(i+1)*out], h[j*out:(j+1)*out])
+		}
+	}
+
+	// Pass 2, in two sweeps: the path terms, then the right-terminal terms.
+	rows := s.rows[:n]
+	for i, cx := range ctxs {
+		rows[i] = cx.Path
+	}
+	accum(h, m.Path.W, rows, d, m.W.W, 3*d, d)
+	for i, cx := range ctxs {
+		rows[i] = cx.Right
+	}
+	accum(h, m.Tok.W, rows, d, m.W.W, 3*d, 2*d)
+
+	for i := range ctxs {
+		hi := h[i*out : (i+1)*out]
 		sc := 0.0
-		for o := 0; o < out; o++ {
-			sc += m.Attn.W[o] * h[o]
+		for o, v := range hi {
+			hi[o] = math.Tanh(v)
+			sc += m.Attn.W[o] * hi[o]
 		}
 		s.scores[i] = sc
 	}
 	nn.SoftmaxTo(s.alpha, s.scores)
 	for i := range ctxs {
 		a := s.alpha[i]
-		h := s.h[i*out : (i+1)*out]
+		hi := h[i*out : (i+1)*out]
 		for o := 0; o < out; o++ {
-			dst[o] += a * h[o]
+			dst[o] += a * hi[o]
 		}
 	}
 	return dst
+}
+
+// accum adds one EmbedDim-wide column window of W, times embedding rows,
+// onto acc. acc holds one row of sums per entry of rows; for every such
+// row i and output o it performs
+//
+//	acc[i*out+o] += W[o*stride+k0+k] * table[rows[i]*d+k]   for k = 0 .. d-1
+//
+// in that order, each term rounded onto the running sum exactly as a scalar
+// loop would round it. It sweeps two rows by four outputs at a time, so
+// eight independent sums are in flight and each W load feeds two rows;
+// accum1 and the output tails take what does not fill a block.
+func accum(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int) {
+	out := len(acc) / len(rows)
+	i := 0
+	for ; i+2 <= len(rows); i += 2 {
+		x0 := table[int(rows[i])*d:][:d]
+		x1 := table[int(rows[i+1])*d:][:d]
+		accum2(acc[i*out:(i+1)*out], acc[(i+1)*out:(i+2)*out], x0, x1, w, stride, k0)
+	}
+	if i < len(rows) {
+		accum1(acc[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, stride, k0)
+	}
+}
+
+// accum2 is accum over two rows with inputs x0 and x1 of equal length.
+func accum2(a0, a1, x0, x1, w []float64, stride, k0 int) {
+	kl := len(x0)
+	out := len(a0)
+	a1 = a1[:out]
+	x1 = x1[:kl]
+	o := 0
+	for ; o+4 <= out; o += 4 {
+		w0 := w[o*stride+k0:][:kl]
+		w1 := w[(o+1)*stride+k0:][:kl]
+		w2 := w[(o+2)*stride+k0:][:kl]
+		w3 := w[(o+3)*stride+k0:][:kl]
+		s00, s01, s02, s03 := a0[o], a0[o+1], a0[o+2], a0[o+3]
+		s10, s11, s12, s13 := a1[o], a1[o+1], a1[o+2], a1[o+3]
+		for k, v0 := range x0 {
+			v1 := x1[k]
+			s00 += w0[k] * v0
+			s10 += w0[k] * v1
+			s01 += w1[k] * v0
+			s11 += w1[k] * v1
+			s02 += w2[k] * v0
+			s12 += w2[k] * v1
+			s03 += w3[k] * v0
+			s13 += w3[k] * v1
+		}
+		a0[o], a0[o+1], a0[o+2], a0[o+3] = s00, s01, s02, s03
+		a1[o], a1[o+1], a1[o+2], a1[o+3] = s10, s11, s12, s13
+	}
+	for ; o < out; o++ {
+		wo := w[o*stride+k0:][:kl]
+		s0, s1 := a0[o], a1[o]
+		for k, v0 := range x0 {
+			s0 += wo[k] * v0
+			s1 += wo[k] * x1[k]
+		}
+		a0[o], a1[o] = s0, s1
+	}
+}
+
+// accum1 is accum over a single row with input x.
+func accum1(acc, x, w []float64, stride, k0 int) {
+	kl := len(x)
+	out := len(acc)
+	o := 0
+	for ; o+4 <= out; o += 4 {
+		w0 := w[o*stride+k0:][:kl]
+		w1 := w[(o+1)*stride+k0:][:kl]
+		w2 := w[(o+2)*stride+k0:][:kl]
+		w3 := w[(o+3)*stride+k0:][:kl]
+		s0, s1, s2, s3 := acc[o], acc[o+1], acc[o+2], acc[o+3]
+		for k, v := range x {
+			s0 += w0[k] * v
+			s1 += w1[k] * v
+			s2 += w2[k] * v
+			s3 += w3[k] * v
+		}
+		acc[o], acc[o+1], acc[o+2], acc[o+3] = s0, s1, s2, s3
+	}
+	for ; o < out; o++ {
+		wo := w[o*stride+k0:][:kl]
+		s0 := acc[o]
+		for k, v := range x {
+			s0 += wo[k] * v
+		}
+		acc[o] = s0
+	}
 }
 
 // Backward accumulates parameter gradients given dLoss/dCodeVector.

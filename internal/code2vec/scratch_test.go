@@ -42,17 +42,26 @@ func TestForwardIntoParity(t *testing.T) {
 	}
 }
 
+// TestForwardIntoZeroAllocs checks the zero-alloc contract at a toy shape
+// and at the production shape (340 outputs, EmbedDim 32) on a full
+// 120-context bag, after the Scratch has grown on the largest bag.
 func TestForwardIntoZeroAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OutDim = 48
-	cfg.EmbedDim = 12
-	m := NewModel(cfg)
-	ctxs := ExtractContexts(loopStmt(t, copySrc), cfg)
-	var s Scratch
-	dst := make([]float64, cfg.OutDim)
-	m.ForwardInto(dst, ctxs, &s) // grow buffers
-	if allocs := testing.AllocsPerRun(50, func() { m.ForwardInto(dst, ctxs, &s) }); allocs != 0 {
-		t.Fatalf("ForwardInto allocates %v per run, want 0", allocs)
+	toy := DefaultConfig()
+	toy.OutDim = 48
+	toy.EmbedDim = 12
+	for _, cfg := range []Config{toy, DefaultConfig()} {
+		m := NewModel(cfg)
+		big := ExtractContexts(loopStmt(t, matmulSrc), cfg)
+		small := ExtractContexts(loopStmt(t, copySrc), cfg)
+		var s Scratch
+		dst := make([]float64, cfg.OutDim)
+		m.ForwardInto(dst, big, &s) // grow buffers
+		for _, ctxs := range [][]Context{big, small} {
+			if allocs := testing.AllocsPerRun(20, func() { m.ForwardInto(dst, ctxs, &s) }); allocs != 0 {
+				t.Fatalf("%d/%d: ForwardInto allocates %v per run on %d contexts, want 0",
+					cfg.OutDim, cfg.EmbedDim, allocs, len(ctxs))
+			}
+		}
 	}
 }
 

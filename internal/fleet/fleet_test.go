@@ -394,6 +394,57 @@ func TestFleetBatchAndStreamMatchSingleProcess(t *testing.T) {
 	}
 }
 
+// TestFleetNDJSONStreamOverHTTP posts a 16-line stream of more than 4 KB to
+// the router behind a real HTTP server. The router flushes response lines
+// while request lines are still unread, which loses the rest of the body
+// unless the response runs full duplex; a recorder holds the whole body and
+// cannot show that.
+func TestFleetNDJSONStreamOverHTTP(t *testing.T) {
+	testFixture(t)
+	rt, _ := newTestFleet(t, []string{fixture.model1, fixture.model1}, Config{})
+	hs := httptest.NewServer(rt)
+	defer hs.Close()
+
+	const lines = 16
+	var in bytes.Buffer
+	enc := json.NewEncoder(&in)
+	pad := "/* " + strings.Repeat("x", 150) + " */\n"
+	for i := 0; i < lines; i++ {
+		req := api.CompileRequest{File: fmt.Sprintf("f%d.c", i), Source: pad + fixture.srcs[i%len(fixture.srcs)]}
+		if err := enc.Encode(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in.Len() < 4096 {
+		t.Fatalf("stream is %d bytes, want at least 4 KB", in.Len())
+	}
+	resp, err := http.Post(hs.URL+"/v2/compile", "application/x-ndjson", &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	ok := 0
+	for {
+		var r api.CompileResponse
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("line %d: %v", ok, err)
+		}
+		if r.Error != "" || r.File != fmt.Sprintf("f%d.c", ok) {
+			t.Fatalf("line %d: file %q error %q", ok, r.File, r.Error)
+		}
+		ok++
+	}
+	if ok != lines {
+		t.Fatalf("%d successful response lines, want %d", ok, lines)
+	}
+}
+
 // TestFleetKillReplicaMidStream is the failure drill: a replica dies while
 // an NDJSON batch is in flight, and the router must route the remaining
 // lines to the survivors — every line answered, in order, byte-identical

@@ -220,6 +220,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -579,13 +582,15 @@ func (rt *Router) handleCompileBatch(w http.ResponseWriter, r *http.Request, ver
 // itself never breaks.
 func (rt *Router) handleCompileStream(w http.ResponseWriter, r *http.Request, reqID string) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Commit the response headers before the first line: interactive
-		// streaming clients (and the failure tests) pipeline request lines
-		// against response lines, so they need the header frame immediately.
-		flusher.Flush()
-	}
+	// Without full duplex, Go's HTTP/1.1 server discards the unread rest of
+	// the request body at the first flush below, and the lines after it are
+	// lost. Writers that cannot do it (test recorders) hold the whole body.
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex()
+	// Commit the response headers before the first line: interactive
+	// streaming clients (and the failure tests) pipeline request lines
+	// against response lines, so they need the header frame immediately.
+	rc.Flush()
 
 	type slot chan *api.CompileResponse
 	queue := make(chan slot, rt.streamWidth())
@@ -622,9 +627,7 @@ func (rt *Router) handleCompileStream(w http.ResponseWriter, r *http.Request, re
 	enc := json.NewEncoder(w)
 	for out := range queue {
 		enc.Encode(<-out)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush()
 	}
 }
 

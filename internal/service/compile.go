@@ -282,7 +282,12 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 	// gives batch clients the same correlation key on every response record.
 	reqID := w.Header().Get("X-Request-ID")
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
+	// Response lines go out while request lines are still arriving. Without
+	// full duplex, Go's HTTP/1.1 server discards the unread rest of the body
+	// at the first flush, and every line after it is lost. Writers that
+	// cannot do it (test recorders) hold the whole body already.
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex()
 
 	type slot chan *api.CompileResponse
 	queue := make(chan slot, s.pool.Workers()*2)
@@ -320,9 +325,7 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	for out := range queue {
 		enc.Encode(<-out) // Encode appends the NDJSON newline
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush()
 	}
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -303,6 +305,57 @@ func TestCompileNDJSONStream(t *testing.T) {
 	}
 	if ok.Error != "" || ok.File != "ok.c" {
 		t.Errorf("well-formed line after a bad one failed: %+v", ok)
+	}
+}
+
+// TestCompileNDJSONStreamOverHTTP posts a 16-line stream of more than 4 KB
+// to a real HTTP server. The handler flushes response lines while request
+// lines are still unread, which loses the rest of the body unless the
+// response runs full duplex; a recorder holds the whole body and cannot
+// show that.
+func TestCompileNDJSONStreamOverHTTP(t *testing.T) {
+	testFixture(t)
+	s := newTestServer(t, Config{ModelPath: fixture.model1, QueueDepth: 64})
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+
+	const lines = 16
+	var in bytes.Buffer
+	enc := json.NewEncoder(&in)
+	pad := "/* " + strings.Repeat("x", 150) + " */\n"
+	for i := 0; i < lines; i++ {
+		req := api.CompileRequest{File: fmt.Sprintf("f%d.c", i), Source: pad + fixture.srcs[i%len(fixture.srcs)]}
+		if err := enc.Encode(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in.Len() < 4096 {
+		t.Fatalf("stream is %d bytes, want at least 4 KB", in.Len())
+	}
+	resp, err := http.Post(hs.URL+"/v2/compile", "application/x-ndjson", &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	ok := 0
+	for {
+		var r api.CompileResponse
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("line %d: %v", ok, err)
+		}
+		if r.Error != "" || r.File != fmt.Sprintf("f%d.c", ok) {
+			t.Fatalf("line %d: file %q error %q", ok, r.File, r.Error)
+		}
+		ok++
+	}
+	if ok != lines {
+		t.Fatalf("%d successful response lines, want %d", ok, lines)
 	}
 }
 

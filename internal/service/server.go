@@ -321,6 +321,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // instrument wraps a handler with the request-scoped plumbing every endpoint
 // shares: an X-Request-ID (honoring a sane client-supplied one), a context
 // armed with the per-stage latency sink so pipeline spans land in

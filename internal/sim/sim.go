@@ -25,6 +25,9 @@
 package sim
 
 import (
+	"maps"
+	"slices"
+
 	"neurovec/internal/ir"
 	"neurovec/internal/lang"
 	"neurovec/internal/machine"
@@ -345,68 +348,23 @@ func arrayElems(a *ir.Access) int64 {
 }
 
 // dedupAccesses merges duplicate loads of the same address expression (the
-// common v[i]*v[i] pattern), which a real compiler CSEs away.
+// common v[i]*v[i] pattern), which a real compiler CSEs away: an affine load
+// is dropped when an earlier affine load of the same array has the same
+// offset and strides. Loops carry a few dozen accesses at most, so the
+// pairwise scan is cheaper than building keys for a set.
 func dedupAccesses(in []*ir.Access) []*ir.Access {
-	var out []*ir.Access
-	seen := map[string]bool{}
+	out := make([]*ir.Access, 0, len(in))
 	for _, a := range in {
-		if a.Kind == ir.Load && a.Affine {
-			key := a.Array + "|" + strideKey(a)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
+		if !isAffineLoad(a) || !slices.ContainsFunc(out, func(b *ir.Access) bool {
+			return isAffineLoad(b) && b.Array == a.Array && b.Offset == a.Offset && maps.Equal(b.Strides, a.Strides)
+		}) {
+			out = append(out, a)
 		}
-		out = append(out, a)
 	}
 	return out
 }
 
-func strideKey(a *ir.Access) string {
-	// Deterministic stringification of the affine function.
-	buf := make([]byte, 0, 32)
-	buf = appendInt(buf, a.Offset)
-	// Map iteration order is random; build a sorted key cheaply for the
-	// small maps involved.
-	keys := make([]string, 0, len(a.Strides))
-	for k := range a.Strides {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
-		buf = append(buf, '|')
-		buf = append(buf, k...)
-		buf = append(buf, ':')
-		buf = appendInt(buf, a.Strides[k])
-	}
-	return string(buf)
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
+func isAffineLoad(a *ir.Access) bool { return a.Kind == ir.Load && a.Affine }
 
 func opType(in ir.Instr) lang.ScalarType {
 	if in.Type == lang.TypeVoid {

@@ -414,3 +414,36 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupAccesses pins which accesses the footprint and issue models merge:
+// only a repeated affine load of one address expression (same array, offset
+// and strides) is dropped, and the first occurrence keeps its place.
+func TestDedupAccesses(t *testing.T) {
+	load := func(arr string, off int64, strides map[string]int64) *ir.Access {
+		return &ir.Access{Kind: ir.Load, Array: arr, Offset: off, Strides: strides, Affine: true}
+	}
+	a := load("v", 0, map[string]int64{"L0": 1})
+	store := &ir.Access{Kind: ir.Store, Array: "v", Strides: map[string]int64{"L0": 1}, Affine: true}
+	gather := &ir.Access{Kind: ir.Load, Array: "v", Strides: map[string]int64{"L0": 1}}
+	in := []*ir.Access{
+		a,
+		load("v", 0, map[string]int64{"L0": 1}), // same expression: dropped
+		load("v", 1, map[string]int64{"L0": 1}), // other offset
+		load("v", 0, map[string]int64{"L0": 2}), // other stride
+		load("v", 0, map[string]int64{"L0": 1, "L1": 0}), // other loop set
+		load("w", 0, map[string]int64{"L0": 1}),          // other array
+		store, store,                                     // stores are never merged
+		gather, gather, // nor non-affine loads
+		load("v", 0, map[string]int64{"L0": 1}), // dropped again
+	}
+	got := dedupAccesses(in)
+	want := []*ir.Access{in[0], in[2], in[3], in[4], in[5], store, store, gather, gather}
+	if len(got) != len(want) {
+		t.Fatalf("kept %d accesses, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d: got %+v, want %+v", i, *got[i], *want[i])
+		}
+	}
+}
