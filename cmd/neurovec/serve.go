@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"neurovec/internal/core"
 	"neurovec/internal/service"
 )
 
@@ -34,8 +35,8 @@ func cmdServe(args []string) error {
 		"request body size limit in bytes (applies to every endpoint, including /v2/compile batches)")
 	drain := fs.Duration("drain", 10*time.Second,
 		"how long SIGINT/SIGTERM waits for in-flight requests before exiting")
-	loopCache := fs.Int("loop-cache", 4096,
-		"per-loop cache entries (code vectors and loop-pure decisions; negative disables)")
+	loopCache := fs.Int("loop-cache", core.DefaultLoopCacheEntries,
+		"per-loop cache entries (code vectors and loop-pure decisions, keyed by checkpoint and LoopID; /v1/eval shares it; negative disables)")
 	pprofFlag := fs.Bool("pprof", false,
 		"mount net/http/pprof under /debug/pprof/ (off by default: exposes internals)")
 	lopts := addLogFlags(fs)

@@ -90,7 +90,8 @@ func WithLoopCache(c LoopCache) InferOption {
 	return func(o *inferOpts) { o.cache = c }
 }
 
-// LoopCache is the per-loop memo the serving layer plugs into inference.
+// LoopCache is the per-loop memo PredictLoops consults; LoopLRU is the
+// bounded implementation that serving and the eval harness share.
 // Implementations must be safe for concurrent use; both sides treat entries
 // as immutable after Put.
 type LoopCache interface {

@@ -27,9 +27,9 @@ type memoKey struct {
 // (RequestID, Trace) into responses; the memo is for in-process callers —
 // embedding the framework as a library, the eval harness, the bench suite.
 //
-// Eviction is two-generation (the same scheme as the service's LoopCache):
-// when the current generation fills up, it becomes the previous one and a
-// fresh map starts; a hit in the previous generation promotes the entry.
+// Eviction is two-generation: when the current generation fills up, it
+// becomes the previous one and a fresh map starts; a hit in the previous
+// generation promotes the entry.
 // Safe for concurrent use.
 type ResponseMemo struct {
 	mu        sync.Mutex

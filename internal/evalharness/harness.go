@@ -13,10 +13,12 @@
 // byte-identical JSON/CSV regardless of the worker count, which is what
 // makes the report usable as a CI regression gate.
 //
-// Learned policies pay one code2vec forward pass per loop; the harness
-// memoizes those vectors in an EmbedCache keyed by model version and source
-// hash, so repeated runs (and shared caches across hot-reloads) skip the
-// embedding cost entirely.
+// Learned policies pay one code2vec forward pass per loop; the harness runs
+// every inference with a core.LoopLRU armed — the same per-loop cache
+// serving uses, keyed by (checkpoint, LoopID) — so repeated runs (and a
+// cache shared with the server across hot-reloads) skip the embedding cost.
+// A framework without a checkpoint fingerprint (trained in process) bypasses
+// the cache, since retraining would not change its key.
 //
 //	h := evalharness.New(fw)
 //	corpus, _ := evalharness.BuildCorpus("polybench,mibench", 0, 1)
@@ -65,28 +67,26 @@ type Options struct {
 }
 
 // Harness evaluates policies over corpora against one framework. Create it
-// once and reuse it: the embedding cache carries across runs.
+// once and reuse it: the per-loop cache carries across runs.
 type Harness struct {
-	fw     *core.Framework
-	embeds *EmbedCache
+	fw    *core.Framework
+	loops *core.LoopLRU
 }
 
-// New returns a harness over fw with a fresh embedding cache.
+// New returns a harness over fw with a fresh per-loop cache.
 func New(fw *core.Framework) *Harness {
-	return &Harness{fw: fw, embeds: NewEmbedCache()}
+	return &Harness{fw: fw, loops: core.NewLoopCache(core.DefaultLoopCacheEntries)}
 }
 
-// WithEmbedCache shares an existing embedding cache (e.g. one owned by the
-// serving layer, surviving model hot-reloads) and returns the harness.
-func (h *Harness) WithEmbedCache(c *EmbedCache) *Harness {
+// WithLoopCache shares an existing per-loop cache (e.g. the serving
+// layer's, surviving model hot-reloads) and returns the harness. A nil
+// cache keeps the harness's own.
+func (h *Harness) WithLoopCache(c *core.LoopLRU) *Harness {
 	if c != nil {
-		h.embeds = c
+		h.loops = c
 	}
 	return h
 }
-
-// EmbedCacheLen reports how many code vectors the harness has memoized.
-func (h *Harness) EmbedCacheLen() int { return h.embeds.Len() }
 
 // Run evaluates opts.Policy over the corpus. Per-file failures (parse
 // errors, loop-free programs, per-inference deadlines on non-degrading
@@ -119,7 +119,7 @@ func (h *Harness) Run(ctx context.Context, corpus *Corpus, opts Options) (*Repor
 		if err != nil {
 			return nil, fmt.Errorf("evalharness: resolve %s: %w", name, err)
 		}
-		pols[i] = &cachingPolicy{inner: p, cache: h.embeds, version: version}
+		pols[i] = p
 	}
 
 	started := time.Now() //lint:allow detpkg the report's timing section measures real wall-clock latency
@@ -195,7 +195,7 @@ func (h *Harness) evalOne(ctx context.Context, it Item, pols [3]policy.Policy, o
 			rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		}
 		defer cancel()
-		inf, err := h.fw.PredictLoops(rctx, it.Source, it.Params, core.WithPolicy(p))
+		inf, err := h.fw.PredictLoops(rctx, it.Source, it.Params, core.WithPolicy(p), core.WithLoopCache(h.loops))
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package evalharness
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -167,10 +168,10 @@ func TestDeadlineTruncationIsReported(t *testing.T) {
 	}
 }
 
-func TestTrainedPolicyUsesEmbedCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a small agent")
-	}
+// trainToy trains an agent in process at a toy shape. The framework has no
+// checkpoint fingerprint until it is saved.
+func trainToy(t *testing.T) *core.Framework {
+	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Embed.OutDim = 32
 	cfg.Embed.EmbedDim = 8
@@ -186,20 +187,70 @@ func TestTrainedPolicyUsesEmbedCache(t *testing.T) {
 	rc.Iterations = 2
 	rc.Hidden = []int{16, 16}
 	fw.Train(&rc)
+	return fw
+}
+
+func TestTrainedPolicyUsesEmbedCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a small agent")
+	}
+	fw := trainToy(t)
+	// Saving fingerprints the model; without a version the cache is bypassed.
+	if err := fw.SaveModel(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 
 	corpus, err := BuildCorpus("generated", 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(fw)
-	first := runJSON(t, h, corpus, Options{Policy: "rl", Seed: 9, Jobs: 2})
-	if h.EmbedCacheLen() == 0 {
-		t.Fatal("rl evaluation left the embedding cache empty")
+	loops := core.NewLoopCache(core.DefaultLoopCacheEntries)
+	first := runJSON(t, New(fw).WithLoopCache(loops), corpus, Options{Policy: "rl", Seed: 9, Jobs: 2})
+	if _, embeds := loops.Len(); embeds == 0 {
+		t.Fatal("rl evaluation left the shared loop cache without code vectors")
 	}
-	// Warm-cache rerun must not change a single byte.
-	second := runJSON(t, h, corpus, Options{Policy: "rl", Seed: 9, Jobs: 3})
+	// A second harness over the warm shared cache must not change a byte.
+	second := runJSON(t, New(fw).WithLoopCache(loops), corpus, Options{Policy: "rl", Seed: 9, Jobs: 3})
 	if !bytes.Equal(first, second) {
-		t.Fatal("warm embedding cache changed the report")
+		t.Fatal("warm loop cache changed the report")
+	}
+}
+
+// TestNoStaleVectorsAfterRetraining reuses one harness across in-process
+// retraining. The framework's ModelVersion stays "" throughout, so nothing
+// may be cached, and every report must match a fresh harness's.
+func TestNoStaleVectorsAfterRetraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a small agent")
+	}
+	fw := trainToy(t)
+	corpus, err := BuildCorpus("polybench,mibench", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Policy: "rl", Seed: 1, Jobs: 2}
+	h := New(fw)
+	before := runJSON(t, h, corpus, opts)
+	changed := false
+	for round := 1; round <= 2; round++ {
+		if _, err := fw.ContinueTraining(5); err != nil {
+			t.Fatal(err)
+		}
+		if v := fw.ModelVersion(); v != "" {
+			t.Fatalf("in-process retraining produced model version %q", v)
+		}
+		reused := runJSON(t, h, corpus, opts)
+		fresh := runJSON(t, New(fw), corpus, opts)
+		if !bytes.Equal(reused, fresh) {
+			t.Fatalf("round %d: reused harness served pre-retraining vectors", round)
+		}
+		if d, e := h.loops.Len(); d != 0 || e != 0 {
+			t.Fatalf("round %d: unversioned model cached %d decisions and %d vectors", round, d, e)
+		}
+		changed = changed || !bytes.Equal(before, fresh)
+	}
+	if !changed {
+		t.Fatal("retraining never changed the report; the test cannot detect stale vectors")
 	}
 }
 
@@ -278,29 +329,5 @@ func TestReportCSVAndSummary(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "\"timing\"") {
 		t.Fatal("timing JSON missing the timing block")
-	}
-}
-
-func TestEmbedCacheBounded(t *testing.T) {
-	c := NewEmbedCache()
-	c.max = 8
-	for i := 0; i < 50; i++ {
-		c.put(string(rune('a'+i%26))+string(rune('0'+i/26)), []float64{float64(i)})
-	}
-	if c.Len() > 8 {
-		t.Fatalf("cache grew to %d entries past its bound of 8", c.Len())
-	}
-	// The most recent insertion survives; evicted keys just miss.
-	if _, ok := c.get("x1"); !ok {
-		t.Fatal("most recent entry evicted")
-	}
-	// Overwriting an existing key must not duplicate it in the order list.
-	before := c.Len()
-	c.put("x1", []float64{99})
-	if c.Len() != before {
-		t.Fatalf("overwrite changed entry count %d -> %d", before, c.Len())
-	}
-	if v, _ := c.get("x1"); v[0] != 99 {
-		t.Fatalf("overwrite not visible: %v", v)
 	}
 }

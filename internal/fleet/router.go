@@ -114,7 +114,7 @@ type Router struct {
 	byAddr   map[string]*replica
 	ring     atomic.Pointer[Ring]
 	version  atomic.Value // string: fleet-consistent model version, "" = mixed/unknown
-	cache    *service.Cache
+	cache    *core.Cache[[]byte]
 	metrics  *Metrics
 	client   *http.Client
 	log      *obslog.Logger
@@ -139,7 +139,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:     cfg,
 		byAddr:  make(map[string]*replica, len(cfg.Replicas)),
-		cache:   service.NewCache(cfg.CacheEntries),
+		cache:   core.NewCache[[]byte](cfg.CacheEntries),
 		metrics: NewMetrics(),
 		log:     cfg.Logger,
 		stop:    make(chan struct{}),

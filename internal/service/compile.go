@@ -5,12 +5,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -39,52 +37,6 @@ import (
 // vectors and loop-pure policy decisions are memoized under stable LoopIDs,
 // so re-requests of whitespace-edited files skip the expensive work even
 // when the byte-level response cache misses.
-
-// loopCache adapts two bounded LRUs to core.LoopCache: (VF, IF) decisions
-// and code vectors, both keyed by the core under (checkpoint, LoopID).
-type loopCache struct {
-	decisions *Cache
-	embeds    *Cache
-}
-
-func newLoopCache(entries int) *loopCache {
-	return &loopCache{decisions: NewCache(entries), embeds: NewCache(entries)}
-}
-
-func (c *loopCache) GetDecision(key string) (vf, ifc int, ok bool) {
-	b, ok := c.decisions.Get(key)
-	if !ok || len(b) != 16 {
-		return 0, 0, false
-	}
-	return int(binary.LittleEndian.Uint64(b[:8])), int(binary.LittleEndian.Uint64(b[8:])), true
-}
-
-func (c *loopCache) PutDecision(key string, vf, ifc int) {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b[:8], uint64(vf))
-	binary.LittleEndian.PutUint64(b[8:], uint64(ifc))
-	c.decisions.Put(key, b)
-}
-
-func (c *loopCache) GetEmbed(key string) ([]float64, bool) {
-	b, ok := c.embeds.Get(key)
-	if !ok || len(b)%8 != 0 {
-		return nil, false
-	}
-	vec := make([]float64, len(b)/8)
-	for i := range vec {
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return vec, true
-}
-
-func (c *loopCache) PutEmbed(key string, vec []float64) {
-	b := make([]byte, len(vec)*8)
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
-	}
-	c.embeds.Put(key, b)
-}
 
 // compilePayload gives the api type the response cache's opt-out hook:
 // truncated answers depend on the requester's deadline and must not be

@@ -378,7 +378,7 @@ func TestCompileLoopCacheSurvivesWhitespaceEdits(t *testing.T) {
 	if err := json.Unmarshal(b1, &first); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.loops.decisions.Len(); n != len(first.Loops) {
+	if n, _ := s.loops.Len(); n != len(first.Loops) {
 		t.Fatalf("decision cache holds %d entries after first compile, want %d", n, len(first.Loops))
 	}
 
@@ -394,7 +394,7 @@ func TestCompileLoopCacheSurvivesWhitespaceEdits(t *testing.T) {
 	if err := json.Unmarshal(b2, &second); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.loops.decisions.Len(); n != len(first.Loops) {
+	if n, _ := s.loops.Len(); n != len(first.Loops) {
 		t.Errorf("decision cache grew to %d entries on a whitespace edit", n)
 	}
 	for i := range first.Loops {

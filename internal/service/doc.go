@@ -36,11 +36,14 @@
 //     caching makes stale entries unreachable. Inference itself uses
 //     core.Framework's stateless paths (PredictLoops, EmbedSource,
 //     SweepSource), which only read the configuration and trained weights.
-//   - Beneath the byte-level response cache sit per-loop caches keyed by
-//     (model version, stable LoopID): code vectors for every learned
-//     policy, and (VF, IF) decisions for loop-pure ones. LoopIDs survive
-//     whitespace and comment edits, so a reformatted file skips the
-//     expensive per-loop work even when its bytes miss the response cache.
+//   - Beneath the byte-level response cache sits one per-loop cache
+//     (core.LoopLRU) keyed by (model version, stable LoopID): code vectors
+//     for every learned policy, and (VF, IF) decisions for loop-pure ones.
+//     LoopIDs survive whitespace and comment edits, so a reformatted file
+//     skips the expensive per-loop work even when its bytes miss the
+//     response cache. /v1/eval runs its harness over the same cache. Both
+//     caches are core.Cache LRUs; a model without a checkpoint fingerprint
+//     bypasses the per-loop one.
 //
 // # HTTP API
 //

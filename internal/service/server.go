@@ -41,9 +41,9 @@ type Config struct {
 	CacheEntries int
 	// LoopCacheEntries bounds the per-loop caches (code vectors and
 	// loop-pure policy decisions, keyed by checkpoint fingerprint and
-	// stable LoopID; default 4096 each, negative disables). Unlike the
-	// response cache these survive whitespace edits of the source, because
-	// LoopIDs do.
+	// stable LoopID; default core.DefaultLoopCacheEntries each, negative
+	// disables). Unlike the response cache these survive whitespace edits
+	// of the source, because LoopIDs do. /v1/eval shares them.
 	LoopCacheEntries int
 	// Workers sizes the worker pool (default GOMAXPROCS).
 	Workers int
@@ -93,7 +93,7 @@ type Server struct {
 	cfg     Config
 	model   atomic.Pointer[model]
 	pool    *Pool
-	cache   *Cache
+	cache   *core.Cache[[]byte]
 	metrics *Metrics
 	embeds  *batcher
 	mux     *http.ServeMux
@@ -101,14 +101,10 @@ type Server struct {
 	log     *obslog.Logger
 
 	// loops memoizes per-loop state (code vectors, loop-pure decisions)
-	// across requests and files; nil when disabled. Keys embed the
-	// checkpoint fingerprint, so hot-reloads need no flush.
-	loops *loopCache
+	// across requests, files and /v1/eval runs; nil when disabled. Keys
+	// embed the checkpoint fingerprint, so hot-reloads need no flush.
+	loops *core.LoopLRU
 
-	// evalEmbeds memoizes code vectors across /v1/eval runs. It is shared
-	// across hot-reloads — keys embed the model version, so a new
-	// checkpoint can never be served a stale vector.
-	evalEmbeds *evalharness.EmbedCache
 	// evalSem admits one corpus evaluation at a time. The harness brings
 	// its own goroutine pool (up to the worker-pool width), so running
 	// evals through the shared pool would stack pools and oversubscribe
@@ -148,22 +144,21 @@ func New(cfg Config) (*Server, error) {
 		cfg.CacheEntries = 1024
 	}
 	if cfg.LoopCacheEntries == 0 {
-		cfg.LoopCacheEntries = 4096
+		cfg.LoopCacheEntries = core.DefaultLoopCacheEntries
 	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = 1 << 20
 	}
 	s := &Server{
-		cfg:        cfg,
-		pool:       NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:      NewCache(cfg.CacheEntries),
-		metrics:    NewMetrics(),
-		evalEmbeds: evalharness.NewEmbedCache(),
-		evalSem:    make(chan struct{}, 1),
-		trainJobs:  make(map[string]*trainJob),
-		modelPath:  cfg.ModelPath,
-		start:      time.Now(),
-		log:        cfg.Logger,
+		cfg:       cfg,
+		pool:      NewPool(cfg.Workers, cfg.QueueDepth),
+		cache:     core.NewCache[[]byte](cfg.CacheEntries),
+		metrics:   NewMetrics(),
+		evalSem:   make(chan struct{}, 1),
+		trainJobs: make(map[string]*trainJob),
+		modelPath: cfg.ModelPath,
+		start:     time.Now(),
+		log:       cfg.Logger,
 	}
 	// Pool observability: queue-wait histogram plus scrape-time depth and
 	// in-flight gauges, all in the same registry /metrics renders.
@@ -175,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("neurovec_inflight_jobs", "Jobs currently executing on the worker pool.",
 		func() float64 { return float64(s.pool.InFlight()) })
 	if cfg.LoopCacheEntries > 0 {
-		s.loops = newLoopCache(cfg.LoopCacheEntries)
+		s.loops = core.NewLoopCache(cfg.LoopCacheEntries)
 	}
 	m, err := s.loadModel()
 	if err != nil {
@@ -1007,7 +1002,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
-	report, err := evalharness.New(m.fw).WithEmbedCache(s.evalEmbeds).Run(ctx, corpus, evalharness.Options{
+	report, err := evalharness.New(m.fw).WithLoopCache(s.loops).Run(ctx, corpus, evalharness.Options{
 		Policy:   req.Policy,
 		Baseline: req.Baseline,
 		Jobs:     jobs,

@@ -713,10 +713,10 @@ func TestEvalEndpoint(t *testing.T) {
 		t.Errorf("GET numbers %+v != POST numbers %+v", resp3.Report.Overall, resp.Report.Overall)
 	}
 
-	// The harness should have populated the shared embedding cache, and the
-	// eval metrics should be exposed.
-	if s.evalEmbeds.Len() == 0 {
-		t.Error("eval left the shared embedding cache empty")
+	// The harness should have populated the server's per-loop cache, and
+	// the eval metrics should be exposed.
+	if _, embeds := s.loops.Len(); embeds == 0 {
+		t.Error("eval left the server's per-loop cache without code vectors")
 	}
 	recM, metricsBody := do(t, s, "GET", "/metrics", nil)
 	if recM.Code != http.StatusOK {
