@@ -123,10 +123,11 @@ func checkBag(t *testing.T, m *Model, name string, ctxs []Context, s *Scratch) {
 	}
 }
 
-// TestForwardIntoMatchesReference pins the prefix-sharing, register-blocked
-// kernel to the plain per-context loop bit for bit, at the production shape
-// on every loop bag of the shipped suites and 200 extended-grammar samples,
-// and on hand-built bags that exercise the kernel's edge cases.
+// TestForwardIntoMatchesReference pins the prefix-trie, register-blocked
+// kernel (packed SSE2 on amd64) to the plain per-context loop bit for bit,
+// at the production shape on every loop bag of the shipped suites and 200
+// extended-grammar samples, and on hand-built bags that exercise the
+// kernel's edge cases.
 func TestForwardIntoMatchesReference(t *testing.T) {
 	cfg := DefaultConfig()
 	m := testModel(cfg)
@@ -176,16 +177,62 @@ func TestForwardIntoMatchesReference(t *testing.T) {
 	} {
 		checkBag(t, m, c.name, c.ctxs, &s)
 	}
+	for _, c := range trieBags() {
+		checkBag(t, m, c.name, c.ctxs, &s)
+	}
 
-	// A toy shape with an OutDim that is no multiple of the kernel's four
-	// outputs and an odd EmbedDim.
-	toy := Config{TokenVocab: 64, PathVocab: 64, EmbedDim: 5, OutDim: 7, Seed: 3}
-	tm := testModel(toy)
-	var ts Scratch
-	var bag []Context
-	for i := 0; i < 11; i++ {
-		checkBag(t, tm, "toy", bag, &ts)
-		bag = append(bag, Context{Left: uint32(i % 4), Path: uint32(7 * i % 64), Right: uint32(3 * i % 64)})
+	// Toy shapes: an odd EmbedDim with an OutDim below the SSE2 kernel's
+	// eight-output block and no multiple of the scalar kernel's four, and
+	// one above the block and no multiple of it, so block and tail both run.
+	for _, toy := range []Config{
+		{TokenVocab: 64, PathVocab: 64, EmbedDim: 5, OutDim: 7, Seed: 3},
+		{TokenVocab: 64, PathVocab: 64, EmbedDim: 3, OutDim: 13, Seed: 4},
+	} {
+		tm := testModel(toy)
+		var ts Scratch
+		var bag []Context
+		for i := 0; i < 11; i++ {
+			checkBag(t, tm, "toy", bag, &ts)
+			bag = append(bag, Context{Left: uint32(i % 4), Path: uint32(7 * i % 64), Right: uint32(3 * i % 64)})
+		}
+		for _, c := range trieBags() {
+			checkBag(t, tm, "toy "+c.name, c.ctxs, &ts)
+		}
+	}
+}
+
+// trieBags are hand-built bags that share prefixes at every level of
+// ForwardInto's trie; all their IDs fit a vocabulary of 64.
+func trieBags() []struct {
+	name string
+	ctxs []Context
+} {
+	a := Context{Left: 3, Path: 5, Right: 7}
+	b := Context{Left: 3, Path: 6, Right: 7}
+	c := Context{Left: 3, Path: 5, Right: 8}
+	identical := make([]Context, 9)
+	sameLeftPath := make([]Context, 9)
+	for i := range identical {
+		identical[i] = a
+		sameLeftPath[i] = Context{Left: 11, Path: 13, Right: uint32(i)}
+	}
+	return []struct {
+		name string
+		ctxs []Context
+	}{
+		{"identical", identical},
+		{"same left and path", sameLeftPath},
+		// A B A C B A: B is a new pair under A's left and C a new triple
+		// under A's pair, each numbered above its parent, so the in-place
+		// row copies run at both levels.
+		{"interleaved", []Context{a, b, a, c, b, a}},
+		// Two lefts whose pairs and triples interleave.
+		{"interleaved paths", []Context{
+			{Left: 1, Path: 2, Right: 3}, {Left: 1, Path: 9, Right: 3},
+			{Left: 2, Path: 2, Right: 3}, {Left: 1, Path: 2, Right: 4},
+			{Left: 2, Path: 9, Right: 3}, {Left: 1, Path: 9, Right: 3},
+			{Left: 1, Path: 2, Right: 3},
+		}},
 	}
 }
 

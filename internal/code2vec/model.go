@@ -69,7 +69,9 @@ func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
 		return vec, st
 	}
 
-	// s is this call's own, so State keeps views of its buffers.
+	// s is this call's own, so State keeps views of its buffers. Contexts
+	// with the same triple share one row of projections; Backward only
+	// reads them.
 	n := len(ctxs)
 	st.c = make([][]float64, n)
 	st.h = make([][]float64, n)
@@ -80,7 +82,8 @@ func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
 		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
 		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
 		st.c[i] = c
-		st.h[i] = s.h[i*out : (i+1)*out]
+		t := s.triple[i]
+		st.h[i] = s.h[t*out : (t+1)*out]
 	}
 	st.alpha = s.alpha[:n]
 	return vec, st
@@ -90,9 +93,14 @@ func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
 // one caller at a time; pool or confine it. The zero value is ready to use —
 // buffers grow on demand and are retained across calls.
 type Scratch struct {
-	slot   []int     // per context: index of its left terminal among the distinct ones
-	rows   []uint32  // table rows of one kernel pass: distinct lefts, paths or rights
-	h      []float64 // all projections, n*OutDim: pre-activation, then squashed
+	triple []int     // per context: index of its (Left, Path, Right) among the distinct triples
+	pairOf []int     // per distinct triple: index of its (Left, Path) among the distinct pairs
+	leftOf []int     // per distinct pair: index of its Left among the distinct lefts
+	lefts  []uint32  // token rows of the distinct lefts
+	paths  []uint32  // path rows of the distinct pairs
+	rights []uint32  // token rows of the distinct triples' rights
+	pair   []float64 // two input rows interleaved, 2*EmbedDim: the two-row kernel's operand
+	h      []float64 // projections, a row of OutDim per distinct prefix: pre-activation, then squashed
 	scores []float64 // attention logits, n
 	alpha  []float64 // attention weights, n
 }
@@ -111,11 +119,16 @@ func growF(buf []float64, n int) []float64 {
 //
 // Each context's pre-activation is B[o] + Σ_k W[o][k]·c[k] over its input
 // c = [Tok[Left] | Path[Path] | Tok[Right]], summed in k order. After the
-// first EmbedDim terms the running sum depends only on (o, Left), so that
-// prefix is computed once per distinct left terminal; every context then
-// continues from its own left's prefix over the path terms and the right
-// terms. Both passes run through accum, which keeps every sum's order,
-// so the result is bit-identical to the plain per-context loop.
+// first EmbedDim terms the running sum depends only on (o, Left), after
+// 2·EmbedDim terms only on (o, Left, Path), and after all of them only on
+// the triple. So the bag is numbered as a prefix trie: the left terms are
+// summed once per distinct left, the path terms once per distinct
+// (Left, Path) pair continuing from its left's sums, and the right terms
+// once per distinct triple continuing from its pair's sums. Every pass runs
+// through accum, which keeps every sum's order, and tanh and the attention
+// score are computed once per distinct triple; the softmax and the weighted
+// sum then run over the contexts in order. The result is bit-identical to
+// the plain per-context loop.
 func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64 {
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
@@ -130,73 +143,102 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	}
 
 	n := len(ctxs)
-	if cap(s.slot) < n {
-		s.slot = make([]int, n)
-		s.rows = make([]uint32, n)
+	if cap(s.triple) < n {
+		s.triple = make([]int, n)
+		s.pairOf = make([]int, n)
+		s.leftOf = make([]int, n)
+		s.lefts = make([]uint32, n)
+		s.paths = make([]uint32, n)
+		s.rights = make([]uint32, n)
 	}
-	s.slot = s.slot[:n]
+	s.triple = s.triple[:n]
 	h := growF(s.h, n*out)
 	s.h = h
+	s.pair = growF(s.pair, 2*d)
 	s.scores = growF(s.scores, n)
 	s.alpha = growF(s.alpha, n)
 
-	// Number the distinct left terminals in first-seen order.
-	lefts := s.rows[:0]
+	// Number the distinct lefts, pairs and triples in first-seen order. A
+	// context that brings a new pair also brings a new triple, and one that
+	// brings a new left also brings a new pair, so every node's parent is
+	// numbered no higher than the node itself.
+	lefts, paths, rights := s.lefts[:0], s.paths[:0], s.rights[:0]
 	for i, cx := range ctxs {
-		j := 0
-		for j < len(lefts) && lefts[j] != cx.Left {
-			j++
+		l := 0
+		for l < len(lefts) && lefts[l] != cx.Left {
+			l++
 		}
-		if j == len(lefts) {
+		if l == len(lefts) {
 			lefts = append(lefts, cx.Left)
 		}
-		s.slot[i] = j
+		p := 0
+		for p < len(paths) && (s.leftOf[p] != l || paths[p] != cx.Path) {
+			p++
+		}
+		if p == len(paths) {
+			s.leftOf[p] = l
+			paths = append(paths, cx.Path)
+		}
+		t := 0
+		for t < len(rights) && (s.pairOf[t] != p || rights[t] != cx.Right) {
+			t++
+		}
+		if t == len(rights) {
+			s.pairOf[t] = p
+			rights = append(rights, cx.Right)
+		}
+		s.triple[i] = t
 	}
 
-	// Pass 1: row j of h gets the bias plus the terms of the j-th distinct
-	// left. Then every context takes its left's row. A context's left is
-	// numbered no higher than its own index, so copying from the last
-	// context down overwrites no row before its last reader.
-	u := len(lefts)
-	for j := 0; j < u; j++ {
-		copy(h[j*out:(j+1)*out], m.B.W)
+	// Row l of h gets the bias plus the left terms of the l-th distinct
+	// left. Each pass then gives every node of the next level its parent's
+	// row and continues it over the next EmbedDim terms. Copying from the
+	// last node down overwrites no row before its last reader.
+	for l := range lefts {
+		copy(h[l*out:(l+1)*out], m.B.W)
 	}
-	accum(h[:u*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0)
-	for i := n - 1; i >= 0; i-- {
-		if j := s.slot[i]; j != i {
-			copy(h[i*out:(i+1)*out], h[j*out:(j+1)*out])
+	accum(h[:len(lefts)*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.pair)
+	for p := len(paths) - 1; p >= 0; p-- {
+		if l := s.leftOf[p]; l != p {
+			copy(h[p*out:(p+1)*out], h[l*out:(l+1)*out])
 		}
 	}
-
-	// Pass 2, in two sweeps: the path terms, then the right-terminal terms.
-	rows := s.rows[:n]
-	for i, cx := range ctxs {
-		rows[i] = cx.Path
+	accum(h[:len(paths)*out], m.Path.W, paths, d, m.W.W, 3*d, d, s.pair)
+	for t := len(rights) - 1; t >= 0; t-- {
+		if p := s.pairOf[t]; p != t {
+			copy(h[t*out:(t+1)*out], h[p*out:(p+1)*out])
+		}
 	}
-	accum(h, m.Path.W, rows, d, m.W.W, 3*d, d)
-	for i, cx := range ctxs {
-		rows[i] = cx.Right
-	}
-	accum(h, m.Tok.W, rows, d, m.W.W, 3*d, 2*d)
+	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.pair)
 
-	for i := range ctxs {
-		hi := h[i*out : (i+1)*out]
+	for t := range rights {
+		ht := h[t*out : (t+1)*out]
 		sc := 0.0
-		for o, v := range hi {
-			hi[o] = math.Tanh(v)
-			sc += m.Attn.W[o] * hi[o]
+		for o, v := range ht {
+			ht[o] = math.Tanh(v)
+			sc += m.Attn.W[o] * ht[o]
 		}
-		s.scores[i] = sc
+		s.scores[t] = sc
+	}
+	for i := n - 1; i >= 0; i-- { // a context's triple is numbered at most i
+		s.scores[i] = s.scores[s.triple[i]]
 	}
 	nn.SoftmaxTo(s.alpha, s.scores)
-	for i := range ctxs {
+	for i, t := range s.triple {
 		a := s.alpha[i]
-		hi := h[i*out : (i+1)*out]
+		ht := h[t*out : (t+1)*out]
 		for o := 0; o < out; o++ {
-			dst[o] += a * hi[o]
+			dst[o] += a * ht[o]
 		}
 	}
 	return dst
+}
+
+// accumPair is accum's kernel for two rows: accum2, unless accum_amd64.go
+// installs the packed SSE2 kernel, which rounds every term identically.
+// pair is scratch for 2·len(x0) floats that accum2 does not need.
+var accumPair = func(a0, a1, x0, x1, w []float64, stride, k0 int, pair []float64) {
+	accum2(a0, a1, x0, x1, w, stride, k0)
 }
 
 // accum adds one EmbedDim-wide column window of W, times embedding rows,
@@ -206,23 +248,24 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 //	acc[i*out+o] += W[o*stride+k0+k] * table[rows[i]*d+k]   for k = 0 .. d-1
 //
 // in that order, each term rounded onto the running sum exactly as a scalar
-// loop would round it. It sweeps two rows by four outputs at a time, so
-// eight independent sums are in flight and each W load feeds two rows;
-// accum1 and the output tails take what does not fill a block.
-func accum(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int) {
+// loop would round it. It sweeps the rows two at a time through accumPair,
+// which is given pair (2·d floats) as scratch; accum1 takes an odd last row.
+func accum(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, pair []float64) {
 	out := len(acc) / len(rows)
 	i := 0
 	for ; i+2 <= len(rows); i += 2 {
 		x0 := table[int(rows[i])*d:][:d]
 		x1 := table[int(rows[i+1])*d:][:d]
-		accum2(acc[i*out:(i+1)*out], acc[(i+1)*out:(i+2)*out], x0, x1, w, stride, k0)
+		accumPair(acc[i*out:(i+1)*out], acc[(i+1)*out:(i+2)*out], x0, x1, w, stride, k0, pair)
 	}
 	if i < len(rows) {
 		accum1(acc[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, stride, k0)
 	}
 }
 
-// accum2 is accum over two rows with inputs x0 and x1 of equal length.
+// accum2 is accum over two rows with inputs x0 and x1 of equal length. It
+// sweeps four outputs at a time, so eight independent sums are in flight
+// and each W load feeds two rows; a tail takes OutDim % 4.
 func accum2(a0, a1, x0, x1, w []float64, stride, k0 int) {
 	kl := len(x0)
 	out := len(a0)
