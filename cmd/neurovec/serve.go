@@ -31,7 +31,7 @@ func cmdServe(args []string) error {
 		"per-request compute timeout (0 disables); requests may shorten it via timeout_ms")
 	trainDir := fs.String("train-dir", "",
 		"directory for POST /v1/train job checkpoints (default: a temp dir)")
-	maxBody := fs.Int64("max-body", 1<<20,
+	maxBody := fs.Int64("max-body", service.DefaultMaxRequestBytes,
 		"request body size limit in bytes (applies to every endpoint, including /v2/compile batches)")
 	drain := fs.Duration("drain", 10*time.Second,
 		"how long SIGINT/SIGTERM waits for in-flight requests before exiting")

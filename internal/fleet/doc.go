@@ -14,10 +14,12 @@
 //     single-loop workload keeps per-loop cache affinity across cosmetic
 //     edits while membership changes move a minimal key range.
 //   - Router (router.go): terminates all three /v2/compile request forms —
-//     single, batch envelope, NDJSON stream — decomposes them into per-file
-//     forwards, and reassembles responses in request order. Per-file routing
-//     is what lets a replica die mid-batch without breaking the batch: only
-//     its in-flight files re-route.
+//     single, batch envelope, NDJSON stream — and reassembles responses in
+//     request order. Stream lines forward one by one; a batch envelope
+//     forwards one sub-envelope per owning replica and splices the
+//     replicas' records into its answer, with a per-file fallback for
+//     whatever a sub-envelope cannot answer. A replica dying mid-batch
+//     re-routes only its in-flight forwards.
 //   - Replica lifecycle (replica.go): /readyz probes on a fixed cadence;
 //     FailAfter consecutive failures eject a replica from the ring,
 //     ReadyAfter successes re-admit it. Forward-path transport failures
@@ -36,9 +38,10 @@
 //     processes, restarting crashed ones on their original ports.
 //
 // The router deliberately terminates requests rather than proxying bodies
-// verbatim: decomposing batches is what enables per-file hedging, failover,
-// and caching. For the single-request form the replica's response bytes do
-// pass through unmodified, so a fleet answer is byte-identical to a
-// single-process `neurovec serve` answer. See docs/FLEET.md for topology
+// verbatim: decomposing batches is what enables per-file sharding, per-file
+// fallback, and caching. For the single-request form the replica's response
+// bytes pass through unmodified, and a batch answer splices the replicas'
+// record bytes, so a fleet answer is byte-identical to a single-process
+// `neurovec serve` answer up to request IDs. See docs/FLEET.md for topology
 // and failure semantics.
 package fleet

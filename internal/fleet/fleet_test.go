@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -107,6 +108,11 @@ type testReplica struct {
 	svc  *service.Server
 	hs   *httptest.Server
 	down atomic.Bool
+	// conns counts the connections the replica has accepted.
+	conns atomic.Int64
+	// hold, when set, runs before each /v2/ request is served, so a test
+	// can act while a forward is in flight.
+	hold atomic.Pointer[func()]
 }
 
 func (rep *testReplica) kill() {
@@ -122,16 +128,27 @@ func (rep *testReplica) revive() { rep.down.Store(false) }
 // sweep runs here so the fleet version is known from the start.
 func newTestFleet(t *testing.T, paths []string, cfg Config) (*Router, []*testReplica) {
 	t.Helper()
+	return newTestFleetWith(t, paths, cfg, service.Config{})
+}
+
+// newTestFleetWith is newTestFleet with every replica built from scfg (its
+// ModelPath set per replica).
+func newTestFleetWith(t *testing.T, paths []string, cfg Config, scfg service.Config) (*Router, []*testReplica) {
+	t.Helper()
 	replicas := make([]*testReplica, len(paths))
 	addrs := make([]string, len(paths))
 	for i, path := range paths {
-		svc, err := service.New(service.Config{ModelPath: path})
+		scfg.ModelPath = path
+		svc, err := service.New(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(svc.Close)
 		rep := &testReplica{svc: svc}
-		rep.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rep.hs = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hold := rep.hold.Load(); hold != nil && strings.HasPrefix(r.URL.Path, "/v2/") {
+				(*hold)()
+			}
 			if rep.down.Load() {
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusServiceUnavailable)
@@ -140,6 +157,12 @@ func newTestFleet(t *testing.T, paths []string, cfg Config) (*Router, []*testRep
 			}
 			svc.ServeHTTP(w, r)
 		}))
+		rep.hs.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				rep.conns.Add(1)
+			}
+		}
+		rep.hs.Start()
 		t.Cleanup(rep.hs.Close)
 		replicas[i] = rep
 		addrs[i] = rep.hs.URL
@@ -643,8 +666,41 @@ func TestFleetHedging(t *testing.T) {
 			t.Fatalf("src %d: status %d: %s", i, rec.Code, body)
 		}
 	}
-	if hedges := metricValue(t, rt, "neurovec_fleet_hedges_total"); hedges == 0 {
+	hedges := metricValue(t, rt, "neurovec_fleet_hedges_total")
+	if hedges == 0 {
 		t.Fatal("no hedges fired against a replica 15x slower than the hedge delay")
+	}
+
+	// An envelope hedges per sub-envelope: the slow replica's share gets a
+	// duplicate on the fast one, and every record still answers in order.
+	// Ring positions hash the replicas' (random) addresses, so a generated
+	// file the slow replica owns makes sure it gets a sub-envelope.
+	reqs := make([]api.CompileRequest, len(fixture.srcs))
+	for i, src := range fixture.srcs {
+		reqs[i] = api.CompileRequest{File: fmt.Sprintf("h%d.c", i), Source: "// envelope\n" + src}
+	}
+	for k := 0; ; k++ {
+		req := api.CompileRequest{File: "slow.c", Source: fmt.Sprintf("float s%d[64];\nvoid f() {\n  for (int i = 0; i < 64; i++) { s%d[i] = s%d[i] * 2; }\n}\n", k, k, k)}
+		if ownerOf(rt, &req) == slow.URL {
+			reqs = append(reqs, req)
+			break
+		}
+	}
+	rec, body := post(t, rt, "/v2/compile", api.Batch{Requests: reqs}, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("envelope: status %d: %s", rec.Code, body)
+	}
+	var out api.BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range out.Responses {
+		if resp.Error != "" || resp.File != reqs[i].File {
+			t.Fatalf("envelope record %d: file %q error %q", i, resp.File, resp.Error)
+		}
+	}
+	if got := metricValue(t, rt, "neurovec_fleet_hedges_total"); got <= hedges {
+		t.Fatal("no hedge fired for an envelope with a sub-envelope to the slow replica")
 	}
 }
 

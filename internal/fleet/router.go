@@ -10,6 +10,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,7 +144,7 @@ func New(cfg Config) (*Router, error) {
 		metrics: NewMetrics(),
 		log:     cfg.Logger,
 		stop:    make(chan struct{}),
-		client:  &http.Client{Transport: cfg.Transport},
+		client:  &http.Client{Transport: forwardTransport(cfg)},
 	}
 	rt.version.Store("")
 	for _, addr := range cfg.Replicas {
@@ -168,6 +169,21 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
+// forwardTransport is the forwarding client's transport: cfg.Transport when
+// set, else a copy of http.DefaultTransport that keeps ReplicaInFlight idle
+// connections per replica, the most the forward semaphore lets the router
+// use at once. The default keeps two, so a busy router would dial a fresh
+// connection for most forwards.
+func forwardTransport(cfg Config) http.RoundTripper {
+	if cfg.Transport != nil {
+		return cfg.Transport
+	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = cfg.ReplicaInFlight
+	tr.MaxIdleConns = 0 // no total bound: the per-replica one is the limit
+	return tr
+}
+
 // Start runs one synchronous probe sweep (so the ring and fleet version
 // reflect reality before the first request) and starts the background prober.
 func (rt *Router) Start() {
@@ -176,10 +192,12 @@ func (rt *Router) Start() {
 	go rt.probeLoop()
 }
 
-// Close stops the background prober. It does not touch the replicas.
+// Close stops the background prober and closes idle forwarding
+// connections. It does not touch the replicas.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.probeWG.Wait()
+	rt.client.CloseIdleConnections()
 }
 
 // Metrics exposes the router's metrics surface.
@@ -413,53 +431,78 @@ func (rt *Router) lookupReplicas(key string) []*replica {
 	return out
 }
 
-// compileOne routes one file: shared-cache probe, consistent-hash lookup,
-// hedged forward, then a conditional cache store. cacheState is the
-// X-Neurovec-Cache value ("hit", "miss", or "bypass").
+// probeCache looks req up in the shared cache tier under the fleet version
+// snapshot. key is the entry the forward may fill, "" when the tier does not
+// apply (mixed or unknown version, traced request, tier disabled); cached is
+// the hit's bytes, nil on a miss.
+func (rt *Router) probeCache(version string, req *api.CompileRequest) (key string, cached []byte) {
+	if version == "" || req.Trace || rt.cfg.CacheEntries <= 0 {
+		return "", nil
+	}
+	polName := req.Policy
+	if polName == "" {
+		polName = core.DefaultPolicy
+	}
+	key = service.CompileCacheKey(version, polName, req)
+	if cached, ok := rt.cache.Get(key); ok {
+		rt.metrics.CacheHit()
+		return key, cached
+	}
+	rt.metrics.CacheMiss()
+	return key, nil
+}
+
+// compileOne routes one file: shared-cache probe, then forwardOne.
+// cacheState is the X-Neurovec-Cache value ("hit", "miss", or "bypass").
 //
 // Cache consistency: the key embeds the fleet version snapshot taken here,
 // and the store only happens when the replica's answer reports exactly that
 // version. A mid-roll fleet has version "" (mixed), which disables both
 // probe and store — a cached response can therefore never cross model
 // versions, and mixed-version responses are never served from cache.
-func (rt *Router) compileOne(ctx context.Context, req *api.CompileRequest, reqID string) (status int, body []byte, cacheState string) {
+func (rt *Router) compileOne(ctx context.Context, req *api.CompileRequest, reqID string) (status int, body []byte, resp *api.CompileResponse, cacheState string) {
 	version := rt.fleetVersion()
-	cacheable := version != "" && !req.Trace && rt.cfg.CacheEntries > 0
-	key := ""
-	cacheState = "bypass"
-	if cacheable {
-		polName := req.Policy
-		if polName == "" {
-			polName = core.DefaultPolicy
-		}
-		key = service.CompileCacheKey(version, polName, req)
-		if cached, ok := rt.cache.Get(key); ok {
-			rt.metrics.CacheHit()
-			return http.StatusOK, cached, "hit"
-		}
-		rt.metrics.CacheMiss()
+	key, cached := rt.probeCache(version, req)
+	switch {
+	case cached != nil:
+		return http.StatusOK, cached, nil, "hit"
+	case key != "":
 		cacheState = "miss"
+	default:
+		cacheState = "bypass"
 	}
+	status, body, resp = rt.forwardOne(ctx, version, key, req, reqID)
+	return status, body, resp, cacheState
+}
+
+// forwardOne sends one single-form request to the ring owner of req (hedged,
+// with failover) and, when key is set, stores an error-free, untruncated
+// answer of the fleet version under it. body is nil when no replica
+// answered. resp is the answer decoded for that store check, nil when it was
+// not decoded, so a caller that needs the record never decodes it twice.
+func (rt *Router) forwardOne(ctx context.Context, version, key string, req *api.CompileRequest, reqID string) (status int, body []byte, resp *api.CompileResponse) {
 	nodes := rt.lookupReplicas(rt.shardKey(version, req))
 	if len(nodes) == 0 {
-		return http.StatusServiceUnavailable, nil, cacheState
+		return http.StatusServiceUnavailable, nil, nil
 	}
 	fwdBody, err := json.Marshal(req)
 	if err != nil {
-		return http.StatusBadRequest, nil, cacheState
+		return http.StatusBadRequest, nil, nil
 	}
 	res := rt.sendHedged(ctx, nodes, fwdBody, reqID)
 	if res.err != nil {
-		return http.StatusServiceUnavailable, nil, cacheState
+		return http.StatusServiceUnavailable, nil, nil
 	}
-	if cacheable && res.status == http.StatusOK {
-		var resp api.CompileResponse
-		if json.Unmarshal(res.body, &resp) == nil &&
-			resp.Error == "" && !resp.Truncated && resp.ModelVersion == version {
-			rt.cache.Put(key, res.body)
+	if key != "" && res.status == http.StatusOK {
+		var decoded api.CompileResponse
+		if json.Unmarshal(res.body, &decoded) == nil {
+			resp = &decoded
+			if resp.Error == "" && !resp.Truncated && resp.ModelVersion == version {
+				rt.cache.Put(key, res.body)
+			}
 		}
 	}
-	return res.status, res.body, cacheState
+	return res.status, res.body, resp
 }
 
 // ---- /v2/compile ----
@@ -497,7 +540,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		rt.writeErrorBody(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	status, body, cacheState := rt.compileOne(r.Context(), &req, reqID)
+	status, body, _, cacheState := rt.compileOne(r.Context(), &req, reqID)
 	if body == nil {
 		rt.writeErrorBody(w, status, "fleet: no replica could serve the request")
 		return
@@ -511,22 +554,35 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// compileLine answers one batched file with a response record (never a bare
-// status): router-level failures become the record's Error field, exactly as
-// replica-level failures do on the service's own batch path.
+// compileLine answers one streamed or batched file with a response record
+// (never a bare status): router-level failures become the record's Error
+// field, exactly as replica-level failures do on the service's own batch
+// path.
 func (rt *Router) compileLine(ctx context.Context, req *api.CompileRequest, reqID string) *api.CompileResponse {
 	if err := req.Validate(); err != nil {
-		return &api.CompileResponse{Version: api.Version, File: req.File, RequestID: reqID, Error: err.Error()}
+		return invalidRecord(req, reqID, err)
 	}
-	status, body, _ := rt.compileOne(ctx, req, reqID)
+	status, body, resp, _ := rt.compileOne(ctx, req, reqID)
+	return lineRecord(req, reqID, status, body, resp)
+}
+
+func invalidRecord(req *api.CompileRequest, reqID string, err error) *api.CompileResponse {
+	return &api.CompileResponse{Version: api.Version, File: req.File, RequestID: reqID, Error: err.Error()}
+}
+
+// lineRecord turns one single-form answer (status, body, and resp when the
+// forward already decoded body) into the file's response record.
+func lineRecord(req *api.CompileRequest, reqID string, status int, body []byte, resp *api.CompileResponse) *api.CompileResponse {
 	if body == nil {
 		return &api.CompileResponse{Version: api.Version, File: req.File, RequestID: reqID,
 			Error: "fleet: no replica could serve the request"}
 	}
-	var resp api.CompileResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return &api.CompileResponse{Version: api.Version, File: req.File, RequestID: reqID,
-			Error: "fleet: bad replica response: " + err.Error()}
+	if resp == nil {
+		resp = new(api.CompileResponse)
+		if err := json.Unmarshal(body, resp); err != nil {
+			return &api.CompileResponse{Version: api.Version, File: req.File, RequestID: reqID,
+				Error: "fleet: bad replica response: " + err.Error()}
+		}
 	}
 	if status != http.StatusOK && resp.Error == "" {
 		// Single-form error bodies carry {"error", "diagnostics"}; lift them
@@ -536,43 +592,204 @@ func (rt *Router) compileLine(ctx context.Context, req *api.CompileRequest, reqI
 			Diagnostics diag.List `json:"diagnostics"`
 		}
 		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-			resp = api.CompileResponse{Version: api.Version, File: req.File, Error: eb.Error, Diagnostics: eb.Diagnostics}
+			resp = &api.CompileResponse{Version: api.Version, File: req.File, Error: eb.Error, Diagnostics: eb.Diagnostics}
 		} else {
-			resp = api.CompileResponse{Version: api.Version, File: req.File, Error: "fleet: replica error"}
+			resp = &api.CompileResponse{Version: api.Version, File: req.File, Error: "fleet: replica error"}
 		}
 	}
 	resp.RequestID = reqID
-	return &resp
+	return resp
 }
 
-// handleCompileBatch answers a Batch envelope by routing every file
-// independently (each with its own shard key, cache probe, and
-// failover/hedging) and reassembling responses in request order.
+// subEnvelopeBytes bounds one forwarded sub-envelope body: the replicas'
+// default request-body limit, below the router's own.
+const subEnvelopeBytes = service.DefaultMaxRequestBytes
+
+// batchGroup is one sub-envelope: envelope files whose ring owner is the
+// same replica, forwarded as one {"requests":[…]} body along the first
+// file's preference list. Any ready replica answers any file the same way,
+// so hedging and failing over the whole group is sound.
+type batchGroup struct {
+	nodes []*replica
+	idx   []int  // envelope positions, in request order
+	body  []byte // the sub-envelope, closed before sending
+}
+
+// handleCompileBatch answers a Batch envelope with one forward per owning
+// replica instead of one per file. Every file is validated and probed in
+// the shared cache first; the misses are grouped by ring owner into
+// sub-envelopes, and the replicas' records are spliced into the answer
+// verbatim. A file takes the per-file path of compileLine instead — with
+// its own failover, hedging, error-body lifting and "fleet: …" messages —
+// when it is traced, too large to share an envelope, in a group whose
+// forward failed, or answered with an error record. The answer is
+// byte-identical to json.Marshal of the api.BatchResponse compileLine would
+// have assembled for every file.
 func (rt *Router) handleCompileBatch(w http.ResponseWriter, r *http.Request, version int, reqs []api.CompileRequest, reqID string) {
 	batch := api.Batch{Version: version, Requests: reqs}
 	if err := batch.Validate(); err != nil {
 		rt.writeErrorBody(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	out := api.BatchResponse{Version: api.Version, Responses: make([]api.CompileResponse, len(reqs))}
-	sem := make(chan struct{}, rt.streamWidth())
-	var wg sync.WaitGroup
+	ctx := r.Context()
+	fleetVer := rt.fleetVersion()
+	records := make([][]byte, len(reqs))             // spliced replica records
+	lines := make([]*api.CompileResponse, len(reqs)) // per-file records
+	keys := make([]string, len(reqs))
+	var fallback []int
+	var groups []*batchGroup
+	open := make(map[*replica]*batchGroup)
 	for i := range reqs {
+		req := &reqs[i]
+		if err := req.Validate(); err != nil {
+			lines[i] = invalidRecord(req, reqID, err)
+			continue
+		}
+		if req.Trace {
+			fallback = append(fallback, i)
+			continue
+		}
+		key, cached := rt.probeCache(fleetVer, req)
+		if cached != nil {
+			lines[i] = lineRecord(req, reqID, http.StatusOK, cached, nil)
+			continue
+		}
+		keys[i] = key
+		nodes := rt.lookupReplicas(rt.shardKey(fleetVer, req))
+		if len(nodes) == 0 {
+			lines[i] = lineRecord(req, reqID, http.StatusServiceUnavailable, nil, nil)
+			continue
+		}
+		line, err := json.Marshal(req)
+		if err != nil || len(envelopeOpen)+len(line)+len(envelopeClose) > subEnvelopeBytes {
+			fallback = append(fallback, i)
+			continue
+		}
+		g := open[nodes[0]]
+		if g != nil && len(g.body)+1+len(line)+len(envelopeClose) > subEnvelopeBytes {
+			g = nil
+		}
+		if g == nil {
+			g = &batchGroup{nodes: nodes, body: append([]byte(nil), envelopeOpen...)}
+			open[nodes[0]] = g
+			groups = append(groups, g)
+		} else {
+			g.body = append(g.body, ',')
+		}
+		g.body = append(g.body, line...)
+		g.idx = append(g.idx, i)
+	}
+
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		g.body = append(g.body, envelopeClose...)
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			out.Responses[i] = *rt.compileLine(r.Context(), &reqs[i], reqID)
-		}(i)
+			if failed := rt.forwardGroup(ctx, fleetVer, g, keys, records, reqID); len(failed) > 0 {
+				mu.Lock()
+				fallback = append(fallback, failed...)
+				mu.Unlock()
+			}
+		}()
 	}
 	wg.Wait()
-	body, err := json.Marshal(&out)
-	if err != nil {
-		rt.writeErrorBody(w, http.StatusInternalServerError, err.Error())
-		return
+
+	sem := make(chan struct{}, rt.streamWidth())
+	for _, i := range fallback {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			status, body, resp := rt.forwardOne(ctx, fleetVer, keys[i], &reqs[i], reqID)
+			lines[i] = lineRecord(&reqs[i], reqID, status, body, resp)
+		}()
 	}
-	writeJSON(w, http.StatusOK, body)
+	wg.Wait()
+
+	for i, rec := range records {
+		if rec != nil {
+			continue
+		}
+		rec, err := json.Marshal(lines[i])
+		if err != nil {
+			rt.writeErrorBody(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		records[i] = rec
+	}
+	writeJSON(w, http.StatusOK, spliceBatch(records))
+}
+
+// spliceBatch wraps records in the api.BatchResponse envelope. Every record
+// is compact encoding/json output, so the result is the bytes json.Marshal
+// would write for the decoded envelope.
+func spliceBatch(records [][]byte) []byte {
+	head := `{"version":` + strconv.Itoa(api.Version) + `,"responses":[`
+	n := len(head) + len(records) + 2
+	for _, rec := range records {
+		n += len(rec)
+	}
+	body := make([]byte, 0, n)
+	body = append(body, head...)
+	for i, rec := range records {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, rec...)
+	}
+	return append(body, "]}"...)
+}
+
+const (
+	envelopeOpen  = `{"requests":[`
+	envelopeClose = `]}`
+)
+
+// forwardGroup sends one sub-envelope and files each returned record into
+// records at its envelope position. It returns the positions that need the
+// per-file path: all of them when the forward fails or answers with the
+// wrong shape, else those whose record carries an error. The shared cache
+// stores a record, minus its request_id, under the same conditions as
+// forwardOne: no error, not truncated, and the fleet version.
+func (rt *Router) forwardGroup(ctx context.Context, version string, g *batchGroup, keys []string, records [][]byte, reqID string) (failed []int) {
+	res := rt.sendHedged(ctx, g.nodes, g.body, reqID)
+	if res.err != nil || res.status != http.StatusOK {
+		return g.idx
+	}
+	var out struct {
+		Responses []json.RawMessage `json:"responses"`
+	}
+	if json.Unmarshal(res.body, &out) != nil || len(out.Responses) != len(g.idx) {
+		return g.idx
+	}
+	// The replica stamps the forwarded request ID on every record. The
+	// sequence can only occur as the record's own field: inside a JSON
+	// string its quotes would be escaped.
+	idField, _ := json.Marshal(reqID)
+	idField = append([]byte(`,"request_id":`), idField...)
+	for j, rec := range out.Responses {
+		i := g.idx[j]
+		var head struct {
+			ModelVersion string `json:"model_version"`
+			Truncated    bool   `json:"truncated"`
+			Error        string `json:"error"`
+		}
+		cut := bytes.Index(rec, idField)
+		if cut < 0 || json.Unmarshal(rec, &head) != nil || head.Error != "" {
+			failed = append(failed, i)
+			continue
+		}
+		records[i] = rec
+		if keys[i] != "" && !head.Truncated && head.ModelVersion == version {
+			neutral := make([]byte, 0, len(rec)-len(idField))
+			neutral = append(neutral, rec[:cut]...)
+			rt.cache.Put(keys[i], append(neutral, rec[cut+len(idField):]...))
+		}
+	}
+	return failed
 }
 
 // handleCompileStream answers an NDJSON stream: lines fan out across the

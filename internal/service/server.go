@@ -26,6 +26,11 @@ import (
 	"neurovec/internal/policy"
 )
 
+// DefaultMaxRequestBytes is the request-body limit of a server whose
+// Config.MaxRequestBytes is unset, and of `neurovec serve` without
+// -max-body. The fleet router sizes its sub-envelopes to fit under it.
+const DefaultMaxRequestBytes = 1 << 20
+
 // Config tunes the server. The zero value of every optional field picks a
 // production default.
 type Config struct {
@@ -55,7 +60,8 @@ type Config struct {
 	// BatchWait is how long the batcher lingers to fill a batch
 	// (default 2ms).
 	BatchWait time.Duration
-	// MaxRequestBytes bounds request bodies (default 1MiB).
+	// MaxRequestBytes bounds request bodies (default
+	// DefaultMaxRequestBytes).
 	MaxRequestBytes int64
 	// RequestTimeout bounds the compute time of one request, wired through
 	// the request context: deadline-aware policies (brute) return their
@@ -147,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.LoopCacheEntries = core.DefaultLoopCacheEntries
 	}
 	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = 1 << 20
+		cfg.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	s := &Server{
 		cfg:       cfg,
