@@ -186,9 +186,10 @@ func TestDocsTrainFlagsAreReal(t *testing.T) {
 	}
 }
 
-// TestDocsListCoreSpans checks that OBSERVABILITY.md's list of compile
-// pipeline stages names every span internal/core starts with a literal
-// name, so a new stage cannot land undocumented.
+// TestDocsListCoreSpans checks that OBSERVABILITY.md's list of pipeline
+// stages names every span that internal/core, internal/evalharness and
+// internal/trainer start with a literal name, so a new stage cannot land
+// undocumented.
 func TestDocsListCoreSpans(t *testing.T) {
 	root := repoRoot(t)
 	body, err := os.ReadFile(filepath.Join(root, "docs", "OBSERVABILITY.md"))
@@ -204,28 +205,30 @@ func TestDocsListCoreSpans(t *testing.T) {
 	if j := strings.Index(list, "\n\n"); j >= 0 {
 		list = list[:j]
 	}
-	files, err := filepath.Glob(filepath.Join(root, "internal", "core", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	spanRe := regexp.MustCompile(`obs\.StartSpan\(ctx, "([^"]+)"\)`)
-	found := 0
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(f)
+	for _, pkg := range []string{"core", "evalharness", "trainer"} {
+		files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range spanRe.FindAllStringSubmatch(string(src), -1) {
-			found++
-			if !strings.Contains(list, "`"+m[1]+"`") {
-				t.Errorf("%s starts span %q, which OBSERVABILITY.md's stage list omits", filepath.Base(f), m[1])
+		found := 0
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range spanRe.FindAllStringSubmatch(string(src), -1) {
+				found++
+				if !strings.Contains(list, "`"+m[1]+"`") {
+					t.Errorf("internal/%s/%s starts span %q, which OBSERVABILITY.md's stage list omits", pkg, filepath.Base(f), m[1])
+				}
 			}
 		}
-	}
-	if found == 0 {
-		t.Fatal("found no obs.StartSpan calls in internal/core")
+		if found == 0 {
+			t.Errorf("found no obs.StartSpan calls in internal/%s", pkg)
+		}
 	}
 }

@@ -25,16 +25,25 @@ import (
 // builds per-request state (parse, lower, extract, simulate) and touches the
 // framework only through read-only views — the configuration and the trained
 // weights. That makes PredictLoops, PredictSource, SweepSource,
-// AnnotateSource and EmbedSource safe for any number of concurrent callers,
-// which is what the serving layer (internal/service) relies on. The mutating
-// APIs (LoadSource, Train, LoadModel, ...) remain single-threaded setup
-// operations.
+// AnnotateSource, EmbedSource, Compile and Decide safe for any number of
+// concurrent callers, which is what the serving layer (internal/service)
+// relies on. The mutating APIs (LoadSource, Train, LoadModel, ...) remain
+// single-threaded setup operations.
 //
 // PredictLoops is the loop-granular entrypoint and speaks the versioned v2
 // wire schema (package neurovec/internal/api) directly: one api.Decision per
 // innermost loop with a stable LoopID, provenance, and optional per-loop
-// pins. PredictSource and AnnotateSource are thin adapters over it;
-// SweepSource shares its compile pipeline.
+// pins. It is a response-memo probe, then two steps, then rendering:
+//
+//   - Compile: parse, sema, extract, lower, and the baseline simulation,
+//     once per source (*Compiled);
+//   - Decide: one policy over a compile — decisions, pins, the loop cache,
+//     and the per-loop and combined simulations;
+//   - extractor.Annotate renders the decisions as pragmas.
+//
+// PredictSource and AnnotateSource are thin adapters over PredictLoops;
+// SweepSource shares the compile step. The eval harness compiles each file
+// once and runs Decide for each of its roles, which never renders.
 //
 // Inference is policy-parameterized: the decision for each loop comes from a
 // policy.Policy — the trained agent by default, or any registered method
@@ -181,10 +190,13 @@ func (f *Framework) resolvePolicy(o *inferOpts, fallback string) (policy.Policy,
 	return f.Policy(name)
 }
 
-// compiled is the per-request state every inference entrypoint builds once:
-// the parsed program, its extraction targets with stable loop identities,
-// the lowered IR, and the baseline plan/cycle anchors.
-type compiled struct {
+// Compiled is one source program compiled for inference — the per-request
+// state every inference entrypoint builds once: the parsed program, its
+// extraction targets with stable loop identities, the lowered IR, and the
+// baseline plan/cycle anchors. Build it with Compile; it is read-only
+// afterwards, so any number of Decide calls, for any policies, may share it.
+type Compiled struct {
+	source     string
 	prog       *lang.Program
 	infos      []extractor.LoopInfo
 	ids        map[string]api.LoopID
@@ -194,12 +206,23 @@ type compiled struct {
 	diags      diag.List
 }
 
+// Compile runs the front half of PredictLoops once — parse, semantic
+// analysis, loop extraction, lowering, and the baseline simulation — so
+// that several policies can be decided over one compile with Decide. Of the
+// options only WithStrictSema and WithSourceName apply. Safe for concurrent
+// callers.
+func (f *Framework) Compile(ctx context.Context, source string, params map[string]int64, opts ...InferOption) (*Compiled, error) {
+	o := gatherOpts(opts)
+	defer releaseOpts(o)
+	return f.compileSource(ctx, source, params, o)
+}
+
 // compileSource parses, extracts, and lowers one source program and
 // simulates its baseline — the shared front half of PredictLoops and
 // SweepSource. It builds only per-request state. Every stage runs under an
 // obs span, so an armed context (service requests, traced CLI calls) gets
 // per-stage latency for free and an unarmed one pays nothing.
-func (f *Framework) compileSource(ctx context.Context, source string, params map[string]int64, o *inferOpts) (*compiled, error) {
+func (f *Framework) compileSource(ctx context.Context, source string, params map[string]int64, o *inferOpts) (*Compiled, error) {
 	_, sp := obs.StartSpan(ctx, "parse")
 	prog, err := lang.ParseFile(o.file, source)
 	sp.End()
@@ -241,7 +264,8 @@ func (f *Framework) compileSource(ctx context.Context, source string, params map
 	_, sp = obs.StartSpan(ctx, "sim_baseline")
 	baseCycles := sim.Program(irp, basePlans, f.Cfg.Sim).Cycles
 	sp.End()
-	return &compiled{
+	return &Compiled{
+		source:     source,
 		prog:       prog,
 		infos:      infos,
 		ids:        ids,
@@ -254,7 +278,7 @@ func (f *Framework) compileSource(ctx context.Context, source string, params map
 
 // resolvePins maps each pin onto the parser label of the loop it addresses.
 // Every pin must address exactly one existing loop with legal factors.
-func (f *Framework) resolvePins(c *compiled, pins []api.Pin) (map[string]api.Pin, error) {
+func (f *Framework) resolvePins(c *Compiled, pins []api.Pin) (map[string]api.Pin, error) {
 	if len(pins) == 0 {
 		return nil, nil
 	}
@@ -338,6 +362,43 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 	if err != nil {
 		return nil, err
 	}
+	resp, err := f.decide(ctx, c, pol, o)
+	if err != nil {
+		return nil, err
+	}
+	decisions := make([]extractor.Decision, len(resp.Loops))
+	for i, d := range resp.Loops {
+		decisions[i] = extractor.Decision{Label: d.Label, VF: d.VF, IF: d.IF}
+	}
+	resp.Annotated = extractor.Annotate(c.prog, decisions)
+	if o.memo != nil && !resp.Truncated {
+		o.memo.put(mkey, resp)
+	}
+	return resp, nil
+}
+
+// Decide is PredictLoops over an existing compile: it decides every
+// innermost loop of c with the selected policy (default: the trained
+// agent), honoring pins and the loop cache, and simulates each decision and
+// their combination. It renders nothing — the response's Annotated field is
+// empty — and ignores the response memo and the compile-time options. Safe
+// for concurrent callers, including on one shared Compiled.
+func (f *Framework) Decide(ctx context.Context, c *Compiled, opts ...InferOption) (*api.CompileResponse, error) {
+	o := gatherOpts(opts)
+	defer releaseOpts(o)
+	pol, err := f.resolvePolicy(o, DefaultPolicy)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil && !policy.IsDeadlineAware(pol) {
+		return nil, err
+	}
+	return f.decide(ctx, c, pol, o)
+}
+
+// decide is the per-policy back half of PredictLoops: decisions, pins, the
+// loop cache, and the per-loop and combined simulations.
+func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, o *inferOpts) (*api.CompileResponse, error) {
 	pinned, err := f.resolvePins(c, o.pins)
 	if err != nil {
 		return nil, err
@@ -363,7 +424,6 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 	// cloning the whole plan map per loop made the walk O(loops^2) in map
 	// copies, which dominated multi-loop files.
 	single := clonePlans(c.basePlans)
-	var decisions []extractor.Decision
 	for _, info := range c.infos {
 		loop := c.irp.FindLoop(info.Label)
 		if loop == nil {
@@ -382,7 +442,7 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 				vf, ifc = cv, ci
 				break
 			}
-			req := f.loopRequest(source, info, c.irp, loop, c.basePlans)
+			req := f.loopRequest(c, info, loop)
 			// Span wrap first, cache wrap outside it: a cache hit returns
 			// before the inner closure runs, so only real code2vec forward
 			// passes are timed as "embed".
@@ -426,7 +486,6 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 			PredictedSpeedup: safeRatio(c.baseCycles, cycles),
 			Provenance:       prov,
 		})
-		decisions = append(decisions, extractor.Decision{Label: info.Label, VF: vf, IF: ifc})
 		combined[info.Label] = plan
 	}
 	_, ssp := obs.StartSpan(ctx, "sim")
@@ -434,10 +493,6 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 	resp.PredictedCycles = sim.Program(c.irp, combined, f.Cfg.Sim).Cycles
 	ssp.End()
 	resp.Speedup = safeRatio(c.baseCycles, resp.PredictedCycles)
-	resp.Annotated = extractor.Annotate(c.prog, decisions)
-	if o.memo != nil && !resp.Truncated {
-		o.memo.put(mkey, resp)
-	}
 	return resp, nil
 }
 
@@ -599,14 +654,15 @@ func (f *Framework) PredictSource(ctx context.Context, source string, params map
 	return inf, nil
 }
 
-// loopRequest assembles the policy.Request for one loop of a lowered
+// loopRequest assembles the policy.Request for one loop of a compiled
 // program. Embedding and candidate evaluation are closures so policies that
 // never use them cost nothing.
-func (f *Framework) loopRequest(source string, info extractor.LoopInfo, irp *ir.Program, loop *ir.Loop, basePlans map[string]*vectorizer.Plan) *policy.Request {
-	return &policy.Request{
+func (f *Framework) loopRequest(c *Compiled, info extractor.LoopInfo, loop *ir.Loop) *policy.Request {
+	r := &evalRequest{f: f, basePlans: c.basePlans}
+	r.Request = policy.Request{
 		Name:   info.Label,
-		Source: source,
-		Prog:   irp,
+		Source: c.source,
+		Prog:   c.irp,
 		Loop:   loop,
 		Arch:   f.Cfg.Arch,
 		Embed: func() []float64 {
@@ -619,12 +675,43 @@ func (f *Framework) loopRequest(source string, info extractor.LoopInfo, irp *ir.
 			f.embed.ForwardInto(vec, s.ex.Extract(info.Outermost, f.Cfg.Embed), &s.sc)
 			return vec
 		},
-		Evaluate: func(vf, ifc int) float64 {
-			single := clonePlans(basePlans)
-			single[loop.Label] = vectorizer.New(loop, f.Cfg.Arch, vf, ifc)
-			return sim.Program(irp, single, f.Cfg.Sim).Cycles
-		},
+		Evaluate: r.evaluate,
 	}
+	return &r.Request
+}
+
+// evalRequest is a policy.Request plus the state behind its Evaluate.
+type evalRequest struct {
+	policy.Request
+	f         *Framework
+	basePlans map[string]*vectorizer.Plan
+	// plans is basePlans with the request's loop at the candidate under
+	// evaluation; cycles memoizes each effective (VF, IF) already
+	// simulated. Both are built on the first Evaluate call, so policies
+	// that never search allocate neither.
+	plans  map[string]*vectorizer.Plan
+	cycles map[[2]int]float64
+}
+
+// evaluate returns the program's simulated cycles with the loop at (vf, ifc)
+// and every other loop at its baseline plan. The simulator sees only the
+// effective factors vectorizer.New clamps a request to, so a candidate that
+// clamps onto a pair already simulated is answered from the memo. Every
+// call overwrites the loop's plan entry, so the reused map needs no restore.
+func (r *evalRequest) evaluate(vf, ifc int) float64 {
+	plan := vectorizer.New(r.Loop, r.Arch, vf, ifc)
+	key := [2]int{plan.VF, plan.IF}
+	if cycles, ok := r.cycles[key]; ok {
+		return cycles
+	}
+	if r.cycles == nil {
+		r.cycles = make(map[[2]int]float64)
+		r.plans = clonePlans(r.basePlans)
+	}
+	r.plans[r.Loop.Label] = plan
+	cycles := sim.Program(r.Prog, r.plans, r.f.Cfg.Sim).Cycles
+	r.cycles[key] = cycles
+	return cycles
 }
 
 // Sweep is the VF x IF performance grid for one loop of a program.
@@ -685,33 +772,21 @@ func (f *Framework) SweepSource(ctx context.Context, source string, params map[s
 		IFs:            f.Cfg.Arch.IFs(),
 		BaselineCycles: c.baseCycles,
 	}
-	gridCycles := make(map[[2]int]float64, len(sw.VFs)*len(sw.IFs))
+	// The grid walks the request a search policy would get, so the policy's
+	// evaluations of the same objective are answered from the request's
+	// memo instead of re-simulated (brute becomes a free argmin).
+	req := f.loopRequest(c, info, loop)
 	for _, vf := range sw.VFs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		row := make([]float64, 0, len(sw.IFs))
 		for _, ifc := range sw.IFs {
-			plans := clonePlans(c.basePlans)
-			plans[loop.Label] = vectorizer.New(loop, f.Cfg.Arch, vf, ifc)
-			cycles := sim.Program(c.irp, plans, f.Cfg.Sim).Cycles
-			gridCycles[[2]int{vf, ifc}] = cycles
-			row = append(row, safeRatio(c.baseCycles, cycles))
+			row = append(row, safeRatio(c.baseCycles, req.Evaluate(vf, ifc)))
 		}
 		sw.Speedup = append(sw.Speedup, row)
 	}
 	if pol != nil {
-		req := f.loopRequest(source, info, c.irp, loop, c.basePlans)
-		// A search policy over the same objective would re-simulate the grid
-		// the sweep just walked; serve those evaluations from the computed
-		// cells (brute's overlay becomes a free argmin).
-		simulate := req.Evaluate
-		req.Evaluate = func(vf, ifc int) float64 {
-			if c, ok := gridCycles[[2]int{vf, ifc}]; ok {
-				return c
-			}
-			return simulate(vf, ifc)
-		}
 		d, err := pol.Decide(ctx, req)
 		if err != nil {
 			return nil, fmt.Errorf("core: policy %s on loop %s: %w", pol.Name(), info.Label, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -20,21 +21,45 @@ func raceSources(t *testing.T, n int) []string {
 }
 
 // TestConcurrentInference hammers every stateless inference entry point from
-// many goroutines at once (run under -race) and checks that concurrent
-// results are identical to the single-threaded ones.
+// many goroutines at once (run under -race), Decide on compiles the workers
+// share included, and checks that concurrent results are identical to the
+// single-threaded ones.
 func TestConcurrentInference(t *testing.T) {
 	fw := smallFramework(t, 30)
 	fw.Train(fastRL(4))
 	srcs := raceSources(t, 4)
 
-	// Single-threaded golden results.
+	// Single-threaded golden results. Every source is also compiled once;
+	// the workers decide on those shared compiles.
 	type golden struct {
 		annotated string
 		vec0      float64
 		sweep00   float64
+		decided   map[string]string
 	}
 	want := make([]golden, len(srcs))
+	shared := make([]*Compiled, len(srcs))
+	decidePolicies := []string{"rl", "brute"}
+	decideJSON := func(c *Compiled, pol string) (string, error) {
+		resp, err := fw.Decide(context.Background(), c, WithPolicyName(pol))
+		if err != nil {
+			return "", err
+		}
+		b, err := json.Marshal(resp)
+		return string(b), err
+	}
 	for i, src := range srcs {
+		c, err := fw.Compile(context.Background(), src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[i] = c
+		want[i].decided = map[string]string{}
+		for _, pol := range decidePolicies {
+			if want[i].decided[pol], err = decideJSON(c, pol); err != nil {
+				t.Fatal(err)
+			}
+		}
 		annotated, _, err := fw.AnnotateSource(context.Background(), src, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +72,7 @@ func TestConcurrentInference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = golden{annotated: annotated, vec0: vec[0], sweep00: sw.Speedup[0][0]}
+		want[i].annotated, want[i].vec0, want[i].sweep00 = annotated, vec[0], sw.Speedup[0][0]
 	}
 
 	const workers = 8
@@ -94,6 +119,16 @@ func TestConcurrentInference(t *testing.T) {
 				}
 				if sw.Speedup[0][0] != want[i].sweep00 {
 					t.Errorf("worker %d: concurrent sweep differs for source %d", w, i)
+					return
+				}
+				pol := decidePolicies[(w+r)%len(decidePolicies)]
+				decided, err := decideJSON(shared[i], pol)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if decided != want[i].decided[pol] {
+					t.Errorf("worker %d: concurrent %s decision on a shared compile differs for source %d", w, pol, i)
 					return
 				}
 			}

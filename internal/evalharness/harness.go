@@ -3,10 +3,12 @@
 // baseline cost model, proximity to the brute-force oracle across suites)
 // as a reusable, parallel experiment engine.
 //
-// A Harness shards a Corpus over a worker pool. For every file it runs the
-// evaluated policy, the baseline, and the oracle side by side through the
-// framework's stateless inference path, then folds per-file speedup, oracle
-// regret, and decision agreement into per-suite and overall aggregates. The
+// A Harness shards a Corpus over a worker pool. Every file is compiled once
+// (core.Framework.Compile); the evaluated policy, the baseline, and the
+// oracle are then decided side by side on that one compile
+// (core.Framework.Decide, the back half of PredictLoops, without rendering
+// annotated source). The harness folds per-file speedup, oracle regret, and
+// decision agreement into per-suite and overall aggregates. The
 // result is a deterministic Report: files and suites are in canonical
 // order, numbers are a pure function of (corpus, spec), and the volatile
 // wall-clock block is kept separate — so two runs at the same seed render
@@ -14,7 +16,7 @@
 // makes the report usable as a CI regression gate.
 //
 // Learned policies pay one code2vec forward pass per loop; the harness runs
-// every inference with a core.LoopLRU armed — the same per-loop cache
+// every decision with a core.LoopLRU armed — the same per-loop cache
 // serving uses, keyed by (checkpoint, LoopID) — so repeated runs (and a
 // cache shared with the server across hot-reloads) skip the embedding cost.
 // A framework without a checkpoint fingerprint (trained in process) bypasses
@@ -55,10 +57,12 @@ type Options struct {
 	// Jobs is the worker-pool width (default GOMAXPROCS). It never affects
 	// the report's numbers, only the wall time.
 	Jobs int
-	// Timeout bounds each policy inference (policy, baseline, and oracle
-	// each get their own budget). Deadline-aware policies degrade to their
-	// best-so-far answer and mark the file Truncated; others record a
-	// per-file error. Zero means unbounded.
+	// Timeout bounds each role's work on a file: the evaluated policy's
+	// budget covers the file's shared compile plus its decide step, and the
+	// baseline and the oracle each get their own budget for their decide
+	// step. Deadline-aware policies degrade to their best-so-far answer and
+	// mark the file Truncated; others record a per-file error. Zero means
+	// unbounded.
 	Timeout time.Duration
 	// Seed is stamped into the report spec; corpus generation upstream and
 	// stochastic policies (via the host seed) must already agree with it
@@ -174,39 +178,59 @@ func (h *Harness) Run(ctx context.Context, corpus *Corpus, opts Options) (*Repor
 	return report, nil
 }
 
-// evalOne scores one corpus item: policy, baseline, and oracle inference
-// plus the derived metrics. Identical role names share one inference. Each
-// inference runs through the loop-granular v2 entrypoint, so the report's
-// per-file decisions are the same api.Decision objects the HTTP service
-// returns from POST /v2/compile — one schema across both surfaces.
+// evalOne scores one corpus item. It compiles the source once and runs the
+// policy's, the baseline's, and the oracle's decide steps on that compile;
+// identical role names share one decision. Decisions come from the same
+// loop-granular v2 path PredictLoops serves, so the report's per-file
+// decisions are the same api.Decision objects the HTTP service returns from
+// POST /v2/compile — one schema across both surfaces. Nothing is rendered:
+// the report has no use for annotated source.
 func (h *Harness) evalOne(ctx context.Context, it Item, pols [3]policy.Policy, opts Options) FileResult {
 	ctx, fsp := obs.StartSpan(ctx, "eval_file")
 	fsp.Annotate(it.Suite + "/" + it.Name)
 	defer fsp.End()
 	res := FileResult{Suite: it.Suite, Name: it.Name}
 
+	budget := func(ctx context.Context) (context.Context, context.CancelFunc) {
+		if opts.Timeout > 0 {
+			return context.WithTimeout(ctx, opts.Timeout)
+		}
+		return ctx, func() {}
+	}
+	var c *core.Compiled
 	infs := make(map[string]*api.CompileResponse, 3)
-	run := func(ctx context.Context, p policy.Policy) (*api.CompileResponse, error) {
+	decide := func(ctx context.Context, p policy.Policy) (*api.CompileResponse, error) {
 		if inf, ok := infs[p.Name()]; ok {
 			return inf, nil
 		}
-		rctx, cancel := ctx, context.CancelFunc(func() {})
-		if opts.Timeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		}
-		defer cancel()
-		inf, err := h.fw.PredictLoops(rctx, it.Source, it.Params, core.WithPolicy(p), core.WithLoopCache(h.loops))
+		inf, err := h.fw.Decide(ctx, c, core.WithPolicy(p), core.WithLoopCache(h.loops))
 		if err != nil {
 			return nil, err
 		}
 		infs[p.Name()] = inf
 		return inf, nil
 	}
+	run := func(ctx context.Context, p policy.Policy) (*api.CompileResponse, error) {
+		ctx, cancel := budget(ctx)
+		defer cancel()
+		return decide(ctx, p)
+	}
 
+	// The evaluated policy's budget covers the shared compile too. A
+	// policy that cannot degrade fails on a spent budget before compiling,
+	// as PredictLoops does.
 	started := time.Now() //lint:allow detpkg per-file latency is a report field, not decision input
-	polInf, err := run(ctx, pols[0])
+	pctx, cancel := budget(ctx)
+	err := pctx.Err()
+	if err == nil || policy.IsDeadlineAware(pols[0]) {
+		c, err = h.fw.Compile(pctx, it.Source, it.Params)
+	}
+	var polInf, baseInf, oracleInf *api.CompileResponse
+	if err == nil {
+		polInf, err = decide(pctx, pols[0])
+	}
+	cancel()
 	res.latency = time.Since(started) //lint:allow detpkg per-file latency is a report field, not decision input
-	var baseInf, oracleInf *api.CompileResponse
 	if err == nil {
 		baseInf, err = run(ctx, pols[1])
 	}
@@ -236,8 +260,8 @@ func (h *Harness) evalOne(ctx context.Context, it Item, pols [3]policy.Policy, o
 	res.Regret = safeRatio(res.PolicyCycles, res.OracleCycles) - 1
 	res.Truncated = polInf.Truncated || baseInf.Truncated || oracleInf.Truncated
 
-	// Agreement matches decisions by stable LoopID: both inferences parsed
-	// the same source, so IDs line up exactly.
+	// Agreement matches decisions by stable LoopID: both decisions share
+	// one compile, so IDs line up exactly.
 	oracleBy := make(map[api.LoopID][2]int, len(oracleInf.Loops))
 	for _, d := range oracleInf.Loops {
 		oracleBy[d.Loop] = [2]int{d.VF, d.IF}

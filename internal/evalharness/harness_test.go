@@ -3,6 +3,7 @@ package evalharness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -329,5 +330,62 @@ func TestReportCSVAndSummary(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "\"timing\"") {
 		t.Fatal("timing JSON missing the timing block")
+	}
+}
+
+// TestSharedCompileMatchesPredictLoops checks the harness's shape of
+// inference against the serving entrypoint: on every shipped file, each
+// role's decide step over one shared compile must answer exactly what a
+// separate PredictLoops call for that role answers, apart from the
+// annotated source the decide step never renders.
+func TestSharedCompileMatchesPredictLoops(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a small agent")
+	}
+	fw := trainToy(t)
+	// Saving fingerprints the model, which arms the loop cache.
+	if err := fw.SaveModel(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := BuildCorpus("polybench,mibench,figure7,tsvc", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	loops := core.NewLoopCache(core.DefaultLoopCacheEntries)
+	for _, it := range corpus.Items {
+		c, err := fw.Compile(ctx, it.Source, it.Params)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", it.Suite, it.Name, err)
+		}
+		for _, role := range []string{"rl", "costmodel", "brute"} {
+			got, err := fw.Decide(ctx, c, core.WithPolicyName(role), core.WithLoopCache(loops))
+			if err != nil {
+				t.Fatalf("%s/%s %s: decide: %v", it.Suite, it.Name, role, err)
+			}
+			want, err := fw.PredictLoops(ctx, it.Source, it.Params, core.WithPolicyName(role))
+			if err != nil {
+				t.Fatalf("%s/%s %s: PredictLoops: %v", it.Suite, it.Name, role, err)
+			}
+			if got.Annotated != "" {
+				t.Fatalf("%s/%s %s: decide step rendered annotated source", it.Suite, it.Name, role)
+			}
+			stripped := *want
+			stripped.Annotated = ""
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := json.Marshal(&stripped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("%s/%s %s: shared-compile decision differs from PredictLoops\n got %s\nwant %s", it.Suite, it.Name, role, gotJSON, wantJSON)
+			}
+		}
+	}
+	if d, e := loops.Len(); d == 0 || e == 0 {
+		t.Fatalf("loop cache unused: %d decisions, %d vectors", d, e)
 	}
 }

@@ -74,9 +74,9 @@ type FileResult struct {
 	// zero metrics and are excluded from aggregates.
 	Error string `json:"error,omitempty"`
 
-	// latency is the wall time of the evaluated policy's inference; it is
-	// volatile across runs, so it feeds the Timing block instead of the
-	// deterministic JSON body.
+	// latency is the wall time of the file's shared compile plus the
+	// evaluated policy's decide step; it is volatile across runs, so it
+	// feeds the Timing block instead of the deterministic JSON body.
 	latency time.Duration
 }
 
@@ -112,7 +112,8 @@ type Timing struct {
 	// produced it.
 	WallMS float64 `json:"wall_ms"`
 	Jobs   int     `json:"jobs"`
-	// Policy-inference latency percentiles across files, in milliseconds.
+	// Per-file latency percentiles (shared compile plus the evaluated
+	// policy's decide step), in milliseconds.
 	FileP50MS float64 `json:"file_p50_ms"`
 	FileP90MS float64 `json:"file_p90_ms"`
 	FileP99MS float64 `json:"file_p99_ms"`

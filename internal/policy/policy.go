@@ -73,7 +73,7 @@ type Request struct {
 	Embed func() []float64
 	// Evaluate returns the simulated program cycle count with (vf, ifc)
 	// injected at Loop and the baseline decision everywhere else — the
-	// objective search policies minimise.
+	// objective search policies minimise. Calls must not overlap.
 	Evaluate func(vf, ifc int) float64
 	// Rand, when set, seeds stochastic policies; otherwise they derive a
 	// deterministic source from the host seed and the request name so that

@@ -65,7 +65,8 @@ func explain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config
 	arch := cfg.Arch
 	b := Breakdown{Label: l.Label, VF: plan.VF, IF: plan.IF}
 	trip := max64(l.Trip, 0)
-	b.ScalarIter = scalarIterCycles(l, ancestors, cfg)
+	lf := newLoopFacts(l, ancestors, cfg)
+	b.ScalarIter = lf.scalarIter
 	if trip == 0 {
 		b.Total = 2
 		b.Bound = "scalar"
@@ -87,7 +88,6 @@ func explain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config
 		return b
 	}
 
-	accesses := dedupAccesses(l.Accesses)
 	var aluUops, loadUops, storeUops float64
 	for _, in := range l.Body {
 		if in.Op == ir.OpCopy {
@@ -100,12 +100,9 @@ func explain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config
 		}
 		aluUops += u
 	}
-	for _, a := range accesses {
-		if a.InvariantIn(l.Label) {
-			continue
-		}
-		u := accessUops(a, l.Label, vf, ifc, arch)
-		if a.Kind == ir.Load {
+	for _, s := range lf.streams {
+		u := accessUops(s, vf, ifc, arch)
+		if s.a.Kind == ir.Load {
 			loadUops += u
 		} else {
 			storeUops += u
@@ -113,9 +110,9 @@ func explain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config
 	}
 
 	pressure := 0
-	for _, a := range accesses {
-		if a.Kind == ir.Load && !a.InvariantIn(l.Label) {
-			pressure += arch.RegsPerVector(vf, a.Elem) * ifc
+	for _, s := range lf.streams {
+		if s.a.Kind == ir.Load {
+			pressure += arch.RegsPerVector(vf, s.a.Elem) * ifc
 		}
 	}
 	for _, r := range l.Reductions {
@@ -132,7 +129,7 @@ func explain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config
 	for _, r := range l.Reductions {
 		b.LatencyCycles = maxf(b.LatencyCycles, machine.OpLatency(r.Op, r.Type))
 	}
-	b.MemoryCycles = memoryCycles(l, ancestors, accesses, vf, ifc, cfg)
+	b.MemoryCycles = lf.memoryCycles(vf, ifc, arch)
 	b.GroupCycles = maxf(maxf(maxf(b.IssueCycles, b.PortCycles), b.LatencyCycles), b.MemoryCycles) + b.SpillCycles + 1
 
 	b.Startup = 8.0 + float64(ifc)

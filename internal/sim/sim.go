@@ -97,7 +97,7 @@ func nestCycles(l *ir.Loop, ancestors []*ir.Loop, plans map[string]*vectorizer.P
 	// Non-innermost loops execute scalar: their own body work per iteration
 	// plus one full execution of each child nest per iteration.
 	chain := append(append([]*ir.Loop(nil), ancestors...), l)
-	perIter := scalarIterCycles(l, ancestors, cfg) + 1.5 // outer-loop control overhead
+	perIter := newLoopFacts(l, ancestors, cfg).scalarIter + 1.5 // outer-loop control overhead
 	inner := 0.0
 	for _, c := range l.Children {
 		inner += nestCycles(c, chain, plans, cfg)
@@ -124,9 +124,81 @@ func innermostCycles(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cf
 	return explain(l, ancestors, plan, cfg).Total
 }
 
-// scalarIterCycles models one scalar iteration of the loop body.
-func scalarIterCycles(l *ir.Loop, ancestors []*ir.Loop, cfg Config) float64 {
+// loopFacts are the facts about a loop, within its enclosing nest, that no
+// vectorization plan changes. explain derives them once per call and charges
+// the scalar and the vector bounds from them.
+type loopFacts struct {
+	// streams are the deduplicated accesses that vary in the loop, in
+	// access order.
+	streams []stream
+	// scalarIter is the modelled cost of one scalar iteration.
+	scalarIter float64
+}
+
+// stream is one access that varies in the loop: its stride in the loop, in
+// elements, and the cache level that services it.
+type stream struct {
+	a      *ir.Access
+	stride int64
+	level  cacheLevel
+}
+
+// newLoopFacts derives l's plan-invariant facts. ancestors are the loops
+// enclosing l, outermost first.
+//
+// Each stream's service level comes from an analytic reuse/footprint model:
+//
+//  1. If the whole nest's data fits a level and caches are warm (the
+//     harness re-runs kernels), the stream hits that level.
+//  2. Otherwise, if the access is invariant in some enclosing loop, the
+//     data touched during one iteration of that loop must fit for the reuse
+//     to be captured; the smallest level that holds it services the stream.
+//  3. Otherwise the stream is cold: DRAM.
+//
+// Loop tiling (package polly) shrinks the one-iteration footprint in rule 2
+// — that is precisely how tiling shows up as a win in this model.
+func newLoopFacts(l *ir.Loop, ancestors []*ir.Loop, cfg Config) loopFacts {
 	arch := cfg.Arch
+	// Nests are shallow: the chain and its footprints fit these stack
+	// buffers, so neither allocates.
+	var chainBuf [8]*ir.Loop
+	chain := append(append(chainBuf[:0], ancestors...), l)
+	accesses := dedupAccesses(l.Accesses)
+	var fpBuf [9]int64
+	fp := footprints(fpBuf[:0], accesses, chain)
+
+	warm := levelDRAM
+	if cfg.WarmCaches {
+		if lv, ok := fitLevel(fp[0], arch); ok {
+			warm = lv
+		}
+	}
+	lf := loopFacts{streams: make([]stream, 0, len(accesses))}
+	for _, a := range accesses {
+		if a.InvariantIn(l.Label) {
+			continue
+		}
+		s := stream{a: a, stride: a.StrideFor(l.Label), level: warm}
+		// Reuse rule: innermost enclosing loop in which the stream is
+		// invariant; the working set during one of its iterations is
+		// everything the loops inside it touch.
+		for i := len(chain) - 1; i >= 0; i-- {
+			if a.StrideFor(chain[i].Label) != 0 {
+				continue
+			}
+			if lv, ok := fitLevel(fp[i+1], arch); ok && lv < s.level {
+				s.level = lv
+			}
+			break
+		}
+		lf.streams = append(lf.streams, s)
+	}
+	lf.scalarIter = lf.scalarIterCycles(l, arch)
+	return lf
+}
+
+// scalarIterCycles models one scalar iteration of the loop body.
+func (lf *loopFacts) scalarIterCycles(l *ir.Loop, arch *machine.Arch) float64 {
 	uops := 1.0 // induction/compare/branch macro-fused
 	lat := 0.0
 	for _, in := range l.Body {
@@ -135,13 +207,9 @@ func scalarIterCycles(l *ir.Loop, ancestors []*ir.Loop, cfg Config) float64 {
 		}
 		uops += machine.OpThroughput(in.Op, in.Type)
 	}
-	accesses := dedupAccesses(l.Accesses)
 	var loads, stores float64
-	for _, a := range accesses {
-		if a.InvariantIn(l.Label) {
-			continue
-		}
-		if a.Kind == ir.Load {
+	for _, s := range lf.streams {
+		if s.a.Kind == ir.Load {
 			loads++
 		} else {
 			stores++
@@ -158,18 +226,18 @@ func scalarIterCycles(l *ir.Loop, ancestors []*ir.Loop, cfg Config) float64 {
 	if l.HasIf {
 		cyc += 0.25 * arch.BranchMissCycles * 0.5
 	}
-	cyc = maxf(cyc, memoryCycles(l, ancestors, accesses, 1, 1, cfg))
+	cyc = maxf(cyc, lf.memoryCycles(1, 1, arch))
 	return cyc + 0.4 // average front-end bubble
 }
 
 // accessUops models the issue cost of one access stream per vector group.
-func accessUops(a *ir.Access, label string, vf, ifc int, arch *machine.Arch) float64 {
+func accessUops(s stream, vf, ifc int, arch *machine.Arch) float64 {
 	var u float64
-	stride := a.StrideFor(label)
+	a := s.a
 	switch {
 	case !a.Affine:
 		u = float64(vf*ifc) * arch.GatherLaneCost * 1.2
-	case stride == 1 || stride == -1:
+	case s.stride == 1 || s.stride == -1:
 		u = float64(arch.RegsPerVector(vf, a.Elem) * ifc)
 		if !a.Aligned {
 			u *= 1.25 // cache-line split probability on unaligned vectors
@@ -186,16 +254,12 @@ func accessUops(a *ir.Access, label string, vf, ifc int, arch *machine.Arch) flo
 
 // memoryCycles charges per-group cache-hierarchy latency and a DRAM
 // bandwidth bound for the loop's access streams.
-func memoryCycles(l *ir.Loop, ancestors []*ir.Loop, accesses []*ir.Access, vf, ifc int, cfg Config) float64 {
-	arch := cfg.Arch
+func (lf *loopFacts) memoryCycles(vf, ifc int, arch *machine.Arch) float64 {
 	groupElems := float64(vf * ifc)
 	var cycles, dramBytes float64
-	for _, a := range accesses {
-		if a.InvariantIn(l.Label) {
-			continue
-		}
-		level := serviceLevel(a, l, ancestors, cfg)
-		stride := abs64(a.StrideFor(l.Label))
+	for _, s := range lf.streams {
+		a := s.a
+		stride := abs64(s.stride)
 		elem := float64(a.Elem.Size())
 		var lines float64
 		switch {
@@ -210,14 +274,14 @@ func memoryCycles(l *ir.Loop, ancestors []*ir.Loop, accesses []*ir.Access, vf, i
 			// over consecutive groups (a new line every few iterations).
 			lines = groupElems * float64(stride) * elem / float64(arch.LineBytes)
 		}
-		lat := levelLatency(level, arch)
+		lat := levelLatency(s.level, arch)
 		hide := 1.0
 		if a.Affine && stride == 1 {
 			// Hardware prefetchers hide most latency on unit-stride streams.
 			hide = 0.25
 		}
 		cycles += lines * (lat - arch.L1Lat) * hide
-		if level == levelDRAM {
+		if s.level == levelDRAM {
 			dramBytes += lines * float64(arch.LineBytes)
 		}
 	}
@@ -246,44 +310,6 @@ func levelLatency(lv cacheLevel, arch *machine.Arch) float64 {
 	return arch.MemLat
 }
 
-// serviceLevel decides which memory level services an access stream, using
-// an analytic reuse/footprint model:
-//
-//  1. If the whole nest's data fits a level and caches are warm (the
-//     harness re-runs kernels), the stream hits that level.
-//  2. Otherwise, if the access is invariant in some enclosing loop, the
-//     data touched during one iteration of that loop must fit for the reuse
-//     to be captured; the smallest level that holds it services the stream.
-//  3. Otherwise the stream is cold: DRAM.
-//
-// Loop tiling (package polly) shrinks the one-iteration footprint in rule 2
-// — that is precisely how tiling shows up as a win in this model.
-func serviceLevel(a *ir.Access, l *ir.Loop, ancestors []*ir.Loop, cfg Config) cacheLevel {
-	arch := cfg.Arch
-	chain := append(append([]*ir.Loop(nil), ancestors...), l)
-
-	best := levelDRAM
-	if cfg.WarmCaches {
-		if lv, ok := fitLevel(nestFootprint(l, chain), arch); ok {
-			best = lv
-		}
-	}
-	// Reuse rule: innermost enclosing loop in which the stream is invariant.
-	for i := len(chain) - 1; i >= 0; i-- {
-		if a.StrideFor(chain[i].Label) != 0 {
-			continue
-		}
-		// Working set during one iteration of chain[i]: everything the
-		// inner loops touch.
-		ws := footprintBelow(l, chain, i+1)
-		if lv, ok := fitLevel(ws, arch); ok && lv < best {
-			best = lv
-		}
-		break
-	}
-	return best
-}
-
 // fitLevel returns the smallest cache level holding ws bytes.
 func fitLevel(ws int64, arch *machine.Arch) (cacheLevel, bool) {
 	switch {
@@ -297,43 +323,40 @@ func fitLevel(ws int64, arch *machine.Arch) (cacheLevel, bool) {
 	return levelDRAM, false
 }
 
-// nestFootprint is the total bytes the innermost loop's streams touch over
-// the whole chain (the resident set if the kernel re-runs).
-func nestFootprint(l *ir.Loop, chain []*ir.Loop) int64 {
-	return footprintBelow(l, chain, 0)
-}
-
-// footprintBelow sums the region each access stream spans while the loops
-// chain[from:] execute once.
-func footprintBelow(l *ir.Loop, chain []*ir.Loop, from int) int64 {
-	var total int64
-	for _, a := range dedupAccesses(l.Accesses) {
-		total += regionBytes(a, chain[from:])
+// footprints appends to dst, for every from in [0, len(chain)], the bytes
+// the accesses span while the loops chain[from:] each run their full trip
+// count: dst[0] is the nest's resident set if the kernel re-runs, dst[i+1]
+// the working set of one iteration of chain[i]. An affine stream spans one
+// element plus its stride times (trip-1) per loop it moves in, capped at its
+// array; a non-affine one is assumed to range over its whole array.
+func footprints(dst []int64, accesses []*ir.Access, chain []*ir.Loop) []int64 {
+	for range len(chain) + 1 {
+		dst = append(dst, 0)
 	}
-	return total
-}
-
-// regionBytes approximates the distinct bytes an affine stream touches while
-// the given loops each run their full trip count.
-func regionBytes(a *ir.Access, loops []*ir.Loop) int64 {
-	elem := int64(a.Elem.Size())
-	if !a.Affine {
-		// Unknown pattern: assume it ranges over the whole array.
+	for _, a := range accesses {
+		elem := int64(a.Elem.Size())
 		n := arrayElems(a)
-		return n * elem
-	}
-	span := int64(1)
-	for _, lp := range loops {
-		s := abs64(a.StrideFor(lp.Label))
-		if s == 0 {
+		if !a.Affine {
+			for i := range dst {
+				dst[i] += n * elem
+			}
 			continue
 		}
-		span += s * max64(lp.Trip-1, 0)
+		span := int64(1)
+		for from := len(chain); from >= 0; from-- {
+			if from < len(chain) {
+				if s := abs64(a.StrideFor(chain[from].Label)); s != 0 {
+					span += s * max64(chain[from].Trip-1, 0)
+				}
+			}
+			region := span
+			if n > 0 && region > n {
+				region = n
+			}
+			dst[from] += region * elem
+		}
 	}
-	if n := arrayElems(a); n > 0 && span > n {
-		span = n
-	}
-	return span * elem
+	return dst
 }
 
 func arrayElems(a *ir.Access) int64 {
