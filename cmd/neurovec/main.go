@@ -108,8 +108,6 @@ func main() {
 		err = cmdExplain(os.Args[2:])
 	case "check":
 		err = cmdCheck(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "profile":
 		err = cmdProfile(os.Args[2:])
 	case "-h", "--help", "help":
@@ -162,8 +160,6 @@ commands:
             print diagnostics (-json for the v2 wire format, -corpus
             polybench,mibench,figure7,tsvc,generated, -strict to fail on
             warnings); exits 1 when errors are found
-  bench     run the in-process benchmark suite and emit the BENCH_*.json
-            perf-trajectory artifact (-out BENCH_6.json, -pr 6)
   profile   capture CPU/heap profiles of an inference workload for
             go tool pprof (-cpu cpu.prof, -heap heap.prof, -duration 5s)
 `)

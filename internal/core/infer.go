@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"neurovec/internal/api"
 	"neurovec/internal/costmodel"
@@ -33,7 +32,7 @@ import (
 // PredictLoops is the loop-granular entrypoint and speaks the versioned v2
 // wire schema (package neurovec/internal/api) directly: one api.Decision per
 // innermost loop with a stable LoopID, provenance, and optional per-loop
-// pins. It is a response-memo probe, then two steps, then rendering:
+// pins. It is two steps, then rendering:
 //
 //   - Compile: parse, sema, extract, lower, and the baseline simulation,
 //     once per source (*Compiled);
@@ -61,7 +60,6 @@ type inferOpts struct {
 	polName string
 	pins    []api.Pin
 	cache   LoopCache
-	memo    *ResponseMemo
 	strict  bool
 	file    string
 }
@@ -157,22 +155,6 @@ func WithSourceName(file string) InferOption {
 	return func(o *inferOpts) { o.file = file }
 }
 
-// inferOptsPool recycles the options struct across PredictLoops calls; the
-// option closures receive a pointer, which would otherwise heap-allocate the
-// struct on every call.
-var inferOptsPool = sync.Pool{New: func() any { return new(inferOpts) }}
-
-func gatherOpts(opts []InferOption) *inferOpts {
-	o := inferOptsPool.Get().(*inferOpts)
-	*o = inferOpts{pins: o.pins[:0]}
-	for _, opt := range opts {
-		opt(o)
-	}
-	return o
-}
-
-func releaseOpts(o *inferOpts) { inferOptsPool.Put(o) }
-
 // resolvePolicy picks the policy for a call: an explicit instance wins, then
 // a registry name, then fallback (DefaultPolicy for prediction, "" meaning
 // none for sweeps).
@@ -212,9 +194,11 @@ type Compiled struct {
 // options only WithStrictSema and WithSourceName apply. Safe for concurrent
 // callers.
 func (f *Framework) Compile(ctx context.Context, source string, params map[string]int64, opts ...InferOption) (*Compiled, error) {
-	o := gatherOpts(opts)
-	defer releaseOpts(o)
-	return f.compileSource(ctx, source, params, o)
+	var o inferOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return f.compileSource(ctx, source, params, &o)
 }
 
 // compileSource parses, extracts, and lowers one source program and
@@ -328,12 +312,11 @@ func (f *Framework) resolvePins(c *Compiled, pins []api.Pin) (map[string]api.Pin
 // and returns the versioned per-loop response the v2 API serves verbatim.
 // Safe for concurrent callers; no framework state is mutated.
 func (f *Framework) PredictLoops(ctx context.Context, source string, params map[string]int64, opts ...InferOption) (*api.CompileResponse, error) {
-	// The options struct is pooled: option closures take *inferOpts, which
-	// would otherwise force a heap allocation per call and break the
-	// memo-hit path's zero-alloc invariant.
-	o := gatherOpts(opts)
-	defer releaseOpts(o)
-	pol, err := f.resolvePolicy(o, DefaultPolicy)
+	var o inferOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
+	pol, err := f.resolvePolicy(&o, DefaultPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -342,27 +325,13 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 	if err := ctx.Err(); err != nil && !policy.IsDeadlineAware(pol) {
 		return nil, err
 	}
-	// Whole-response memo: a fully-cacheable call (fingerprinted checkpoint,
-	// no pins/params/strict) whose answer was computed before returns the
-	// shared response without compiling anything — the zero-alloc hit path.
-	var mkey memoKey
-	if o.memo != nil {
-		if v := f.ModelVersion(); v != "" && len(o.pins) == 0 && params == nil && !o.strict {
-			mkey = memoKey{version: v, policy: pol.Name(), file: o.file, source: source}
-			if resp, ok := o.memo.get(mkey); ok {
-				return resp, nil
-			}
-		} else {
-			o.memo = nil
-		}
-	}
 	ctx, root := obs.StartSpan(ctx, "compile")
 	defer root.End()
-	c, err := f.compileSource(ctx, source, params, o)
+	c, err := f.compileSource(ctx, source, params, &o)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.decide(ctx, c, pol, o)
+	resp, err := f.decide(ctx, c, pol, &o)
 	if err != nil {
 		return nil, err
 	}
@@ -371,9 +340,6 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 		decisions[i] = extractor.Decision{Label: d.Label, VF: d.VF, IF: d.IF}
 	}
 	resp.Annotated = extractor.Annotate(c.prog, decisions)
-	if o.memo != nil && !resp.Truncated {
-		o.memo.put(mkey, resp)
-	}
 	return resp, nil
 }
 
@@ -381,19 +347,21 @@ func (f *Framework) PredictLoops(ctx context.Context, source string, params map[
 // innermost loop of c with the selected policy (default: the trained
 // agent), honoring pins and the loop cache, and simulates each decision and
 // their combination. It renders nothing — the response's Annotated field is
-// empty — and ignores the response memo and the compile-time options. Safe
-// for concurrent callers, including on one shared Compiled.
+// empty — and ignores the compile-time options. Safe for concurrent
+// callers, including on one shared Compiled.
 func (f *Framework) Decide(ctx context.Context, c *Compiled, opts ...InferOption) (*api.CompileResponse, error) {
-	o := gatherOpts(opts)
-	defer releaseOpts(o)
-	pol, err := f.resolvePolicy(o, DefaultPolicy)
+	var o inferOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
+	pol, err := f.resolvePolicy(&o, DefaultPolicy)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil && !policy.IsDeadlineAware(pol) {
 		return nil, err
 	}
-	return f.decide(ctx, c, pol, o)
+	return f.decide(ctx, c, pol, &o)
 }
 
 // decide is the per-policy back half of PredictLoops: decisions, pins, the
@@ -410,7 +378,12 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 	if version == "" {
 		cache = nil
 	}
-	decisionCacheable := policy.IsLoopPure(pol)
+	// Decisions are cached only for policies that are pure functions of the
+	// loop; code vectors are cached for every policy.
+	decisionCache := cache
+	if !policy.IsLoopPure(pol) {
+		decisionCache = nil
+	}
 
 	resp := &api.CompileResponse{
 		Version:        api.Version,
@@ -437,10 +410,13 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 			vf, ifc = pin.VF, pin.IF
 			prov = api.Provenance{Origin: api.OriginPin}
 		default:
-			dkey := decisionKey(version, pol.Name(), id)
-			if cv, ci, ok := cachedDecision(cache, decisionCacheable, dkey); ok {
-				vf, ifc = cv, ci
-				break
+			var dkey string
+			if decisionCache != nil {
+				dkey = decisionKey(version, pol.Name(), id)
+				if cv, ci, ok := decisionCache.GetDecision(dkey); ok {
+					vf, ifc = cv, ci
+					break
+				}
 			}
 			req := f.loopRequest(c, info, loop)
 			// Span wrap first, cache wrap outside it: a cache hit returns
@@ -460,8 +436,8 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 			vf, ifc = d.VF, d.IF
 			prov.Truncated = d.Truncated
 			resp.Truncated = resp.Truncated || d.Truncated
-			if cache != nil && decisionCacheable && !d.Truncated {
-				cache.PutDecision(dkey, vf, ifc)
+			if decisionCache != nil && !d.Truncated {
+				decisionCache.PutDecision(dkey, vf, ifc)
 			}
 		}
 		plan := vectorizer.New(loop, f.Cfg.Arch, vf, ifc)
@@ -555,13 +531,6 @@ func decisionKey(version, policyName string, id api.LoopID) string {
 
 func embedKey(version string, id api.LoopID) string {
 	return "e\x00" + version + "\x00" + string(id)
-}
-
-func cachedDecision(cache LoopCache, cacheable bool, key string) (vf, ifc int, ok bool) {
-	if cache == nil || !cacheable {
-		return 0, 0, false
-	}
-	return cache.GetDecision(key)
 }
 
 // wrapEmbed memoizes the request's lazy embedding closure in the cache: the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"sync"
@@ -9,6 +10,9 @@ import (
 
 	"neurovec/internal/api"
 	"neurovec/internal/lang"
+	"neurovec/internal/nn"
+	"neurovec/internal/policy"
+	"neurovec/internal/rl"
 )
 
 // The v2 inference tests cover the loop-granular entrypoint: stable LoopIDs
@@ -305,4 +309,72 @@ func TestPredictLoopsCacheRequiresModelVersion(t *testing.T) {
 	if cache.embPuts != 0 || cache.decPuts != 0 {
 		t.Errorf("unversioned framework populated the loop cache (emb=%d dec=%d)", cache.embPuts, cache.decPuts)
 	}
+}
+
+func TestEmbeddingIntoParityAndAllocs(t *testing.T) {
+	fw, _ := productionFramework(t)
+	want := fw.Embedding(0)
+	dst := make([]float64, len(want))
+	got := fw.EmbeddingInto(dst, 0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("EmbeddingInto[%d] = %g, want %g (must be bit-identical)", i, got[i], want[i])
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector
+	}
+	fw.EmbeddingInto(dst, 0) // settle the pool
+	if allocs := testing.AllocsPerRun(100, func() { fw.EmbeddingInto(dst, 0) }); allocs != 0 {
+		t.Fatalf("EmbeddingInto allocates %v per run, want 0", allocs)
+	}
+}
+
+// narrowEmbedder reports a different width than the vectors the core embed
+// path produces — the embed-config skew of a malformed deployment.
+type narrowEmbedder struct{ dim int }
+
+func (e *narrowEmbedder) Embed(sample int) ([]float64, any) { return make([]float64, e.dim), nil }
+func (e *narrowEmbedder) Backward(any, []float64)           {}
+func (e *narrowEmbedder) Params() []*nn.Param               { return nil }
+func (e *narrowEmbedder) Dim() int                          { return e.dim }
+
+// TestShapeMismatchSurfacesTypedError drives a real shape-skewed model
+// through PredictLoops and asserts the nn panic comes back as ErrModelShape
+// instead of crashing the caller.
+func TestShapeMismatchSurfacesTypedError(t *testing.T) {
+	fw := versionedFramework(t)
+	// Agent trained against a 16-wide embedder; the framework's code2vec
+	// model emits 48-wide vectors. The rl policy will feed 48 into a trunk
+	// expecting 16.
+	fw.agent = rl.NewAgent(&narrowEmbedder{dim: 16}, fw.normalizeRL(nil))
+	fw.invalidatePolicies()
+	_, err := fw.PredictLoops(context.Background(), twoLoopSrc, nil, WithPolicyName("rl"))
+	if err == nil {
+		t.Fatal("shape-skewed model did not error")
+	}
+	if !errors.Is(err, ErrModelShape) {
+		t.Fatalf("error %v does not wrap ErrModelShape", err)
+	}
+}
+
+// panicPolicy raises an arbitrary (non-shape) panic from Decide.
+type panicPolicy struct{}
+
+func (panicPolicy) Name() string { return "panic" }
+func (panicPolicy) Decide(context.Context, *policy.Request) (*policy.Decision, error) {
+	panic("unrelated bug")
+}
+
+// TestSafeDecideOnlyCatchesShapeErrors pins the recover's scope: arbitrary
+// panics must propagate (the pool-level recover owns those), only the typed
+// shape panic is translated here.
+func TestSafeDecideOnlyCatchesShapeErrors(t *testing.T) {
+	fw := versionedFramework(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("non-shape panic was swallowed")
+		}
+	}()
+	fw.PredictLoops(context.Background(), twoLoopSrc, nil, WithPolicy(panicPolicy{}))
 }

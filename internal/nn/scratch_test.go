@@ -85,8 +85,8 @@ func TestApplyScratchDoesNotMutateInput(t *testing.T) {
 }
 
 // TestApplyScratchZeroAllocs is the package-level zero-allocation invariant
-// at the paper's serving shape; BENCH_7.json carries the same measurement as
-// nn_forward.
+// at the paper's serving shape: a 340-wide code vector through two 256-unit
+// layers into the 35-way (VF, IF) head.
 func TestApplyScratchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP("p", 340, []int{256, 256, 35}, rng)

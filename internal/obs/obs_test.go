@@ -249,6 +249,22 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSpanEnabledAllocCeiling guards the cost a ?trace=1 request pays per
+// pipeline stage: the span, the child context state and the context value.
+// The trace is pre-sized so its span slice never grows during the run.
+func TestSpanEnabledAllocCeiling(t *testing.T) {
+	tr := NewTrace()
+	tr.spans = make([]SpanRecord, 0, 2000)
+	ctx := WithRecorder(context.Background(), tr, nil)
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := StartSpan(ctx, "compile")
+		sp.End()
+	})
+	if allocs > 3 {
+		t.Errorf("recorded span allocates %g per op, ceiling 3", allocs)
+	}
+}
+
 func BenchmarkSpanEnabled(b *testing.B) {
 	tr := NewTrace()
 	ctx := WithRecorder(context.Background(), tr, nil)

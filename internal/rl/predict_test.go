@@ -45,8 +45,8 @@ func TestPredictObsPooledParity(t *testing.T) {
 	}
 }
 
-// TestPredictObsZeroAllocs is the serving-path invariant BENCH_7.json
-// carries: after the pool is warm, a greedy decision heap-allocates nothing.
+// TestPredictObsZeroAllocs is the serving-path invariant: after the pool is
+// warm, a greedy decision heap-allocates nothing.
 func TestPredictObsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
