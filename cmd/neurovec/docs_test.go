@@ -12,8 +12,9 @@ import (
 // The documentation checks pin the repo's markdown to reality: every
 // relative link must resolve, every repo path named in backticks must
 // exist, every `neurovec <cmd>` in a code fence must be a real subcommand,
-// and every flag the training guide shows for `neurovec train` must exist
-// in the command's flag set. CI runs these as its doc-check step.
+// every flag the training guide shows for `neurovec train` must exist in
+// the command's flag set, and every `METHOD /path` must be a registered
+// route. CI runs these as its doc-check step.
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -229,6 +230,41 @@ func TestDocsListCoreSpans(t *testing.T) {
 		}
 		if found == 0 {
 			t.Errorf("found no obs.StartSpan calls in internal/%s", pkg)
+		}
+	}
+}
+
+// TestDocsRoutesAreReal checks that every `METHOD /path` the docs name (a
+// `GET|POST /path` form names both methods) is a route the service or the
+// fleet router registers, so a retired endpoint cannot linger in the docs.
+func TestDocsRoutesAreReal(t *testing.T) {
+	root := repoRoot(t)
+	routes := map[string]bool{}
+	patternRe := regexp.MustCompile(`HandleFunc\("([^"]+)"`)
+	for _, f := range []string{"internal/service/server.go", "internal/fleet/router.go"} {
+		src, err := os.ReadFile(filepath.Join(root, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range patternRe.FindAllStringSubmatch(string(src), -1) {
+			routes[m[1]] = true
+		}
+	}
+	if !routes["POST /v2/compile"] {
+		t.Fatal("found no POST /v2/compile route; the route scan is broken")
+	}
+	docRe := regexp.MustCompile("`((?:GET|POST|PUT|DELETE)(?:\\|(?:GET|POST|PUT|DELETE))*) (/[^`?\\s]*)[^`]*`")
+	for _, doc := range docFiles(t) {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docRe.FindAllStringSubmatch(string(body), -1) {
+			for _, method := range strings.Split(m[1], "|") {
+				if route := method + " " + m[2]; !routes[route] && !routes[m[2]] {
+					t.Errorf("%s: `%s` is not a registered route", filepath.Base(doc), route)
+				}
+			}
 		}
 	}
 }

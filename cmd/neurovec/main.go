@@ -37,7 +37,7 @@
 // evaluation against the baseline. The final checkpoint doubles as a model
 // snapshot: it is consumed with `annotate -load model.gob` or
 // `serve -model model.gob`. The serve command loads the checkpoint once and
-// answers /v1/annotate, /v1/embed, /v1/sweep, /v1/policies, /v1/train,
+// answers /v2/compile, /v1/sweep, /v1/eval, /v1/policies, /v1/train,
 // /healthz and /metrics (see package neurovec/internal/service for the JSON
 // API); SIGHUP or POST /v1/reload swaps in a retrained checkpoint without
 // downtime, and asynchronous training jobs started with POST /v1/train can
@@ -139,8 +139,8 @@ commands:
   serve     serve inference over HTTP/JSON from a snapshot (-model model.gob,
             -timeout 30s, -train-dir DIR, -max-body BYTES, -drain 10s);
             endpoints /v2/compile (per-loop decisions, pins, batches)
-            /v1/annotate /v1/embed /v1/sweep /v1/eval /v1/train /v1/policies
-            /v1/reload /healthz /readyz /metrics; SIGHUP hot-reloads
+            /v1/sweep /v1/eval /v1/train /v1/policies /v1/reload /healthz
+            /readyz /metrics; SIGHUP hot-reloads
   fleet     route /v2/compile across N serve replicas by consistent hash
             (-replicas 3 -model model.gob to spawn local replicas, or
             -join URL,URL to front externally managed ones; -hedge-after,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"neurovec/internal/api"
 	"neurovec/internal/service"
 )
 
@@ -132,7 +133,7 @@ func TestCmdTrainAndAnnotateWithModel(t *testing.T) {
 }
 
 // TestCmdServeMatchesAnnotate checks the serving acceptance criterion: for
-// the same checkpoint and input, /v1/annotate returns byte-identical
+// the same checkpoint and input, /v2/compile returns byte-identical
 // annotated source to `neurovec annotate -load`, and a repeated request is
 // a cache hit.
 func TestCmdServeMatchesAnnotate(t *testing.T) {
@@ -158,12 +159,12 @@ func TestCmdServeMatchesAnnotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	post := func() (*httptest.ResponseRecorder, service.AnnotateResponse) {
-		body, _ := json.Marshal(service.AnnotateRequest{Source: testKernel})
-		req := httptest.NewRequest("POST", "/v1/annotate", strings.NewReader(string(body)))
+	post := func() (*httptest.ResponseRecorder, api.CompileResponse) {
+		body, _ := json.Marshal(api.CompileRequest{Source: testKernel})
+		req := httptest.NewRequest("POST", "/v2/compile", strings.NewReader(string(body)))
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
-		var resp service.AnnotateResponse
+		var resp api.CompileResponse
 		if rec.Code == 200 {
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)

@@ -25,8 +25,6 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "work queue depth before shedding load (0 = 4x workers)")
 	cacheEntries := fs.Int("cache", 1024, "response cache entries (negative disables caching)")
-	batch := fs.Int("batch", 16, "max coalesced embedding requests per batch")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "linger time to fill an embedding batch")
 	timeout := fs.Duration("timeout", 0,
 		"per-request compute timeout (0 disables); requests may shorten it via timeout_ms")
 	trainDir := fs.String("train-dir", "",
@@ -60,8 +58,6 @@ func cmdServe(args []string) error {
 		QueueDepth:       *queue,
 		CacheEntries:     *cacheEntries,
 		LoopCacheEntries: *loopCache,
-		MaxBatch:         *batch,
-		BatchWait:        *batchWait,
 		MaxRequestBytes:  *maxBody,
 		RequestTimeout:   *timeout,
 		TrainDir:         *trainDir,

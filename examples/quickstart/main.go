@@ -46,13 +46,13 @@ func main() {
 
 	// 4. Vectorize new code: the agent reads the loop, predicts (VF, IF),
 	//    and the framework injects the pragma (paper Figure 4).
-	annotated, decisions, err := fw.AnnotateSource(context.Background(), kernel, nil)
+	resp, err := fw.PredictLoops(context.Background(), kernel, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, d := range decisions {
+	for _, d := range resp.Loops {
 		fmt.Printf("loop %s: vectorize_width(%d) interleave_count(%d)\n", d.Label, d.VF, d.IF)
 	}
 	fmt.Println("---- annotated source ----")
-	fmt.Print(annotated)
+	fmt.Print(resp.Annotated)
 }

@@ -84,7 +84,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	t.Logf("held-out cycles: baseline=%.0f agent=%.0f nns=%.0f brute=%.0f", baseC, agentC, nnsC, bruteC)
 
 	// Annotate new code with the restored model.
-	out, decisions, err := restored.AnnotateSource(context.Background(), `
+	resp, err := restored.PredictLoops(context.Background(), `
 float u[1024];
 float v[1024];
 float dotp() {
@@ -98,7 +98,7 @@ float dotp() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 1 || !strings.Contains(out, "#pragma clang loop vectorize_width(") {
-		t.Fatalf("annotation failed: %v\n%s", decisions, out)
+	if len(resp.Loops) != 1 || !strings.Contains(resp.Annotated, "#pragma clang loop vectorize_width(") {
+		t.Fatalf("annotation failed: %v\n%s", resp.Loops, resp.Annotated)
 	}
 }

@@ -15,7 +15,8 @@
 // Version history:
 //
 //	v1  whole-file, layer-local request/response structs (/v1/annotate,
-//	    /v1/sweep); kept as compatibility shims over the v2 core.
+//	    /v1/embed, /v1/sweep). /v1/annotate and /v1/embed are retired;
+//	    /v1/sweep keeps its own request/response in package service.
 //	v2  this package: per-loop decisions, stable LoopIDs, pins, batching.
 package api
 

@@ -71,19 +71,6 @@ func TestPredictLoopsAllocCeiling(t *testing.T) {
 	}
 }
 
-func TestEmbedSourceAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	fw, srcs := productionFramework(t)
-	got := allocsPerCall(len(srcs), func(i int) {
-		if _, err := fw.EmbedSource(srcs[i]); err != nil {
-			panic(err)
-		}
-	})
-	checkCeiling(t, "EmbedSource", got, 54)
-}
-
 func TestRewardAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -8,15 +8,16 @@
 //
 //	fw := core.New(core.DefaultConfig(), core.WithSeed(1))
 //	fw.LoadSet(dataset.Generate(dataset.GenConfig{N: 5000, Seed: 1}))
-//	stats := fw.Train(nil)                   // PPO + end-to-end embedding
-//	annotated, _, _ := fw.AnnotateSource(ctx, src, nil) // inference on new code
+//	stats := fw.Train(nil)                    // PPO + end-to-end embedding
+//	resp, _ := fw.PredictLoops(ctx, src, nil) // inference on new code
+//	fmt.Print(resp.Annotated)                 // the source with pragmas injected
 //
 // Inference is policy-parameterized: every decision method of the paper's
 // comparison (trained agent, baseline cost model, brute force, random,
 // Polly, NNS over the learned embedding) is served through the pluggable
 // interface of package neurovec/internal/policy, selected per call:
 //
-//	inf, err := fw.PredictSource(ctx, src, nil, core.WithPolicyName("brute"))
+//	resp, err := fw.PredictLoops(ctx, src, nil, core.WithPolicyName("brute"))
 //
 // The framework also exposes the reward function and the learned embedding,
 // from which the supervised methods (NNS, decision trees) of Section 3.5
@@ -24,7 +25,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -100,9 +100,9 @@ type Unit struct {
 // Concurrency: the mutating APIs (LoadSet/LoadSource/LoadDir, Train,
 // SaveModel/LoadModel, and the reward/measurement paths over loaded units)
 // are setup- and training-time operations for a single goroutine. The
-// inference APIs documented as stateless — PredictSource, AnnotateSource,
-// SweepSource, EmbedSource — only read the configuration and trained
-// weights, so any number of goroutines may call them once setup is done.
+// inference APIs documented as stateless — PredictLoops, Compile, Decide,
+// SweepSource — only read the configuration and trained weights, so any
+// number of goroutines may call them once setup is done.
 type Framework struct {
 	Cfg Config
 
@@ -182,7 +182,7 @@ func (f *Framework) Decider() (func(vec []float64) (vf, ifc int), error) {
 	return func(vec []float64) (int, int) { return f.agent.PredictObs(vec) }, nil
 }
 
-// DefaultPolicy is the policy PredictSource and AnnotateSource use when the
+// DefaultPolicy is the policy PredictLoops and Decide use when the
 // caller does not choose one: the paper's trained deep-RL agent.
 const DefaultPolicy = "rl"
 
@@ -466,27 +466,6 @@ func (f *Framework) EmbeddingInto(dst []float64, sample int) []float64 {
 	return f.embed.ForwardInto(dst, f.units[sample].Ctxs, &s.sc)
 }
 
-// EmbedSource embeds an arbitrary source program's first innermost loop
-// without loading it as a unit. It builds only per-request state plus
-// pooled extraction/forward scratch, and is safe for concurrent callers
-// (the embedder's forward pass is read-only). The returned vector is
-// freshly owned by the caller.
-func (f *Framework) EmbedSource(source string) ([]float64, error) {
-	prog, err := lang.Parse(source)
-	if err != nil {
-		return nil, err
-	}
-	infos := extractor.Loops(prog)
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("core: no loops in source: %w", ErrNoLoops)
-	}
-	s := f.getEmbedScratch()
-	defer f.putEmbedScratch(s)
-	vec := make([]float64, f.embed.Dim())
-	f.embed.ForwardInto(vec, s.ex.Extract(infos[0].Outermost, f.Cfg.Embed), &s.sc)
-	return vec, nil
-}
-
 // ---- Training and inference ----
 
 // normalizeRL fills an RL configuration's defaults from the framework: the
@@ -515,8 +494,16 @@ func (f *Framework) normalizeRL(cfg *rl.Config) rl.Config {
 // Passing nil uses the paper's default hyperparameters.
 func (f *Framework) InitAgent(cfg *rl.Config) *rl.Agent {
 	f.agent = rl.NewAgent(&embedAdapter{fw: f}, f.normalizeRL(cfg))
-	f.invalidatePolicies()
+	f.retrained()
 	return f.agent
+}
+
+// retrained records that the weights no longer match any saved or loaded
+// checkpoint: the model version is cleared, which bypasses the per-loop
+// caches, and cached policy instances are dropped.
+func (f *Framework) retrained() {
+	f.modelVersion = ""
+	f.invalidatePolicies()
 }
 
 // Train runs PPO over the loaded units. Passing nil uses the paper's
@@ -531,7 +518,7 @@ func (f *Framework) Train(cfg *rl.Config) *rl.Stats {
 // unit indices.
 func (f *Framework) TrainWithEmbedder(emb rl.Embedder, cfg *rl.Config) *rl.Stats {
 	f.agent = rl.NewAgent(emb, f.normalizeRL(cfg))
-	f.invalidatePolicies()
+	f.retrained()
 	return f.agent.Train(f)
 }
 
@@ -547,7 +534,7 @@ func (f *Framework) ContinueTraining(iterations int) (*rl.Stats, error) {
 	// The iteration count is passed explicitly rather than written into the
 	// shared Cfg: a save/restore of Cfg.Iterations would expose a transient
 	// value to anything concurrently reading the agent's config.
-	f.invalidatePolicies()
+	f.retrained()
 	stats := f.agent.TrainIterations(f, iterations)
 	return stats, nil
 }
@@ -591,20 +578,4 @@ func (f *Framework) BruteForceLabel(sample int) (vf, ifc int) {
 		}
 	}
 	return vf, ifc
-}
-
-// AnnotateSource runs inference on new source text: it extracts the loops,
-// asks the selected policy (default: the trained agent) for factors, and
-// returns the source with the pragmas injected (the paper's Figure 4 output)
-// plus the decisions.
-//
-// It is a thin wrapper over PredictSource and shares its concurrency
-// contract: no framework state is mutated, so concurrent annotation requests
-// on a trained framework are safe.
-func (f *Framework) AnnotateSource(ctx context.Context, source string, params map[string]int64, opts ...InferOption) (string, []extractor.Decision, error) {
-	inf, err := f.PredictSource(ctx, source, params, opts...)
-	if err != nil {
-		return "", nil, err
-	}
-	return inf.Annotated, inf.Decisions, nil
 }

@@ -144,7 +144,7 @@ func TestPredictWithoutTraining(t *testing.T) {
 	}
 }
 
-func TestAnnotateSourceInjectsPragmas(t *testing.T) {
+func TestPredictLoopsInjectsPragmas(t *testing.T) {
 	fw := smallFramework(t, 40)
 	fw.Train(fastRL(8))
 	src := `
@@ -157,15 +157,15 @@ void kernel(float a) {
 }
 `
 	unitsBefore := fw.NumSamples()
-	out, decisions, err := fw.AnnotateSource(context.Background(), src, nil)
+	resp, err := fw.PredictLoops(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 1 {
-		t.Fatalf("decisions = %v", decisions)
+	if len(resp.Loops) != 1 {
+		t.Fatalf("decisions = %v", resp.Loops)
 	}
-	if !strings.Contains(out, "#pragma clang loop vectorize_width(") {
-		t.Fatalf("no pragma in annotated output:\n%s", out)
+	if !strings.Contains(resp.Annotated, "#pragma clang loop vectorize_width(") {
+		t.Fatalf("no pragma in annotated output:\n%s", resp.Annotated)
 	}
 	if fw.NumSamples() != unitsBefore {
 		t.Errorf("annotation leaked %d units", fw.NumSamples()-unitsBefore)
@@ -383,41 +383,17 @@ int kernel() {
 	}
 }
 
-func TestEmbedSource(t *testing.T) {
-	fw := smallFramework(t, 3)
-	vec, err := fw.EmbedSource(`
-int a[64];
-void f() {
-    for (int i = 0; i < 64; i++) {
-        a[i] = i;
-    }
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != fw.Cfg.Embed.OutDim {
-		t.Fatalf("embedding dim = %d", len(vec))
-	}
-	if _, err := fw.EmbedSource("int f() { return 1; }"); err == nil {
-		t.Fatal("expected error for loopless source")
-	}
-	if _, err := fw.EmbedSource("not C"); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
-func TestAnnotateSourceErrors(t *testing.T) {
+func TestPredictLoopsErrors(t *testing.T) {
 	fw := smallFramework(t, 10)
 	ctx := context.Background()
-	if _, _, err := fw.AnnotateSource(ctx, "int a[4]; void f() { for (int i = 0; i < 4; i++) { a[i] = i; } }", nil); !errors.Is(err, ErrNoAgent) {
+	if _, err := fw.PredictLoops(ctx, "int a[4]; void f() { for (int i = 0; i < 4; i++) { a[i] = i; } }", nil); !errors.Is(err, ErrNoAgent) {
 		t.Fatalf("err without a trained agent = %v, want ErrNoAgent", err)
 	}
 	fw.Train(fastRL(2))
-	if _, _, err := fw.AnnotateSource(ctx, "not C at all", nil); err == nil {
+	if _, err := fw.PredictLoops(ctx, "not C at all", nil); err == nil {
 		t.Fatal("expected parse error")
 	}
-	if _, _, err := fw.AnnotateSource(ctx, "int f() { return 1; }", nil); err == nil {
+	if _, err := fw.PredictLoops(ctx, "int f() { return 1; }", nil); err == nil {
 		t.Fatal("expected no-loops error")
 	}
 }

@@ -23,13 +23,12 @@ import (
 // This file is the framework's stateless inference path: everything here
 // builds per-request state (parse, lower, extract, simulate) and touches the
 // framework only through read-only views — the configuration and the trained
-// weights. That makes PredictLoops, PredictSource, SweepSource,
-// AnnotateSource, EmbedSource, Compile and Decide safe for any number of
-// concurrent callers, which is what the serving layer (internal/service)
-// relies on. The mutating APIs (LoadSource, Train, LoadModel, ...) remain
+// weights. That makes PredictLoops, Compile, Decide and SweepSource safe
+// for any number of concurrent callers, which is what the serving layer
+// (internal/service) relies on. The mutating APIs (LoadSource, Train, LoadModel, ...) remain
 // single-threaded setup operations.
 //
-// PredictLoops is the loop-granular entrypoint and speaks the versioned v2
+// PredictLoops is the one inference entrypoint and speaks the versioned v2
 // wire schema (package neurovec/internal/api) directly: one api.Decision per
 // innermost loop with a stable LoopID, provenance, and optional per-loop
 // pins. It is two steps, then rendering:
@@ -40,7 +39,8 @@ import (
 //     and the per-loop and combined simulations;
 //   - extractor.Annotate renders the decisions as pragmas.
 //
-// PredictSource and AnnotateSource are thin adapters over PredictLoops;
+// Its response carries both the paper's Figure 4 artifact (Annotated, the
+// source with pragmas injected) and the per-loop decisions (Loops).
 // SweepSource shares the compile step. The eval harness compiles each file
 // once and runs Decide for each of its roles, which never renders.
 //
@@ -51,8 +51,8 @@ import (
 // deadline-aware policies (brute force) can return their best answer so far
 // instead of blowing the caller's latency budget.
 
-// InferOption configures one PredictLoops / PredictSource / AnnotateSource /
-// SweepSource call.
+// InferOption configures one PredictLoops / Compile / Decide / SweepSource
+// call.
 type InferOption func(*inferOpts)
 
 type inferOpts struct {
@@ -549,78 +549,6 @@ func wrapEmbed(req *policy.Request, cache LoopCache, key string) {
 		cache.PutEmbed(key, vec)
 		return vec
 	}
-}
-
-// LoopPrediction is the policy's decision for one loop plus its simulated
-// effect: program cycles with only this loop switched from the baseline
-// decision to the predicted one.
-type LoopPrediction struct {
-	// ID is the loop's stable content+position identity (see api.LoopIDs).
-	ID    api.LoopID
-	Label string
-	Func  string
-	VF    int
-	IF    int
-	// Cycles is the simulated program cycle count with this loop at (VF, IF)
-	// and every other loop at the baseline cost model's decision.
-	Cycles float64
-	// Speedup is BaselineCycles / Cycles.
-	Speedup float64
-}
-
-// Inference is the full result of running a decision policy on one source
-// program — the legacy (v1) aggregate view, assembled from the per-loop
-// answer of PredictLoops.
-type Inference struct {
-	// Policy names the decision method that produced the result.
-	Policy string
-	// Truncated reports that at least one loop's decision came from a
-	// search cut short by the context deadline (best-so-far answer).
-	Truncated bool
-	// Annotated is the source re-printed with the decisions' pragmas
-	// injected (the paper's Figure 4 artifact).
-	Annotated string
-	Decisions []extractor.Decision
-	Loops     []LoopPrediction
-	// BaselineCycles is the simulated program cycle count under the baseline
-	// cost model; PredictedCycles applies every predicted decision at once.
-	BaselineCycles  float64
-	PredictedCycles float64
-	// Speedup is BaselineCycles / PredictedCycles.
-	Speedup float64
-}
-
-// PredictSource runs inference on new source text without mutating the
-// framework. It is a thin adapter over PredictLoops, folding the per-loop
-// answer into the legacy aggregate Inference. The default policy is the
-// trained agent; without one the call fails with ErrNoAgent. Safe for
-// concurrent callers.
-func (f *Framework) PredictSource(ctx context.Context, source string, params map[string]int64, opts ...InferOption) (*Inference, error) {
-	resp, err := f.PredictLoops(ctx, source, params, opts...)
-	if err != nil {
-		return nil, err
-	}
-	inf := &Inference{
-		Policy:          resp.Policy,
-		Truncated:       resp.Truncated,
-		Annotated:       resp.Annotated,
-		BaselineCycles:  resp.BaselineCycles,
-		PredictedCycles: resp.PredictedCycles,
-		Speedup:         resp.Speedup,
-	}
-	for _, d := range resp.Loops {
-		inf.Decisions = append(inf.Decisions, extractor.Decision{Label: d.Label, VF: d.VF, IF: d.IF})
-		inf.Loops = append(inf.Loops, LoopPrediction{
-			ID:      d.Loop,
-			Label:   d.Label,
-			Func:    d.Func,
-			VF:      d.VF,
-			IF:      d.IF,
-			Cycles:  d.Cycles,
-			Speedup: d.PredictedSpeedup,
-		})
-	}
-	return inf, nil
 }
 
 // loopRequest assembles the policy.Request for one loop of a compiled

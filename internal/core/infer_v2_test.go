@@ -16,8 +16,7 @@ import (
 )
 
 // The v2 inference tests cover the loop-granular entrypoint: stable LoopIDs
-// in responses, per-loop pins, the PredictSource adapter's parity with
-// PredictLoops, and the per-loop decision/embedding caches.
+// in responses, per-loop pins, and the per-loop decision/embedding caches.
 
 const twoLoopSrc = `
 float a[64];
@@ -162,36 +161,6 @@ func unwrap(err error) error {
 		return nil
 	}
 	return u.Unwrap()
-}
-
-func TestPredictSourceIsThinAdapterOverPredictLoops(t *testing.T) {
-	fw := New(DefaultConfig())
-	ctx := context.Background()
-	resp, err := fw.PredictLoops(ctx, twoLoopSrc, nil, WithPolicyName("costmodel"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := fw.PredictSource(ctx, twoLoopSrc, nil, WithPolicyName("costmodel"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inf.Annotated != resp.Annotated {
-		t.Error("adapter annotated source differs from PredictLoops")
-	}
-	if inf.Policy != resp.Policy || inf.Speedup != resp.Speedup ||
-		inf.BaselineCycles != resp.BaselineCycles || inf.PredictedCycles != resp.PredictedCycles {
-		t.Errorf("adapter aggregates differ: %+v vs %+v", inf, resp)
-	}
-	if len(inf.Loops) != len(resp.Loops) {
-		t.Fatalf("adapter loop count %d, want %d", len(inf.Loops), len(resp.Loops))
-	}
-	for i, lp := range inf.Loops {
-		d := resp.Loops[i]
-		if lp.ID != d.Loop || lp.Label != d.Label || lp.VF != d.VF || lp.IF != d.IF ||
-			lp.Cycles != d.Cycles || lp.Speedup != d.PredictedSpeedup {
-			t.Errorf("loop %d: adapter %+v differs from decision %+v", i, lp, d)
-		}
-	}
 }
 
 // countingCache is a LoopCache that records traffic.

@@ -77,15 +77,31 @@ func (f *Framework) LoadModelWith(r io.Reader, extra func(dec *gob.Decoder) erro
 	if err := dec.Decode(&h); err != nil {
 		return fmt.Errorf("core: decode header: %w", err)
 	}
-	f.Cfg.Embed = h.Embed
-	f.embed = code2vec.NewModel(h.Embed)
-	f.agent = rl.NewAgent(&embedAdapter{fw: f}, h.RL)
-	if err := nn.DecodeParams(dec, f.agent.Params()); err != nil {
+	// The new model and agent are built aside and committed only once the
+	// weights decode, so a truncated or corrupt checkpoint leaves the
+	// framework serving its previous model. Until then the agent's adapter
+	// reads the new embedder through a staging framework. A framework
+	// without an agent still holds New's seeded initial model, which
+	// NewModel rebuilds bit for bit: it is dropped for the load and rebuilt
+	// on failure, so loading into a fresh framework never holds two models.
+	untrained := f.agent == nil
+	if untrained {
+		f.embed = nil
+	}
+	embed := code2vec.NewModel(h.Embed)
+	adapter := &embedAdapter{fw: &Framework{embed: embed}}
+	agent := rl.NewAgent(adapter, h.RL)
+	if err := nn.DecodeParams(dec, agent.Params()); err != nil {
+		if untrained {
+			f.embed = code2vec.NewModel(f.Cfg.Embed)
+		}
 		return err
 	}
+	adapter.fw = f
+	f.Cfg.Embed, f.embed, f.agent = h.Embed, embed, agent
 	f.modelVersion = h.Version
 	if f.modelVersion == "" {
-		f.modelVersion = fingerprintParams(f.agent.Params())
+		f.modelVersion = fingerprintParams(agent.Params())
 	}
 	// Context extraction depends on Embed config; re-extract for already
 	// loaded units so embeddings match the restored model.
@@ -117,8 +133,9 @@ func reextract(u *Unit, cfg code2vec.Config) []code2vec.Context {
 }
 
 // ModelVersion returns the fingerprint of the model most recently saved or
-// loaded, or "" if the framework has neither saved nor loaded a snapshot
-// (e.g. mid-training). The serving layer keys its response cache on this
+// loaded, or "" if the framework has neither saved nor loaded a snapshot or
+// its weights have moved since (InitAgent, Train, TrainWithEmbedder,
+// ContinueTraining). The serving layer keys its response cache on this
 // value so a hot-reloaded checkpoint invalidates stale entries.
 func (f *Framework) ModelVersion() string { return f.modelVersion }
 

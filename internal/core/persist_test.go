@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"path/filepath"
 	"testing"
 
+	"neurovec/internal/api"
 	"neurovec/internal/dataset"
 )
 
@@ -121,16 +124,16 @@ void f() {
     }
 }
 `
-	out1, d1, err := fw.AnnotateSource(context.Background(), src, nil)
+	r1, err := fw.PredictLoops(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, d2, err := fw2.AnnotateSource(context.Background(), src, nil)
+	r2, err := fw2.PredictLoops(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1 != out2 || d1[0] != d2[0] {
-		t.Fatalf("restored model annotates differently:\n%s\nvs\n%s", out1, out2)
+	if r1.Annotated != r2.Annotated || r1.Loops[0].VF != r2.Loops[0].VF || r1.Loops[0].IF != r2.Loops[0].IF {
+		t.Fatalf("restored model annotates differently:\n%s\nvs\n%s", r1.Annotated, r2.Annotated)
 	}
 }
 
@@ -158,4 +161,163 @@ func TestLoadSetFromDatasetAfterRestore(t *testing.T) {
 	if vf < 1 || ifc < 1 {
 		t.Fatal("prediction after restore invalid")
 	}
+}
+
+// TestRetrainingClearsModelVersion: once the weights move past the last
+// saved or loaded checkpoint they match no version, so the version must be
+// cleared. A stale one would arm the per-loop caches and serve decisions of
+// the checkpoint the weights left behind.
+func TestRetrainingClearsModelVersion(t *testing.T) {
+	ctx := context.Background()
+	srcs := raceSources(t, 4)
+	for name, retrain := range map[string]func(fw *Framework) error{
+		"ContinueTraining": func(fw *Framework) error {
+			_, err := fw.ContinueTraining(1)
+			return err
+		},
+		"InitAgent": func(fw *Framework) error {
+			fw.InitAgent(fastRL(1))
+			return nil
+		},
+		"TrainWithEmbedder": func(fw *Framework) error {
+			fw.TrainWithEmbedder(fw.CodeEmbedder(), fastRL(1))
+			return nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fw := smallFramework(t, 20)
+			fw.Train(fastRL(2))
+			if err := fw.SaveModel(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			cache := newCountingCache()
+			for _, src := range srcs {
+				if _, err := fw.PredictLoops(ctx, src, nil, WithLoopCache(cache)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := retrain(fw); err != nil {
+				t.Fatal(err)
+			}
+			if v := fw.ModelVersion(); v != "" {
+				t.Fatalf("retrained framework kept model version %q", v)
+			}
+			cache.decHits, cache.embHits = 0, 0
+			got := make([]*api.CompileResponse, len(srcs))
+			for i, src := range srcs {
+				resp, err := fw.PredictLoops(ctx, src, nil, WithLoopCache(cache))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = resp
+			}
+			if cache.decHits != 0 || cache.embHits != 0 {
+				t.Fatalf("retrained framework served %d decisions and %d vectors from the cache",
+					cache.decHits, cache.embHits)
+			}
+
+			// The reference is a fresh framework loaded with the retrained
+			// weights.
+			var buf bytes.Buffer
+			if err := fw.SaveModel(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fresh := New(fw.Cfg)
+			if err := fresh.LoadModel(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for i, src := range srcs {
+				want, err := fresh.PredictLoops(ctx, src, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].Annotated != want.Annotated || len(got[i].Loops) != len(want.Loops) {
+					t.Fatalf("source %d: retrained framework differs from a fresh one", i)
+				}
+				for j, d := range want.Loops {
+					g := got[i].Loops[j]
+					if g.VF != d.VF || g.IF != d.IF || g.Cycles != d.Cycles {
+						t.Errorf("source %d loop %s: retrained %+v, fresh %+v", i, d.Label, g, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLoadModelTruncatedLeavesModelIntact: a checkpoint that fails to decode
+// must change nothing — not the embedding config, the embedder, the agent
+// or the version — so the framework keeps answering as before, whether it
+// held a loaded model or only New's initial one.
+func TestLoadModelTruncatedLeavesModelIntact(t *testing.T) {
+	ctx := context.Background()
+	fw := smallFramework(t, 20)
+	fw.Train(fastRL(2))
+	var good bytes.Buffer
+	if err := fw.SaveModel(&good); err != nil {
+		t.Fatal(err)
+	}
+	// Another model, with the default (wider) embedding, cut short inside
+	// its weights: the header decodes, the parameters do not.
+	other := New(DefaultConfig())
+	other.InitAgent(fastRL(1))
+	var bad bytes.Buffer
+	if err := other.SaveModel(&bad); err != nil {
+		t.Fatal(err)
+	}
+	truncated := bad.Bytes()[:bad.Len()-64]
+
+	t.Run("loaded", func(t *testing.T) {
+		loaded := New(DefaultConfig())
+		if err := loaded.LoadModel(&good); err != nil {
+			t.Fatal(err)
+		}
+		src := raceSources(t, 1)[0]
+		before, err := loaded.PredictLoops(ctx, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		version, embedCfg := loaded.ModelVersion(), loaded.Cfg.Embed
+		if err := loaded.LoadModel(bytes.NewReader(truncated)); err == nil {
+			t.Fatal("truncated checkpoint loaded")
+		}
+		if v := loaded.ModelVersion(); v != version {
+			t.Fatalf("model version %q after a failed load, want %q", v, version)
+		}
+		if loaded.Cfg.Embed != embedCfg {
+			t.Fatalf("embedding config %+v after a failed load, want %+v", loaded.Cfg.Embed, embedCfg)
+		}
+		after, err := loaded.PredictLoops(ctx, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b1, _ := json.Marshal(before)
+		b2, _ := json.Marshal(after)
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("response changed after a failed load:\n%s\nvs\n%s", b1, b2)
+		}
+	})
+
+	t.Run("untrained", func(t *testing.T) {
+		fresh := smallFramework(t, 3)
+		before, embedCfg := fresh.Embedding(0), fresh.Cfg.Embed
+		if err := fresh.LoadModel(bytes.NewReader(truncated)); err == nil {
+			t.Fatal("truncated checkpoint loaded")
+		}
+		if fresh.Agent() != nil || fresh.ModelVersion() != "" {
+			t.Fatalf("failed load left agent %v, version %q", fresh.Agent(), fresh.ModelVersion())
+		}
+		if fresh.Cfg.Embed != embedCfg {
+			t.Fatalf("embedding config %+v after a failed load, want %+v", fresh.Cfg.Embed, embedCfg)
+		}
+		after := fresh.Embedding(0)
+		if len(after) != len(before) {
+			t.Fatalf("embedding width %d after a failed load, want %d", len(after), len(before))
+		}
+		for i := range before {
+			if after[i] != before[i] {
+				t.Fatalf("embedding[%d] = %v after a failed load, want %v", i, after[i], before[i])
+			}
+		}
+	})
 }

@@ -60,11 +60,7 @@ func TestConcurrentInference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		annotated, _, err := fw.AnnotateSource(context.Background(), src, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vec, err := fw.EmbedSource(src)
+		resp, err := fw.PredictLoops(context.Background(), src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +68,7 @@ func TestConcurrentInference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i].annotated, want[i].vec0, want[i].sweep00 = annotated, vec[0], sw.Speedup[0][0]
+		want[i].annotated, want[i].vec0, want[i].sweep00 = resp.Annotated, fw.Embedding(i)[0], sw.Speedup[0][0]
 	}
 
 	const workers = 8
@@ -85,31 +81,17 @@ func TestConcurrentInference(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(srcs)
-				annotated, _, err := fw.AnnotateSource(context.Background(), srcs[i], nil)
+				resp, err := fw.PredictLoops(context.Background(), srcs[i], nil)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if annotated != want[i].annotated {
+				if resp.Annotated != want[i].annotated {
 					t.Errorf("worker %d: concurrent annotation differs for source %d", w, i)
 					return
 				}
-				vec, err := fw.EmbedSource(srcs[i])
-				if err != nil {
-					errs <- err
-					return
-				}
-				if vec[0] != want[i].vec0 {
-					t.Errorf("worker %d: concurrent embedding differs for source %d", w, i)
-					return
-				}
-				inf, err := fw.PredictSource(context.Background(), srcs[i], nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if inf.Annotated != want[i].annotated {
-					t.Errorf("worker %d: PredictSource disagrees with AnnotateSource", w)
+				if vec := fw.Embedding(i); vec[0] != want[i].vec0 {
+					t.Errorf("worker %d: concurrent embedding differs for unit %d", w, i)
 					return
 				}
 				sw, err := fw.SweepSource(context.Background(), srcs[i], nil)
@@ -141,15 +123,15 @@ func TestConcurrentInference(t *testing.T) {
 	}
 }
 
-// TestPredictSourceMatchesUnitPath checks the stateless policy path against
+// TestPredictLoopsMatchesUnitPath checks the stateless policy path against
 // the legacy unit-indexed one: loading the same program as units and calling
-// Predict must give the decisions PredictSource computes.
-func TestPredictSourceMatchesUnitPath(t *testing.T) {
+// Predict must give the decisions PredictLoops computes.
+func TestPredictLoopsMatchesUnitPath(t *testing.T) {
 	fw := smallFramework(t, 30)
 	fw.Train(fastRL(4))
 	src := raceSources(t, 1)[0]
 
-	inf, err := fw.PredictSource(context.Background(), src, nil)
+	resp, err := fw.PredictLoops(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +139,7 @@ func TestPredictSourceMatchesUnitPath(t *testing.T) {
 	if err := fw.LoadSource("probe", src, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range inf.Decisions {
+	for i, d := range resp.Loops {
 		vf, ifc, err := fw.Predict(start + i)
 		if err != nil {
 			t.Fatal(err)
@@ -169,28 +151,28 @@ func TestPredictSourceMatchesUnitPath(t *testing.T) {
 	}
 }
 
-// TestPredictSourceSpeedups sanity-checks the simulated speedup fields.
-func TestPredictSourceSpeedups(t *testing.T) {
+// TestPredictLoopsSpeedups sanity-checks the simulated speedup fields.
+func TestPredictLoopsSpeedups(t *testing.T) {
 	fw := smallFramework(t, 30)
 	fw.Train(fastRL(4))
 	src := raceSources(t, 1)[0]
-	inf, err := fw.PredictSource(context.Background(), src, nil)
+	resp, err := fw.PredictLoops(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inf.BaselineCycles <= 0 || inf.PredictedCycles <= 0 {
+	if resp.BaselineCycles <= 0 || resp.PredictedCycles <= 0 {
 		t.Fatalf("non-positive cycles: baseline %v predicted %v",
-			inf.BaselineCycles, inf.PredictedCycles)
+			resp.BaselineCycles, resp.PredictedCycles)
 	}
-	if inf.Speedup <= 0 {
-		t.Fatalf("non-positive speedup %v", inf.Speedup)
+	if resp.Speedup <= 0 {
+		t.Fatalf("non-positive speedup %v", resp.Speedup)
 	}
-	if len(inf.Loops) != len(inf.Decisions) {
-		t.Fatalf("%d loop predictions, %d decisions", len(inf.Loops), len(inf.Decisions))
+	if len(resp.Loops) == 0 {
+		t.Fatal("no loop decisions")
 	}
-	for _, lp := range inf.Loops {
-		if lp.Speedup <= 0 {
-			t.Fatalf("loop %s: non-positive speedup %v", lp.Label, lp.Speedup)
+	for _, d := range resp.Loops {
+		if d.PredictedSpeedup <= 0 {
+			t.Fatalf("loop %s: non-positive speedup %v", d.Label, d.PredictedSpeedup)
 		}
 	}
 }

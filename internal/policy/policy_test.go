@@ -61,17 +61,17 @@ func TestPoliciesParityAndLegality(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			for _, s := range srcs {
-				inf, err := fw.PredictSource(context.Background(), s.Source, nil, core.WithPolicyName(name))
+				resp, err := fw.PredictLoops(context.Background(), s.Source, nil, core.WithPolicyName(name))
 				if err != nil {
 					t.Fatalf("policy %s on %s: %v", name, s.Name, err)
 				}
-				if inf.Policy != name {
-					t.Fatalf("Inference.Policy = %q, want %q", inf.Policy, name)
+				if resp.Policy != name {
+					t.Fatalf("CompileResponse.Policy = %q, want %q", resp.Policy, name)
 				}
-				if len(inf.Decisions) == 0 {
+				if len(resp.Loops) == 0 {
 					t.Fatalf("policy %s made no decisions for %s", name, s.Name)
 				}
-				for _, d := range inf.Decisions {
+				for _, d := range resp.Loops {
 					if !member(vfs, d.VF) || !member(ifs, d.IF) {
 						t.Fatalf("policy %s chose illegal (VF=%d, IF=%d) for %s/%s (space %v x %v)",
 							name, d.VF, d.IF, s.Name, d.Label, vfs, ifs)
@@ -90,21 +90,21 @@ func TestPoliciesDeterministicPerRequest(t *testing.T) {
 	fw := corpusFramework(t)
 	src := dataset.Generate(dataset.GenConfig{N: 1, Seed: 5}).Samples[0].Source
 	for _, name := range policy.List() {
-		a, err := fw.PredictSource(context.Background(), src, nil, core.WithPolicyName(name))
+		a, err := fw.PredictLoops(context.Background(), src, nil, core.WithPolicyName(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := fw.PredictSource(context.Background(), src, nil, core.WithPolicyName(name))
+		b, err := fw.PredictLoops(context.Background(), src, nil, core.WithPolicyName(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(a.Decisions) != len(b.Decisions) {
+		if len(a.Loops) != len(b.Loops) {
 			t.Fatalf("%s: decision count changed between identical requests", name)
 		}
-		for i := range a.Decisions {
-			if a.Decisions[i] != b.Decisions[i] {
+		for i := range a.Loops {
+			if a.Loops[i] != b.Loops[i] {
 				t.Fatalf("%s: decision %d differs between identical requests: %+v vs %+v",
-					name, i, a.Decisions[i], b.Decisions[i])
+					name, i, a.Loops[i], b.Loops[i])
 			}
 		}
 	}
@@ -115,7 +115,7 @@ func TestPoliciesDeterministicPerRequest(t *testing.T) {
 func TestRLPolicyRequiresAgent(t *testing.T) {
 	fw := core.New(core.DefaultConfig())
 	src := "int a[64]; void f() { for (int i = 0; i < 64; i++) { a[i] = i; } }"
-	_, err := fw.PredictSource(context.Background(), src, nil)
+	_, err := fw.PredictLoops(context.Background(), src, nil)
 	if !errors.Is(err, policy.ErrNoAgent) {
 		t.Fatalf("err = %v, want ErrNoAgent", err)
 	}
@@ -138,8 +138,8 @@ func TestLookupUnknownPolicy(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnknown", err)
 	}
 	src := "int a[64]; void f() { for (int i = 0; i < 64; i++) { a[i] = i; } }"
-	if _, err := fw.PredictSource(context.Background(), src, nil, core.WithPolicyName("quantum")); !errors.Is(err, policy.ErrUnknown) {
-		t.Fatalf("PredictSource err = %v, want ErrUnknown", err)
+	if _, err := fw.PredictLoops(context.Background(), src, nil, core.WithPolicyName("quantum")); !errors.Is(err, policy.ErrUnknown) {
+		t.Fatalf("PredictLoops err = %v, want ErrUnknown", err)
 	}
 }
 

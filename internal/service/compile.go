@@ -82,8 +82,8 @@ func CompileCacheKey(version, policyName string, req *api.CompileRequest) string
 }
 
 // compileCompute runs one file through the v2 core path. It is the single
-// compute function behind /v2/compile and the /v1/annotate shim, which is
-// what guarantees the two surfaces can never drift.
+// compute function behind all three /v2/compile request forms, which is
+// what guarantees they can never drift.
 func (s *Server) compileCompute(ctx context.Context, m *model, req *api.CompileRequest, polName string, pol policy.Policy) (*api.CompileResponse, error) {
 	opts := []core.InferOption{core.WithPolicy(pol)}
 	if s.loops != nil {

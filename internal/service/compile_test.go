@@ -14,8 +14,8 @@ import (
 )
 
 // The /v2/compile tests cover the three request forms (single, Batch
-// envelope, NDJSON stream), pins, version validation, the v1↔v2 shim
-// parity contract, and the per-loop caches.
+// envelope, NDJSON stream), pins, version validation, and the per-loop
+// caches.
 
 func postCompile(t *testing.T, s *Server, body string, contentType string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -70,40 +70,6 @@ func TestCompileSingle(t *testing.T) {
 	rec, body = do(t, s, "POST", "/v2/compile", api.CompileRequest{Version: 1, Source: src})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("version 1: status %d body %s", rec.Code, body)
-	}
-}
-
-func TestCompileMatchesV1Annotate(t *testing.T) {
-	testFixture(t)
-	s := newTestServer(t, Config{ModelPath: fixture.model1})
-	for _, src := range fixture.srcs {
-		_, b1 := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src})
-		var v1 AnnotateResponse
-		if err := json.Unmarshal(b1, &v1); err != nil {
-			t.Fatal(err)
-		}
-		_, b2 := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src})
-		var v2 api.CompileResponse
-		if err := json.Unmarshal(b2, &v2); err != nil {
-			t.Fatal(err)
-		}
-		if v1.Annotated != v2.Annotated {
-			t.Fatalf("annotated source differs between v1 and v2 for:\n%s", src)
-		}
-		if len(v1.Loops) != len(v2.Loops) {
-			t.Fatalf("loop counts differ: v1 %d, v2 %d", len(v1.Loops), len(v2.Loops))
-		}
-		for i := range v1.Loops {
-			l1, l2 := v1.Loops[i], v2.Loops[i]
-			if l1.LoopID != string(l2.Loop) || l1.Label != l2.Label ||
-				l1.VF != l2.VF || l1.IF != l2.IF || l1.Cycles != l2.Cycles {
-				t.Errorf("loop %d differs: v1 %+v, v2 %+v", i, l1, l2)
-			}
-		}
-		if v1.BaselineCycles != v2.BaselineCycles || v1.PredictedCycles != v2.PredictedCycles ||
-			v1.Speedup != v2.Speedup {
-			t.Errorf("aggregates differ: v1 %+v, v2 %+v", v1, v2)
-		}
 	}
 }
 
@@ -269,19 +235,21 @@ func TestCompileNDJSONStream(t *testing.T) {
 		if resp.Error != "" {
 			t.Errorf("line %d: error %q", i, resp.Error)
 		}
-		// Streamed decisions equal the v1 annotate answer for the same file.
-		_, b1 := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: fixture.srcs[i]})
-		var v1 AnnotateResponse
-		if err := json.Unmarshal(b1, &v1); err != nil {
+		// Streamed decisions equal the single-form answer for the same file.
+		_, b1 := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: fixture.srcs[i]})
+		var single api.CompileResponse
+		if err := json.Unmarshal(b1, &single); err != nil {
 			t.Fatal(err)
 		}
-		if v1.Annotated != resp.Annotated {
-			t.Errorf("line %d: annotated output differs from v1", i)
+		if single.Annotated != resp.Annotated {
+			t.Errorf("line %d: annotated output differs from the single form", i)
 		}
-		for j := range v1.Loops {
-			d := resp.Loops[j]
-			if v1.Loops[j].VF != d.VF || v1.Loops[j].IF != d.IF || v1.Loops[j].LoopID != string(d.Loop) {
-				t.Errorf("line %d loop %d: v1 %+v vs v2 %+v", i, j, v1.Loops[j], d)
+		if len(single.Loops) != len(resp.Loops) {
+			t.Fatalf("line %d: %d loops, single form has %d", i, len(resp.Loops), len(single.Loops))
+		}
+		for j, d := range resp.Loops {
+			if single.Loops[j] != d {
+				t.Errorf("line %d loop %d: single %+v vs stream %+v", i, j, single.Loops[j], d)
 			}
 		}
 	}

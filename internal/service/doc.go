@@ -2,8 +2,7 @@
 // reproduction: vectorization-as-a-service. Where the CLI re-parses and
 // re-loads a model on every invocation, a Server loads one trained
 // checkpoint (written by `neurovec train -out`) and serves inference over
-// HTTP/JSON with a bounded worker pool, request batching for embeddings, an
-// LRU response cache, per-request policy selection, request deadlines,
+// HTTP/JSON with a bounded worker pool, an LRU response cache, per-request policy selection, request deadlines,
 // asynchronous training jobs, and atomic model hot-reload.
 //
 // # Architecture
@@ -22,20 +21,17 @@
 //     truncated by a deadline are never cached.
 //   - Config.RequestTimeout (and the request's own timeout_ms, which can
 //     shorten but not extend it) bounds compute through the request context.
-//     On /v1/annotate, deadline-aware policies (brute) answer with their
+//     On /v2/compile, deadline-aware policies (brute) answer with their
 //     best pair so far and "truncated": true; other policies fail with 504
 //     when the deadline passes. /v1/sweep's grid walk aborts with 504 at
 //     the deadline regardless of the overlay policy.
-//   - /v1/embed requests are coalesced: a collector goroutine gathers up to
-//     MaxBatch waiting requests (lingering at most BatchWait) and executes
-//     them as one pool job, amortizing scheduling under load.
 //   - The serving model is an immutable snapshot behind an atomic pointer.
 //     Hot-reload (POST /v1/reload, or SIGHUP in the CLI) loads the
 //     checkpoint into a fresh framework and swaps the pointer; in-flight
 //     requests finish on the snapshot they started with, and version-keyed
 //     caching makes stale entries unreachable. Inference itself uses
-//     core.Framework's stateless paths (PredictLoops, EmbedSource,
-//     SweepSource), which only read the configuration and trained weights.
+//     core.Framework's stateless paths (PredictLoops, SweepSource,
+//     Compile/Decide), which only read the configuration and trained weights.
 //   - Beneath the byte-level response cache sits one per-loop cache
 //     (core.LoopLRU) keyed by (model version, stable LoopID): code vectors
 //     for every learned policy, and (VF, IF) decisions for loop-pure ones.
@@ -47,16 +43,12 @@
 //
 // # HTTP API
 //
-// POST /v2/compile — the versioned per-loop compilation API: one
+// POST /v2/compile — run a decision policy on a C program: one
 // api.Decision per innermost loop with a stable loop_id and provenance,
 // per-loop pins, a JSON batch envelope ({"requests": […]}), and NDJSON
 // streaming (Content-Type: application/x-ndjson, one request per line, one
-// response line back per request in order). The /v1 endpoints below are
-// compatibility shims computed through the same v2 core path. Full schema
-// and the v1→v2 migration table: docs/API.md and package
-// neurovec/internal/api.
-//
-// POST /v1/annotate — run a decision policy on a C program.
+// response line back per request in order). Full schema: docs/API.md and
+// package neurovec/internal/api.
 //
 // Request:
 //
@@ -67,21 +59,17 @@
 //
 // Response 200:
 //
-//	{"model_version": "8c6a…",
+//	{"version": 2, "model_version": "8c6a…",
 //	 "policy": "brute",
 //	 "truncated": true,            // only when a deadline cut the search short
 //	 "annotated": "…source with #pragma clang loop vectorize_width(…) interleave_count(…)…",
-//	 "loops": [{"label": "L0", "func": "f", "vf": 8, "if": 2,
-//	            "cycles": 1234.5, "speedup": 1.8}],
+//	 "loops": [{"loop_id": "8c1f03ba90d2ee41", "label": "L0", "func": "f",
+//	            "vf": 8, "if": 2, "cycles": 1234.5, "predicted_speedup": 1.8,
+//	            "provenance": {"origin": "policy", "policy": "brute",
+//	                           "model_version": "8c6a…", "truncated": true}}],
 //	 "baseline_cycles": 2222.1,    // program cycles under the baseline cost model
 //	 "predicted_cycles": 1234.5,   // program cycles with every decision applied
 //	 "speedup": 1.8}
-//
-// POST /v1/embed — return the learned code embedding of the first innermost
-// loop.
-//
-// Request:  {"source": "…"}
-// Response: {"model_version": "8c6a…", "dim": 340, "vector": [0.12, …]}
 //
 // POST /v1/sweep — measure the full VF x IF grid for the first innermost
 // loop (speedups are relative to the baseline cost model). An optional
@@ -226,7 +214,7 @@
 // neurovec_policy_requests_total{policy="…",outcome="…"},
 // neurovec_cache_hits_total / neurovec_cache_misses_total /
 // neurovec_cache_hit_ratio, neurovec_model_reloads_total,
-// neurovec_embed_batches_total, neurovec_pool_rejected_total,
+// neurovec_pool_rejected_total,
 // neurovec_model_info{version="…"}.
 //
 // Errors are JSON ({"error": "…"}): 400 for malformed requests, unknown
@@ -244,9 +232,9 @@
 //	neurovec train -corpus generated -n 1000 -iters 30 -jobs 8 -out model.gob
 //	neurovec serve -model model.gob -addr :8080 -timeout 30s &
 //	curl -s localhost:8080/v1/policies
-//	curl -s localhost:8080/v1/annotate \
+//	curl -s localhost:8080/v2/compile \
 //	     -d '{"source":"float a[1024]; void f() { for (int i = 0; i < 1024; i++) a[i] = a[i] * 2; }"}'
-//	curl -s localhost:8080/v1/annotate \
+//	curl -s localhost:8080/v2/compile \
 //	     -d '{"source":"…", "policy":"brute", "timeout_ms": 100}'
 //	curl -s localhost:8080/metrics | grep policy
 //	curl -s -d '{"corpus":"generated","n":64,"iterations":20,"eval_every":5}' \

@@ -45,8 +45,6 @@ type Metrics struct {
 	cacheMisses  *obs.Counter
 	reloads      *obs.Counter
 	reloadErrors *obs.Counter
-	batches      *obs.Counter
-	batchedJobs  *obs.Counter
 	poolRejected *obs.Counter
 	poolPanics   *obs.Counter
 	modelInfo    *obs.GaugeVec // version
@@ -75,8 +73,6 @@ func NewMetrics() *Metrics {
 		cacheMisses:  r.Counter("neurovec_cache_misses_total", "Response cache misses."),
 		reloads:      r.Counter("neurovec_model_reloads_total", "Successful model hot-reloads."),
 		reloadErrors: r.Counter("neurovec_model_reload_errors_total", "Failed model hot-reloads."),
-		batches:      r.Counter("neurovec_embed_batches_total", "Embedding batches executed."),
-		batchedJobs:  r.Counter("neurovec_embed_batched_requests_total", "Embedding requests served through batches."),
 		poolRejected: r.Counter("neurovec_pool_rejected_total", "Requests rejected because the work queue was full."),
 		poolPanics:   r.Counter("neurovec_pool_panics_total", "Request panics recovered by the worker pool (each cost one request a 500)."),
 		modelInfo:    r.GaugeVec("neurovec_model_info", "Currently served model (value is load time in unix seconds).", "version"),
@@ -170,12 +166,6 @@ func (m *Metrics) Reload(ok bool) {
 	} else {
 		m.reloadErrors.Inc()
 	}
-}
-
-// Batch records one embedding batch of n coalesced requests.
-func (m *Metrics) Batch(n int) {
-	m.batches.Inc()
-	m.batchedJobs.Add(int64(n))
 }
 
 // PoolRejected records a request turned away because the work queue was full.

@@ -27,7 +27,7 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	}
 
 	// A sane client-supplied ID is honored; it also lands in error bodies.
-	req := httptest.NewRequest("POST", "/v1/annotate", strings.NewReader(`{"source":""}`))
+	req := httptest.NewRequest("POST", "/v2/compile", strings.NewReader(`{"source":""}`))
 	req.Header.Set("X-Request-ID", "client-abc-123")
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, req)

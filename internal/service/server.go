@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"neurovec/internal/api"
 	"neurovec/internal/core"
 	"neurovec/internal/evalharness"
 	"neurovec/internal/lang"
@@ -55,11 +54,6 @@ type Config struct {
 	// QueueDepth bounds the pool's backlog (default 4x workers); a full
 	// queue sheds load with HTTP 503.
 	QueueDepth int
-	// MaxBatch is the embedding batch size (default 16).
-	MaxBatch int
-	// BatchWait is how long the batcher lingers to fill a batch
-	// (default 2ms).
-	BatchWait time.Duration
 	// MaxRequestBytes bounds request bodies (default
 	// DefaultMaxRequestBytes).
 	MaxRequestBytes int64
@@ -101,7 +95,6 @@ type Server struct {
 	pool    *Pool
 	cache   *core.Cache[[]byte]
 	metrics *Metrics
-	embeds  *batcher
 	mux     *http.ServeMux
 	start   time.Time
 	log     *obslog.Logger
@@ -185,12 +178,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.model.Store(m)
 	s.metrics.SetModel(m.version, m.loadedAt)
-	s.embeds = newBatcher(cfg.MaxBatch, cfg.BatchWait, s.processEmbedBatch)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v2/compile", s.instrument("/v2/compile", s.handleCompile))
-	s.mux.HandleFunc("POST /v1/annotate", s.instrument("/v1/annotate", s.handleAnnotate))
-	s.mux.HandleFunc("POST /v1/embed", s.instrument("/v1/embed", s.handleEmbed))
 	s.mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
 	s.mux.HandleFunc("GET /v1/eval", s.instrument("/v1/eval", s.handleEval))
 	s.mux.HandleFunc("POST /v1/eval", s.instrument("/v1/eval", s.handleEval))
@@ -217,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the batcher and worker pool and cancels any running training
+// Close stops the worker pool and cancels any running training
 // job. The server must not serve requests afterwards.
 func (s *Server) Close() {
 	s.trainMu.Lock()
@@ -229,7 +219,6 @@ func (s *Server) Close() {
 		j.mu.Unlock()
 	}
 	s.trainMu.Unlock()
-	s.embeds.close()
 	s.pool.Close()
 }
 
@@ -417,7 +406,7 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 	// The request ID was stamped on the response headers by instrument();
 	// echoing it in the body gives clients one correlation key for logs,
-	// traces, and failures. v1 shims share this path, so they get it too.
+	// traces, and failures. Every endpoint shares this path.
 	payload := map[string]any{"error": err.Error()}
 	if serr != nil {
 		// Strict-mode rejections carry the full machine-readable finding
@@ -596,48 +585,21 @@ func isRequestError(err error) bool {
 
 // ---- Endpoints ----
 
-// AnnotateRequest is the /v1/annotate and /v1/sweep request body.
-type AnnotateRequest struct {
-	// Source is the C program to annotate.
+// SweepRequest is the /v1/sweep request body.
+type SweepRequest struct {
+	// Source is the C program to sweep.
 	Source string `json:"source"`
 	// Params optionally supplies runtime values for symbolic loop bounds.
 	Params map[string]int64 `json:"params,omitempty"`
 	// Policy selects the decision method by registry name (see
-	// GET /v1/policies). Empty means the trained agent for /v1/annotate and
-	// no decision overlay for /v1/sweep.
+	// GET /v1/policies) whose choice is overlaid on the grid. Empty means
+	// no overlay.
 	Policy string `json:"policy,omitempty"`
 	// TimeoutMS bounds this request's compute time; it can shorten the
 	// server's RequestTimeout but never extend it. Deadline-aware policies
 	// (brute) degrade to their best-so-far answer with "truncated": true.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
-
-// LoopDecision is one loop's predicted factors in an AnnotateResponse.
-// LoopID carries the loop's stable v2 identity so v1 clients can migrate
-// to per-loop addressing (pins, /v2/compile) incrementally.
-type LoopDecision struct {
-	LoopID  string  `json:"loop_id,omitempty"`
-	Label   string  `json:"label"`
-	Func    string  `json:"func"`
-	VF      int     `json:"vf"`
-	IF      int     `json:"if"`
-	Cycles  float64 `json:"cycles"`
-	Speedup float64 `json:"speedup"`
-}
-
-// AnnotateResponse is the /v1/annotate response body.
-type AnnotateResponse struct {
-	ModelVersion    string         `json:"model_version"`
-	Policy          string         `json:"policy"`
-	Truncated       bool           `json:"truncated,omitempty"`
-	Annotated       string         `json:"annotated"`
-	Loops           []LoopDecision `json:"loops"`
-	BaselineCycles  float64        `json:"baseline_cycles"`
-	PredictedCycles float64        `json:"predicted_cycles"`
-	Speedup         float64        `json:"speedup"`
-}
-
-func (r *AnnotateResponse) skipCache() bool { return r.Truncated }
 
 // resolvePolicy maps a request's policy name onto a bound instance.
 // fallback is the name used for an empty field ("" keeps it unset). The
@@ -656,132 +618,6 @@ func resolvePolicy(m *model, name, fallback string) (label string, pol policy.Po
 		return "unknown", nil, err
 	}
 	return name, pol, err
-}
-
-func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	var req AnnotateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	m := s.model.Load()
-	polName, pol, err := resolvePolicy(m, req.Policy, core.DefaultPolicy)
-	if err != nil {
-		s.metrics.Policy(polName, false)
-		writeError(w, r, err)
-		return
-	}
-	key := cacheKey("annotate", m.version, polName, req.Source, req.Params)
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	s.serveCached(ctx, w, r, key, func(ctx context.Context) (any, error) {
-		// The v1 endpoint is a compatibility shim: it computes through the
-		// same v2 per-loop path as POST /v2/compile (one compute function,
-		// one schema underneath) and folds the answer into the legacy
-		// whole-file shape.
-		creq := &api.CompileRequest{Source: req.Source, Params: req.Params, Policy: req.Policy}
-		resp, err := s.compileCompute(ctx, m, creq, polName, pol)
-		if err != nil {
-			return nil, err
-		}
-		return v1AnnotateFromCompile(resp), nil
-	})
-}
-
-// v1AnnotateFromCompile folds a v2 per-loop response into the legacy v1
-// annotate shape.
-func v1AnnotateFromCompile(resp *api.CompileResponse) *AnnotateResponse {
-	out := &AnnotateResponse{
-		ModelVersion:    resp.ModelVersion,
-		Policy:          resp.Policy,
-		Truncated:       resp.Truncated,
-		Annotated:       resp.Annotated,
-		BaselineCycles:  resp.BaselineCycles,
-		PredictedCycles: resp.PredictedCycles,
-		Speedup:         resp.Speedup,
-	}
-	for _, d := range resp.Loops {
-		out.Loops = append(out.Loops, LoopDecision{
-			LoopID: string(d.Loop), Label: d.Label, Func: d.Func,
-			VF: d.VF, IF: d.IF, Cycles: d.Cycles, Speedup: d.PredictedSpeedup,
-		})
-	}
-	return out
-}
-
-// EmbedRequest is the /v1/embed request body.
-type EmbedRequest struct {
-	Source string `json:"source"`
-}
-
-// EmbedResponse is the /v1/embed response body.
-type EmbedResponse struct {
-	ModelVersion string    `json:"model_version"`
-	Dim          int       `json:"dim"`
-	Vector       []float64 `json:"vector"`
-}
-
-func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
-	var req EmbedRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	m := s.model.Load()
-	key := cacheKey("embed", m.version, "", req.Source, nil)
-	if s.tryCacheHit(w, key) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	job := &embedJob{source: req.Source, m: m, done: make(chan struct{})}
-	if err := s.embeds.enqueue(job); err != nil {
-		s.metrics.PoolRejected()
-		writeError(w, r, err)
-		return
-	}
-	select {
-	case <-job.done:
-	case <-ctx.Done():
-		job.canceled.Store(true)
-		writeError(w, r, ctx.Err())
-		return
-	}
-	if job.err != nil {
-		if errors.Is(job.err, ErrOverloaded) {
-			s.metrics.PoolRejected()
-		}
-		writeError(w, r, classify(job.err))
-		return
-	}
-	s.respondFresh(w, key, &EmbedResponse{ModelVersion: m.version, Dim: len(job.vec), Vector: job.vec})
-}
-
-// processEmbedBatch runs one coalesced embedding batch as a single pool job.
-// Each job embeds with the model snapshot its handler pinned, so results
-// stay consistent with the version they are cached and reported under even
-// across a mid-flight hot-reload.
-func (s *Server) processEmbedBatch(batch []*embedJob) {
-	s.metrics.Batch(len(batch))
-	err := s.pool.Do(context.Background(), func() {
-		for _, j := range batch {
-			if j.canceled.Load() {
-				continue // client gone; don't compute into the void
-			}
-			j.vec, j.err = j.m.fw.EmbedSource(j.source)
-		}
-	})
-	if err != nil {
-		s.logPanic(err)
-		for _, j := range batch {
-			if j.err == nil && j.vec == nil {
-				j.err = err
-			}
-		}
-	}
-	for _, j := range batch {
-		close(j.done)
-	}
 }
 
 // SweepResponse is the /v1/sweep response body. The policy fields are only
@@ -804,7 +640,7 @@ type SweepResponse struct {
 func (r *SweepResponse) skipCache() bool { return r.Truncated }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req AnnotateRequest
+	var req SweepRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, r, err)
 		return

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"neurovec/internal/api"
 	"neurovec/internal/core"
 	"neurovec/internal/dataset"
 	"neurovec/internal/rl"
@@ -143,31 +144,31 @@ func TestAnnotateMatchesCLIPathAndCaches(t *testing.T) {
 	ref := referenceFramework(t, fixture.model1)
 	src := fixture.srcs[0]
 
-	wantAnnotated, wantDecisions, err := ref.AnnotateSource(context.Background(), src, nil)
+	want, err := ref.PredictLoops(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rec, body := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src})
+	rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, body)
 	}
 	if got := rec.Header().Get("X-Neurovec-Cache"); got != "miss" {
 		t.Fatalf("first request cache header %q, want miss", got)
 	}
-	var resp AnnotateResponse
+	var resp api.CompileResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Annotated != wantAnnotated {
+	if resp.Annotated != want.Annotated {
 		t.Fatalf("served annotation differs from CLI path:\n--- served ---\n%s\n--- cli ---\n%s",
-			resp.Annotated, wantAnnotated)
+			resp.Annotated, want.Annotated)
 	}
-	if len(resp.Loops) != len(wantDecisions) {
-		t.Fatalf("%d served decisions, CLI path has %d", len(resp.Loops), len(wantDecisions))
+	if len(resp.Loops) != len(want.Loops) {
+		t.Fatalf("%d served decisions, CLI path has %d", len(resp.Loops), len(want.Loops))
 	}
-	for i, d := range wantDecisions {
-		if resp.Loops[i].Label != d.Label || resp.Loops[i].VF != d.VF || resp.Loops[i].IF != d.IF {
+	for i, d := range want.Loops {
+		if resp.Loops[i] != d {
 			t.Fatalf("decision %d: served %+v, CLI %+v", i, resp.Loops[i], d)
 		}
 	}
@@ -179,7 +180,7 @@ func TestAnnotateMatchesCLIPathAndCaches(t *testing.T) {
 	}
 
 	// The repeat is a hit with a byte-identical body.
-	rec2, body2 := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src})
+	rec2, body2 := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src})
 	if rec2.Code != http.StatusOK || rec2.Header().Get("X-Neurovec-Cache") != "hit" {
 		t.Fatalf("repeat: status %d cache %q", rec2.Code, rec2.Header().Get("X-Neurovec-Cache"))
 	}
@@ -192,47 +193,15 @@ func TestAnnotateMatchesCLIPathAndCaches(t *testing.T) {
 	if !strings.Contains(string(mbody), "neurovec_cache_hits_total 1") {
 		t.Fatalf("metrics missing cache hit:\n%s", mbody)
 	}
-	if !strings.Contains(string(mbody), `neurovec_requests_total{endpoint="/v1/annotate",code="200"} 2`) {
+	if !strings.Contains(string(mbody), `neurovec_requests_total{endpoint="/v2/compile",code="200"} 2`) {
 		t.Fatalf("metrics missing request count:\n%s", mbody)
-	}
-}
-
-func TestEmbedEndpoint(t *testing.T) {
-	testFixture(t)
-	s := newTestServer(t, Config{ModelPath: fixture.model1})
-	ref := referenceFramework(t, fixture.model1)
-	src := fixture.srcs[1]
-
-	want, err := ref.EmbedSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, body := do(t, s, "POST", "/v1/embed", EmbedRequest{Source: src})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp EmbedResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Dim != len(want) || len(resp.Vector) != len(want) {
-		t.Fatalf("dim %d, want %d", resp.Dim, len(want))
-	}
-	for i := range want {
-		if resp.Vector[i] != want[i] {
-			t.Fatalf("vector[%d] = %v, want %v", i, resp.Vector[i], want[i])
-		}
-	}
-	rec2, _ := do(t, s, "POST", "/v1/embed", EmbedRequest{Source: src})
-	if rec2.Header().Get("X-Neurovec-Cache") != "hit" {
-		t.Fatal("repeated embed not a cache hit")
 	}
 }
 
 func TestSweepEndpoint(t *testing.T) {
 	testFixture(t)
 	s := newTestServer(t, Config{ModelPath: fixture.model1})
-	rec, body := do(t, s, "POST", "/v1/sweep", AnnotateRequest{Source: fixture.srcs[2]})
+	rec, body := do(t, s, "POST", "/v1/sweep", SweepRequest{Source: fixture.srcs[2]})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, body)
 	}
@@ -293,16 +262,16 @@ func TestReloadSwapsVersion(t *testing.T) {
 	}
 
 	// Responses now come from the new model version.
-	rec2, body2 := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: fixture.srcs[0]})
+	rec2, body2 := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: fixture.srcs[0]})
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec2.Code, body2)
 	}
-	var aresp AnnotateResponse
-	if err := json.Unmarshal(body2, &aresp); err != nil {
+	var cresp api.CompileResponse
+	if err := json.Unmarshal(body2, &cresp); err != nil {
 		t.Fatal(err)
 	}
-	if aresp.ModelVersion != resp.ModelVersion {
-		t.Fatalf("annotate served %q after reload to %q", aresp.ModelVersion, resp.ModelVersion)
+	if cresp.ModelVersion != resp.ModelVersion {
+		t.Fatalf("compile served %q after reload to %q", cresp.ModelVersion, resp.ModelVersion)
 	}
 }
 
@@ -322,7 +291,7 @@ func TestReloadBadCheckpointKeepsServing(t *testing.T) {
 	if s.ModelVersion() != v1 {
 		t.Fatal("corrupt reload changed the serving model")
 	}
-	rec2, _ := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: fixture.srcs[0]})
+	rec2, _ := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: fixture.srcs[0]})
 	if rec2.Code != http.StatusOK {
 		t.Fatal("server stopped serving after failed reload")
 	}
@@ -332,36 +301,45 @@ func TestRequestErrors(t *testing.T) {
 	testFixture(t)
 	s := newTestServer(t, Config{ModelPath: fixture.model1})
 
-	req := httptest.NewRequest("POST", "/v1/annotate", strings.NewReader("{not json"))
+	req := httptest.NewRequest("POST", "/v2/compile", strings.NewReader("{not json"))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d", rec.Code)
 	}
 
-	rec2, _ := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: "int x;"})
+	rec2, _ := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: "int x;"})
 	if rec2.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("no-loop source: status %d, want 422", rec2.Code)
 	}
 
-	rec3, _ := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: "for (("})
+	rec3, _ := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: "for (("})
 	if rec3.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("parse error: status %d, want 422", rec3.Code)
 	}
 
 	// Every endpoint must classify a loop-free program the same way.
-	rec4, _ := do(t, s, "POST", "/v1/embed", EmbedRequest{Source: "int x;"})
+	rec4, _ := do(t, s, "POST", "/v1/sweep", SweepRequest{Source: "int x;"})
 	if rec4.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("embed no-loop source: status %d, want 422", rec4.Code)
+		t.Fatalf("sweep no-loop source: status %d, want 422", rec4.Code)
 	}
-	rec5, _ := do(t, s, "POST", "/v1/sweep", AnnotateRequest{Source: "int x;"})
-	if rec5.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("sweep no-loop source: status %d, want 422", rec5.Code)
+}
+
+// TestRetiredV1EndpointsAreGone checks that the whole-file annotate and
+// embed endpoints stay removed: /v2/compile is the one compile surface.
+func TestRetiredV1EndpointsAreGone(t *testing.T) {
+	testFixture(t)
+	s := newTestServer(t, Config{ModelPath: fixture.model1})
+	for _, path := range []string{"/v1/annotate", "/v1/embed"} {
+		rec, body := do(t, s, "POST", path, api.CompileRequest{Source: fixture.srcs[0]})
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s: status %d (%s), want 404", path, rec.Code, body)
+		}
 	}
 }
 
 // TestConcurrentAnnotateWithReload is the -race acceptance test: parallel
-// /v1/annotate traffic mixing cache hits and misses while checkpoints are
+// /v2/compile traffic mixing cache hits and misses while checkpoints are
 // hot-reloaded mid-flight. Every response must be a 200 whose annotation
 // matches the golden output for whichever model version served it.
 func TestConcurrentAnnotateWithReload(t *testing.T) {
@@ -377,11 +355,11 @@ func TestConcurrentAnnotateWithReload(t *testing.T) {
 		ref := referenceFramework(t, mp)
 		m := make(map[string]string, len(fixture.srcs))
 		for _, src := range fixture.srcs {
-			annotated, _, err := ref.AnnotateSource(context.Background(), src, nil)
+			resp, err := ref.PredictLoops(context.Background(), src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m[src] = annotated
+			m[src] = resp.Annotated
 		}
 		golden[ref.ModelVersion()] = m
 	}
@@ -395,12 +373,12 @@ func TestConcurrentAnnotateWithReload(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				src := fixture.srcs[(w+r)%len(fixture.srcs)]
-				rec, body := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src})
+				rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src})
 				if rec.Code != http.StatusOK {
 					t.Errorf("worker %d: status %d: %s", w, rec.Code, body)
 					return
 				}
-				var resp AnnotateResponse
+				var resp api.CompileResponse
 				if err := json.Unmarshal(body, &resp); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -454,14 +432,14 @@ func TestAnnotatePolicySelection(t *testing.T) {
 	src := fixture.srcs[0]
 
 	for _, polName := range []string{"rl", "costmodel", "brute", "random", "polly"} {
-		rec, body := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src, Policy: polName})
+		rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: polName})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("policy %s: status %d: %s", polName, rec.Code, body)
 		}
 		if got := rec.Header().Get("X-Neurovec-Cache"); got != "miss" {
 			t.Fatalf("policy %s: first request cache header %q, want miss (policy must be part of the key)", polName, got)
 		}
-		var resp AnnotateResponse
+		var resp api.CompileResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +450,7 @@ func TestAnnotatePolicySelection(t *testing.T) {
 			t.Fatalf("policy %s: empty decision set: %+v", polName, resp)
 		}
 		// The repeat must hit the policy-specific entry.
-		rec2, _ := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src, Policy: polName})
+		rec2, _ := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: polName})
 		if rec2.Header().Get("X-Neurovec-Cache") != "hit" {
 			t.Fatalf("policy %s: repeat was not a cache hit", polName)
 		}
@@ -494,13 +472,13 @@ func TestAnnotatePolicyErrors(t *testing.T) {
 	src := fixture.srcs[0]
 
 	// Unknown policy: client error.
-	rec, body := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src, Policy: "quantum"})
+	rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: "quantum"})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown policy: status %d (%s), want 400", rec.Code, body)
 	}
 	// nns needs a labelled corpus the checkpoint-only server cannot supply:
 	// conflict with serving state.
-	rec2, body2 := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src, Policy: "nns"})
+	rec2, body2 := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: "nns"})
 	if rec2.Code != http.StatusConflict {
 		t.Fatalf("nns without corpus: status %d (%s), want 409", rec2.Code, body2)
 	}
@@ -537,7 +515,7 @@ func TestPoliciesEndpoint(t *testing.T) {
 func TestSweepPolicyOverlay(t *testing.T) {
 	testFixture(t)
 	s := newTestServer(t, Config{ModelPath: fixture.model1})
-	rec, body := do(t, s, "POST", "/v1/sweep", AnnotateRequest{Source: fixture.srcs[2], Policy: "costmodel"})
+	rec, body := do(t, s, "POST", "/v1/sweep", SweepRequest{Source: fixture.srcs[2], Policy: "costmodel"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, body)
 	}
@@ -568,7 +546,7 @@ func TestRequestTimeout(t *testing.T) {
 	s := newTestServer(t, Config{ModelPath: fixture.model1, RequestTimeout: time.Nanosecond})
 	src := fixture.srcs[0]
 
-	rec, body := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: src})
+	rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("rl under 1ns deadline: status %d (%s), want 504", rec.Code, body)
 	}
@@ -576,14 +554,14 @@ func TestRequestTimeout(t *testing.T) {
 	// A per-request timeout_ms may shorten a generous server budget but the
 	// brute policy still answers, flagged truncated and uncached.
 	s2 := newTestServer(t, Config{ModelPath: fixture.model1, RequestTimeout: time.Minute})
-	req := AnnotateRequest{Source: src, Policy: "brute", TimeoutMS: 1}
+	req := api.CompileRequest{Source: src, Policy: "brute", TimeoutMS: 1}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		rec2, body2 := do(t, s2, "POST", "/v1/annotate", req)
+		rec2, body2 := do(t, s2, "POST", "/v2/compile", req)
 		if rec2.Code != http.StatusOK {
 			t.Fatalf("brute under deadline: status %d (%s), want 200", rec2.Code, body2)
 		}
-		var resp AnnotateResponse
+		var resp api.CompileResponse
 		if err := json.Unmarshal(body2, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +571,7 @@ func TestRequestTimeout(t *testing.T) {
 			}
 			// A truncated answer must not poison the cache for later, more
 			// patient clients.
-			rec3, _ := do(t, s2, "POST", "/v1/annotate", AnnotateRequest{Source: src, Policy: "brute"})
+			rec3, _ := do(t, s2, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: "brute"})
 			if rec3.Header().Get("X-Neurovec-Cache") == "hit" {
 				t.Fatal("full-budget request hit a truncated cache entry")
 			}
@@ -606,34 +584,6 @@ func TestRequestTimeout(t *testing.T) {
 		}
 		src += "\n// retry\n"
 		req.Source = src
-	}
-}
-
-// TestEmbedBatchCoalescing checks that concurrent embed requests are served
-// through shared batches.
-func TestEmbedBatchCoalescing(t *testing.T) {
-	testFixture(t)
-	s := newTestServer(t, Config{ModelPath: fixture.model1, QueueDepth: 64})
-	const n = 6
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct sources so every request misses the cache.
-			src := fixture.srcs[i%len(fixture.srcs)]
-			src = src + fmt.Sprintf("\n// variant %d\n", i)
-			rec, body := do(t, s, "POST", "/v1/embed", EmbedRequest{Source: src})
-			if rec.Code != http.StatusOK {
-				t.Errorf("embed %d: status %d: %s", i, rec.Code, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	_, mbody := do(t, s, "GET", "/metrics", nil)
-	text := string(mbody)
-	if !strings.Contains(text, fmt.Sprintf("neurovec_embed_batched_requests_total %d", n)) {
-		t.Fatalf("metrics missing %d batched embeds:\n%s", n, text)
 	}
 }
 
@@ -823,8 +773,8 @@ func TestReadyz(t *testing.T) {
 	if rec, body := do(t, s, "GET", "/healthz", nil); rec.Code != http.StatusOK {
 		t.Errorf("draining server /healthz status %d: %s", rec.Code, body)
 	}
-	if rec, body := do(t, s, "POST", "/v1/annotate", AnnotateRequest{Source: fixture.srcs[0]}); rec.Code != http.StatusOK {
-		t.Errorf("draining server annotate status %d: %s", rec.Code, body)
+	if rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: fixture.srcs[0]}); rec.Code != http.StatusOK {
+		t.Errorf("draining server compile status %d: %s", rec.Code, body)
 	}
 
 	s.SetDraining(false)

@@ -176,12 +176,12 @@ func TestCheckpointServesAsModel(t *testing.T) {
 	if fw.ModelVersion() != res.ModelVersion {
 		t.Errorf("loaded version %q, want %q", fw.ModelVersion(), res.ModelVersion)
 	}
-	inf, err := fw.PredictSource(context.Background(),
+	resp, err := fw.PredictLoops(context.Background(),
 		"float a[1024];\nfloat b[1024];\nvoid f() { for (int i = 0; i < 1024; i++) { a[i] = a[i] + b[i]; } }", nil)
 	if err != nil {
 		t.Fatalf("inference on loaded checkpoint: %v", err)
 	}
-	if len(inf.Decisions) == 0 {
+	if len(resp.Loops) == 0 {
 		t.Error("no decisions from loaded checkpoint")
 	}
 }
