@@ -1,41 +1,77 @@
 package code2vec
 
-func init() { accumPair = accumPairSSE2 }
-
-// accumPairSSE2 is accum2 with its outputs swept eight at a time by the
-// packed SSE2 kernel accum2x8; an OutDim % 8 tail stays in accum2. Each
-// XMM lane computes one row's sums, acc + w·x per term in k order, and
-// MULPD/ADDPD round every lane exactly as the MULSD/ADDSD the compiler
-// emits for accum2 (Go never fuses them into an FMA), so the two agree bit
-// for bit. SSE2 is part of the amd64 baseline, so no CPU check is needed.
-func accumPairSSE2(a0, a1, x0, x1, w []float64, stride, k0 int, pair []float64) {
-	kl := len(x0)
-	pair = pair[:2*kl]
-	x1 = x1[:kl]
-	for k, v := range x0 {
-		pair[2*k] = v
-		pair[2*k+1] = x1[k]
-	}
-	out := len(a0)
-	o := out &^ 7
-	if o > 0 && kl > 0 {
-		// accum2x8 indexes without bounds checks; these are its last reads.
-		_ = a1[o-1]
-		_ = w[(o-1)*stride+k0+kl-1]
-		accum2x8(a0[:o], a1, pair, w, stride, k0)
-	}
-	if o < out {
-		accum2(a0[o:], a1[o:out], x0, x1, w[o*stride:], stride, k0)
+func init() {
+	if hasAVX() {
+		accum = accumAVX
 	}
 }
 
-// accum2x8 performs, for every output o < len(a0) (a multiple of 8) and
-// k < len(xx)/2 in k order,
+// hasAVX reports whether the CPU has AVX (CPUID leaf 1) and the operating
+// system saves the YMM registers across context switches (OSXSAVE, then
+// XCR0's SSE and AVX state bits).
+func hasAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	eax, _ := xgetbv()
+	return eax&6 == 6
+}
+
+// accumAVX is accumGo with the rows swept four at a time by the AVX kernel
+// accum4x8, eight outputs per block; an OutDim % 8 tail goes through accum1
+// row by row. A last block of one to three rows is padded with copies of
+// its last row: a copy loads the same sums and inputs as the row it
+// copies, so every lane that stores to that row stores the same bits.
+// Each YMM lane computes one row's sums, acc + w·x per term in k order,
+// and VMULPD/VADDPD round every lane exactly as the MULSD/ADDSD the
+// compiler emits for accum1 and accum2 (it fuses no multiply-add into an
+// FMA unless the source calls math.FMA), so the kernels agree bit for bit.
+func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, quad []float64) {
+	n := len(rows)
+	if n == 0 {
+		return
+	}
+	out := len(acc) / n
+	o8 := out &^ 7
+	quad = quad[:4*d]
+	var a [4][]float64
+	for i := 0; i < n; i += 4 {
+		for j := range a {
+			r := min(i+j, n-1)
+			a[j] = acc[r*out:][:out]
+			for k, v := range table[int(rows[r])*d:][:d] {
+				quad[4*k+j] = v
+			}
+		}
+		if o8 > 0 && d > 0 {
+			// accum4x8 indexes without bounds checks; this is its last read of W.
+			_ = w[(o8-1)*stride+k0+d-1]
+			accum4x8(a[0][:o8], a[1], a[2], a[3], quad, w, stride, k0)
+		}
+		if o8 < out {
+			for r := i; r < min(i+4, n); r++ {
+				accum1(acc[r*out+o8:(r+1)*out], table[int(rows[r])*d:][:d], w[o8*stride:], stride, k0)
+			}
+		}
+	}
+}
+
+// accum4x8 performs, for every output o < len(a0) (a multiple of 8) and
+// k < len(xx)/4 in k order,
 //
-//	a0[o] += w[o*stride+k0+k] * xx[2k]
-//	a1[o] += w[o*stride+k0+k] * xx[2k+1]
+//	aj[o] += w[o*stride+k0+k] * xx[4k+j]   for j = 0 .. 3
 //
-// It reads a1 and w without bounds checks. Implemented in accum_amd64.s.
+// It reads a1, a2, a3 and w without bounds checks. Implemented in
+// accum_amd64.s; it needs AVX.
 //
 //go:noescape
-func accum2x8(a0, a1, xx, w []float64, stride, k0 int)
+func accum4x8(a0, a1, a2, a3, xx, w []float64, stride, k0 int)
+
+// cpuid executes CPUID with EAX=leaf and ECX=sub. Implemented in
+// accum_amd64.s.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads extended control register XCR0; call it only when CPUID
+// reports OSXSAVE. Implemented in accum_amd64.s.
+func xgetbv() (eax, edx uint32)

@@ -1,113 +1,189 @@
 #include "textflag.h"
 
-// func accum2x8(a0, a1, xx, w []float64, stride, k0 int)
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	MOVL   DX, edx+4(FP)
+	RET
+
+// func accum4x8(a0, a1, a2, a3, xx, w []float64, stride, k0 int)
 //
-// Eight outputs per block: X0-X7 hold (a0[o+j], a1[o+j]) for j = 0..7.
-// Per term k, X8 holds (xx[2k], xx[2k+1]) and each W[o+j][k0+k] is
-// broadcast to both lanes (MOVSD + UNPCKLPD; MOVDDUP would need SSE3),
-// multiplied by X8 and added onto its accumulator. W's eight rows are
-// addressed from R8 (rows 0-3) and R11 (rows 4-7) with the row stride in
-// R9 and three times it in R13. BP and R15 are left alone.
-TEXT ·accum2x8(SB), NOSPLIT, $0-112
-	MOVQ a0_base+0(FP), DI
+// Eight outputs per block: Y0-Y7 hold (a0[o+j], a1[o+j], a2[o+j], a3[o+j])
+// for j = 0..7. Per term k, Y8 holds xx[4k..4k+3] and each W[o+j][k0+k] is
+// broadcast to all four lanes with VBROADCASTSD, multiplied by Y8 and added
+// onto its accumulator. W's eight rows are addressed from R8 (rows 0-3) and
+// R11 (rows 4-7) with the row stride in R9 and three times it in R13. The
+// four accumulator rows are reloaded from the frame around each block, at
+// byte offset SI. BP, R14, R15 and Y15 are left alone.
+TEXT ·accum4x8(SB), NOSPLIT, $0-160
 	MOVQ a0_len+8(FP), BX
 	SHRQ $3, BX
 	JZ   done
-	MOVQ a1_base+24(FP), SI
-	MOVQ xx_base+48(FP), DX
-	MOVQ xx_len+56(FP), R12
-	SHRQ $1, R12
+	MOVQ xx_base+96(FP), DX
+	MOVQ xx_len+104(FP), R12
+	SHRQ $2, R12
 	JZ   done
-	MOVQ w_base+72(FP), AX
-	MOVQ stride+96(FP), R9
-	MOVQ k0+104(FP), CX
+	MOVQ w_base+120(FP), AX
+	MOVQ stride+144(FP), R9
+	MOVQ k0+152(FP), CX
 	LEAQ (AX)(CX*8), AX
 	SHLQ $3, R9
 	LEAQ (R9)(R9*2), R13
+	XORQ SI, SI
 
 block:
-	MOVSD  0(DI), X0
-	MOVHPD 0(SI), X0
-	MOVSD  8(DI), X1
-	MOVHPD 8(SI), X1
-	MOVSD  16(DI), X2
-	MOVHPD 16(SI), X2
-	MOVSD  24(DI), X3
-	MOVHPD 24(SI), X3
-	MOVSD  32(DI), X4
-	MOVHPD 32(SI), X4
-	MOVSD  40(DI), X5
-	MOVHPD 40(SI), X5
-	MOVSD  48(DI), X6
-	MOVHPD 48(SI), X6
-	MOVSD  56(DI), X7
-	MOVHPD 56(SI), X7
-	MOVQ   AX, R8
-	LEAQ   (AX)(R9*4), R11
-	MOVQ   DX, R10
-	MOVQ   R12, CX
+	MOVQ         a0_base+0(FP), R8
+	MOVQ         a1_base+24(FP), R10
+	MOVQ         a2_base+48(FP), R11
+	MOVQ         a3_base+72(FP), CX
+	ADDQ         SI, R8
+	ADDQ         SI, R10
+	ADDQ         SI, R11
+	ADDQ         SI, CX
+	VMOVSD       0(R8), X0
+	VMOVHPD      0(R10), X0, X0
+	VMOVSD       0(R11), X8
+	VMOVHPD      0(CX), X8, X8
+	VINSERTF128  $1, X8, Y0, Y0
+	VMOVSD       8(R8), X1
+	VMOVHPD      8(R10), X1, X1
+	VMOVSD       8(R11), X8
+	VMOVHPD      8(CX), X8, X8
+	VINSERTF128  $1, X8, Y1, Y1
+	VMOVSD       16(R8), X2
+	VMOVHPD      16(R10), X2, X2
+	VMOVSD       16(R11), X8
+	VMOVHPD      16(CX), X8, X8
+	VINSERTF128  $1, X8, Y2, Y2
+	VMOVSD       24(R8), X3
+	VMOVHPD      24(R10), X3, X3
+	VMOVSD       24(R11), X8
+	VMOVHPD      24(CX), X8, X8
+	VINSERTF128  $1, X8, Y3, Y3
+	VMOVSD       32(R8), X4
+	VMOVHPD      32(R10), X4, X4
+	VMOVSD       32(R11), X8
+	VMOVHPD      32(CX), X8, X8
+	VINSERTF128  $1, X8, Y4, Y4
+	VMOVSD       40(R8), X5
+	VMOVHPD      40(R10), X5, X5
+	VMOVSD       40(R11), X8
+	VMOVHPD      40(CX), X8, X8
+	VINSERTF128  $1, X8, Y5, Y5
+	VMOVSD       48(R8), X6
+	VMOVHPD      48(R10), X6, X6
+	VMOVSD       48(R11), X8
+	VMOVHPD      48(CX), X8, X8
+	VINSERTF128  $1, X8, Y6, Y6
+	VMOVSD       56(R8), X7
+	VMOVHPD      56(R10), X7, X7
+	VMOVSD       56(R11), X8
+	VMOVHPD      56(CX), X8, X8
+	VINSERTF128  $1, X8, Y7, Y7
+	MOVQ         AX, R8
+	LEAQ         (AX)(R9*4), R11
+	MOVQ         DX, R10
+	MOVQ         R12, CX
 
 term:
-	MOVUPD   (R10), X8
-	MOVSD    (R8), X9
-	UNPCKLPD X9, X9
-	MULPD    X8, X9
-	ADDPD    X9, X0
-	MOVSD    (R8)(R9*1), X10
-	UNPCKLPD X10, X10
-	MULPD    X8, X10
-	ADDPD    X10, X1
-	MOVSD    (R8)(R9*2), X11
-	UNPCKLPD X11, X11
-	MULPD    X8, X11
-	ADDPD    X11, X2
-	MOVSD    (R8)(R13*1), X12
-	UNPCKLPD X12, X12
-	MULPD    X8, X12
-	ADDPD    X12, X3
-	MOVSD    (R11), X13
-	UNPCKLPD X13, X13
-	MULPD    X8, X13
-	ADDPD    X13, X4
-	MOVSD    (R11)(R9*1), X14
-	UNPCKLPD X14, X14
-	MULPD    X8, X14
-	ADDPD    X14, X5
-	MOVSD    (R11)(R9*2), X9
-	UNPCKLPD X9, X9
-	MULPD    X8, X9
-	ADDPD    X9, X6
-	MOVSD    (R11)(R13*1), X10
-	UNPCKLPD X10, X10
-	MULPD    X8, X10
-	ADDPD    X10, X7
-	ADDQ     $8, R8
-	ADDQ     $8, R11
-	ADDQ     $16, R10
-	DECQ     CX
-	JNZ      term
+	VMOVUPD      (R10), Y8
+	VBROADCASTSD (R8), Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       Y9, Y0, Y0
+	VBROADCASTSD (R8)(R9*1), Y10
+	VMULPD       Y8, Y10, Y10
+	VADDPD       Y10, Y1, Y1
+	VBROADCASTSD (R8)(R9*2), Y11
+	VMULPD       Y8, Y11, Y11
+	VADDPD       Y11, Y2, Y2
+	VBROADCASTSD (R8)(R13*1), Y12
+	VMULPD       Y8, Y12, Y12
+	VADDPD       Y12, Y3, Y3
+	VBROADCASTSD (R11), Y13
+	VMULPD       Y8, Y13, Y13
+	VADDPD       Y13, Y4, Y4
+	VBROADCASTSD (R11)(R9*1), Y14
+	VMULPD       Y8, Y14, Y14
+	VADDPD       Y14, Y5, Y5
+	VBROADCASTSD (R11)(R9*2), Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       Y9, Y6, Y6
+	VBROADCASTSD (R11)(R13*1), Y10
+	VMULPD       Y8, Y10, Y10
+	VADDPD       Y10, Y7, Y7
+	ADDQ         $8, R8
+	ADDQ         $8, R11
+	ADDQ         $32, R10
+	DECQ         CX
+	JNZ          term
 
-	MOVSD  X0, 0(DI)
-	MOVHPD X0, 0(SI)
-	MOVSD  X1, 8(DI)
-	MOVHPD X1, 8(SI)
-	MOVSD  X2, 16(DI)
-	MOVHPD X2, 16(SI)
-	MOVSD  X3, 24(DI)
-	MOVHPD X3, 24(SI)
-	MOVSD  X4, 32(DI)
-	MOVHPD X4, 32(SI)
-	MOVSD  X5, 40(DI)
-	MOVHPD X5, 40(SI)
-	MOVSD  X6, 48(DI)
-	MOVHPD X6, 48(SI)
-	MOVSD  X7, 56(DI)
-	MOVHPD X7, 56(SI)
-	ADDQ   $64, DI
-	ADDQ   $64, SI
-	LEAQ   (AX)(R9*8), AX
-	DECQ   BX
-	JNZ    block
+	MOVQ         a0_base+0(FP), R8
+	MOVQ         a1_base+24(FP), R10
+	MOVQ         a2_base+48(FP), R11
+	MOVQ         a3_base+72(FP), CX
+	ADDQ         SI, R8
+	ADDQ         SI, R10
+	ADDQ         SI, R11
+	ADDQ         SI, CX
+	VMOVSD       X0, 0(R8)
+	VMOVHPD      X0, 0(R10)
+	VEXTRACTF128 $1, Y0, X8
+	VMOVSD       X8, 0(R11)
+	VMOVHPD      X8, 0(CX)
+	VMOVSD       X1, 8(R8)
+	VMOVHPD      X1, 8(R10)
+	VEXTRACTF128 $1, Y1, X8
+	VMOVSD       X8, 8(R11)
+	VMOVHPD      X8, 8(CX)
+	VMOVSD       X2, 16(R8)
+	VMOVHPD      X2, 16(R10)
+	VEXTRACTF128 $1, Y2, X8
+	VMOVSD       X8, 16(R11)
+	VMOVHPD      X8, 16(CX)
+	VMOVSD       X3, 24(R8)
+	VMOVHPD      X3, 24(R10)
+	VEXTRACTF128 $1, Y3, X8
+	VMOVSD       X8, 24(R11)
+	VMOVHPD      X8, 24(CX)
+	VMOVSD       X4, 32(R8)
+	VMOVHPD      X4, 32(R10)
+	VEXTRACTF128 $1, Y4, X8
+	VMOVSD       X8, 32(R11)
+	VMOVHPD      X8, 32(CX)
+	VMOVSD       X5, 40(R8)
+	VMOVHPD      X5, 40(R10)
+	VEXTRACTF128 $1, Y5, X8
+	VMOVSD       X8, 40(R11)
+	VMOVHPD      X8, 40(CX)
+	VMOVSD       X6, 48(R8)
+	VMOVHPD      X6, 48(R10)
+	VEXTRACTF128 $1, Y6, X8
+	VMOVSD       X8, 48(R11)
+	VMOVHPD      X8, 48(CX)
+	VMOVSD       X7, 56(R8)
+	VMOVHPD      X7, 56(R10)
+	VEXTRACTF128 $1, Y7, X8
+	VMOVSD       X8, 56(R11)
+	VMOVHPD      X8, 56(CX)
+	ADDQ         $64, SI
+	LEAQ         (AX)(R9*8), AX
+	DECQ         BX
+	JNZ          block
+
+	VZEROUPPER
 
 done:
 	RET

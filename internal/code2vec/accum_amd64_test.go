@@ -25,18 +25,21 @@ func edgeFloat(rng *rand.Rand) float64 {
 	}
 }
 
-// TestAccumSSE2MatchesScalar pins the packed SSE2 kernel that accum runs on
-// amd64 to the pure-Go accum2 and accum1, bit for bit, over output counts
-// below, at and around the eight-output block, odd and even row counts and
-// every column window of W.
-func TestAccumSSE2MatchesScalar(t *testing.T) {
-	if reflect.ValueOf(accumPair).Pointer() != reflect.ValueOf(accumPairSSE2).Pointer() {
-		t.Fatal("accum does not run the SSE2 kernel on amd64")
+// TestAccumAVXMatchesScalar pins the AVX kernel that accum runs on amd64
+// CPUs with AVX to the pure-Go accum2 and accum1, bit for bit, over row
+// counts that fill blocks of four with every tail, output counts below, at
+// and around the eight-output block, and every column window of W.
+func TestAccumAVXMatchesScalar(t *testing.T) {
+	if !hasAVX() {
+		t.Skip("CPU lacks AVX: accum runs the pure-Go kernel")
+	}
+	if reflect.ValueOf(accum).Pointer() != reflect.ValueOf(accumAVX).Pointer() {
+		t.Fatal("accum does not run the AVX kernel on a CPU with AVX")
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, out := range []int{1, 7, 8, 9, 13, 340} {
 		for _, d := range []int{1, 5, 32} {
-			for _, n := range []int{1, 2, 3, 6} {
+			for n := 0; n <= 9; n++ {
 				table := make([]float64, 8*d)
 				w := make([]float64, out*3*d)
 				acc := make([]float64, n*out)
@@ -60,7 +63,7 @@ func TestAccumSSE2MatchesScalar(t *testing.T) {
 						accum1(want[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, 3*d, k0)
 					}
 					got := append([]float64(nil), acc...)
-					accum(got, table, rows, d, w, 3*d, k0, make([]float64, 2*d))
+					accumAVX(got, table, rows, d, w, 3*d, k0, make([]float64, 4*d))
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("out=%d d=%d rows=%d k0=%d: acc[%d] = %v (%#x), accum2 %v (%#x)",

@@ -124,15 +124,33 @@ func checkBag(t *testing.T, m *Model, name string, ctxs []Context, s *Scratch) {
 }
 
 // TestForwardIntoMatchesReference pins the prefix-trie, register-blocked
-// kernel (packed SSE2 on amd64) to the plain per-context loop bit for bit,
-// at the production shape on every loop bag of the shipped suites and 200
-// extended-grammar samples, and on hand-built bags that exercise the
-// kernel's edge cases.
+// kernel to the plain per-context loop bit for bit, at the production shape
+// on every loop bag of the shipped suites and 200 extended-grammar samples,
+// and on hand-built bags that exercise the kernel's edge cases. It runs once
+// with the kernel accum installed at init (AVX on amd64 CPUs that have it)
+// and once with the pure-Go accumGo, so an amd64 machine checks both.
 func TestForwardIntoMatchesReference(t *testing.T) {
 	cfg := DefaultConfig()
+	bags := loopBags(t, cfg, corpusSources())
+	installed := accum
+	defer func() { accum = installed }()
+	for _, k := range []struct {
+		name string
+		fn   func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, quad []float64)
+	}{
+		{"installed", installed},
+		{"pure Go", accumGo},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			accum = k.fn
+			checkForwardIntoReference(t, cfg, bags)
+		})
+	}
+}
+
+func checkForwardIntoReference(t *testing.T, cfg Config, bags [][]Context) {
 	m := testModel(cfg)
 	var s Scratch
-	bags := loopBags(t, cfg, corpusSources())
 	contexts := 0
 	for _, bag := range bags {
 		contexts += len(bag)
@@ -181,9 +199,10 @@ func TestForwardIntoMatchesReference(t *testing.T) {
 		checkBag(t, m, c.name, c.ctxs, &s)
 	}
 
-	// Toy shapes: an odd EmbedDim with an OutDim below the SSE2 kernel's
+	// Toy shapes: an odd EmbedDim with an OutDim below the AVX kernel's
 	// eight-output block and no multiple of the scalar kernel's four, and
 	// one above the block and no multiple of it, so block and tail both run.
+	// Bags of up to 10 contexts fill blocks of four rows with every tail.
 	for _, toy := range []Config{
 		{TokenVocab: 64, PathVocab: 64, EmbedDim: 5, OutDim: 7, Seed: 3},
 		{TokenVocab: 64, PathVocab: 64, EmbedDim: 3, OutDim: 13, Seed: 4},

@@ -99,7 +99,7 @@ type Scratch struct {
 	lefts  []uint32  // token rows of the distinct lefts
 	paths  []uint32  // path rows of the distinct pairs
 	rights []uint32  // token rows of the distinct triples' rights
-	pair   []float64 // two input rows interleaved, 2*EmbedDim: the two-row kernel's operand
+	quad   []float64 // four input rows interleaved, 4*EmbedDim: the AVX kernel's operand
 	h      []float64 // projections, a row of OutDim per distinct prefix: pre-activation, then squashed
 	scores []float64 // attention logits, n
 	alpha  []float64 // attention weights, n
@@ -154,7 +154,7 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	s.triple = s.triple[:n]
 	h := growF(s.h, n*out)
 	s.h = h
-	s.pair = growF(s.pair, 2*d)
+	s.quad = growF(s.quad, 4*d)
 	s.scores = growF(s.scores, n)
 	s.alpha = growF(s.alpha, n)
 
@@ -197,19 +197,19 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	for l := range lefts {
 		copy(h[l*out:(l+1)*out], m.B.W)
 	}
-	accum(h[:len(lefts)*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.pair)
+	accum(h[:len(lefts)*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.quad)
 	for p := len(paths) - 1; p >= 0; p-- {
 		if l := s.leftOf[p]; l != p {
 			copy(h[p*out:(p+1)*out], h[l*out:(l+1)*out])
 		}
 	}
-	accum(h[:len(paths)*out], m.Path.W, paths, d, m.W.W, 3*d, d, s.pair)
+	accum(h[:len(paths)*out], m.Path.W, paths, d, m.W.W, 3*d, d, s.quad)
 	for t := len(rights) - 1; t >= 0; t-- {
 		if p := s.pairOf[t]; p != t {
 			copy(h[t*out:(t+1)*out], h[p*out:(p+1)*out])
 		}
 	}
-	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.pair)
+	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.quad)
 
 	for t := range rights {
 		ht := h[t*out : (t+1)*out]
@@ -234,13 +234,6 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	return dst
 }
 
-// accumPair is accum's kernel for two rows: accum2, unless accum_amd64.go
-// installs the packed SSE2 kernel, which rounds every term identically.
-// pair is scratch for 2·len(x0) floats that accum2 does not need.
-var accumPair = func(a0, a1, x0, x1, w []float64, stride, k0 int, pair []float64) {
-	accum2(a0, a1, x0, x1, w, stride, k0)
-}
-
 // accum adds one EmbedDim-wide column window of W, times embedding rows,
 // onto acc. acc holds one row of sums per entry of rows; for every such
 // row i and output o it performs
@@ -248,17 +241,25 @@ var accumPair = func(a0, a1, x0, x1, w []float64, stride, k0 int, pair []float64
 //	acc[i*out+o] += W[o*stride+k0+k] * table[rows[i]*d+k]   for k = 0 .. d-1
 //
 // in that order, each term rounded onto the running sum exactly as a scalar
-// loop would round it. It sweeps the rows two at a time through accumPair,
-// which is given pair (2·d floats) as scratch; accum1 takes an odd last row.
-func accum(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, pair []float64) {
-	out := len(acc) / len(rows)
+// loop would round it. quad is scratch for 4·d floats. accum is accumGo,
+// unless accum_amd64.go installs the AVX kernel on a CPU that has it.
+var accum = accumGo
+
+// accumGo is the pure-Go accum: it sweeps the rows two at a time through
+// accum2, and accum1 takes an odd last row. It needs no scratch.
+func accumGo(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, _ []float64) {
+	n := len(rows)
+	if n == 0 {
+		return
+	}
+	out := len(acc) / n
 	i := 0
-	for ; i+2 <= len(rows); i += 2 {
+	for ; i+2 <= n; i += 2 {
 		x0 := table[int(rows[i])*d:][:d]
 		x1 := table[int(rows[i+1])*d:][:d]
-		accumPair(acc[i*out:(i+1)*out], acc[(i+1)*out:(i+2)*out], x0, x1, w, stride, k0, pair)
+		accum2(acc[i*out:(i+1)*out], acc[(i+1)*out:(i+2)*out], x0, x1, w, stride, k0)
 	}
-	if i < len(rows) {
+	if i < n {
 		accum1(acc[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, stride, k0)
 	}
 }
@@ -344,8 +345,10 @@ func (m *Model) Backward(st *State, dvec []float64) {
 
 	// v = sum_i alpha_i h_i with alpha = softmax(attn . h_i).
 	// dAlpha_i = h_i . dvec ; dScore via softmax Jacobian;
-	// dh_i = alpha_i dvec + dScore_i * attn.
-	dAlpha := make([]float64, n)
+	// dh_i = alpha_i dvec + dScore_i * attn. One buffer holds dAlpha and
+	// the per-context input gradient dc, which is cleared for each context.
+	buf := make([]float64, n+3*d)
+	dAlpha, dc := buf[:n], buf[n:]
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for o := 0; o < out; o++ {
@@ -366,7 +369,7 @@ func (m *Model) Backward(st *State, dvec []float64) {
 		// Through h_i (tanh) into W, b and the context inputs.
 		cx := st.ctxs[i]
 		c := st.c[i]
-		dc := make([]float64, 3*d)
+		clear(dc)
 		for o := 0; o < out; o++ {
 			dh := st.alpha[i]*dvec[o] + dScore*m.Attn.W[o]
 			dpre := dh * (1 - st.h[i][o]*st.h[i][o])

@@ -126,6 +126,12 @@ func (d *Dense) Apply(x []float64) []float64 {
 // ApplyTo computes W x + b into the caller-owned dst (len must be Out) and
 // returns it. It allocates nothing and only reads the weights, so it is safe
 // for concurrent callers each bringing their own dst. dst must not alias x.
+//
+// Each output is B[o] plus W[o][i]·x[i] summed in i order, one chain of
+// adds per output. The outputs are swept four at a time, so four
+// independent chains are in flight and each x load feeds four rows; a tail
+// loop takes Out % 4. Every sum rounds exactly as a one-output-at-a-time
+// loop would, so the result is the same bit for bit.
 func (d *Dense) ApplyTo(dst, x []float64) []float64 {
 	if len(x) != d.In {
 		panic(&ShapeError{Op: "dense " + d.W.Name + " input", Got: len(x), Want: d.In})
@@ -136,8 +142,24 @@ func (d *Dense) ApplyTo(dst, x []float64) []float64 {
 	if d.Out > 0 && d.In > 0 && &dst[0] == &x[0] {
 		panic(&ShapeError{Op: "dense " + d.W.Name + " dst aliases input", Got: d.Out, Want: d.In})
 	}
-	for o := 0; o < d.Out; o++ {
-		row := d.W.W[o*d.In : (o+1)*d.In]
+	in := len(x) // == d.In; slicing the rows to len(x) drops their bounds checks
+	o := 0
+	for ; o+4 <= d.Out; o += 4 {
+		w0 := d.W.W[o*in:][:in]
+		w1 := d.W.W[(o+1)*in:][:in]
+		w2 := d.W.W[(o+2)*in:][:in]
+		w3 := d.W.W[(o+3)*in:][:in]
+		s0, s1, s2, s3 := d.B.W[o], d.B.W[o+1], d.B.W[o+2], d.B.W[o+3]
+		for i, xv := range x {
+			s0 += w0[i] * xv
+			s1 += w1[i] * xv
+			s2 += w2[i] * xv
+			s3 += w3[i] * xv
+		}
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
+	}
+	for ; o < d.Out; o++ {
+		row := d.W.W[o*in:][:in]
 		s := d.B.W[o]
 		for i, xv := range x {
 			s += row[i] * xv
