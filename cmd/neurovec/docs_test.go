@@ -115,7 +115,7 @@ func fenceCommands(t *testing.T, doc string) []string {
 var knownSubcommands = map[string]bool{
 	"report": true, "train": true, "annotate": true, "serve": true,
 	"brute": true, "sweep": true, "eval": true, "explain": true, "help": true,
-	"profile": true, "check": true, "fleet": true,
+	"check": true, "fleet": true,
 }
 
 // TestDocsSubcommandsAreReal checks that every `neurovec <sub>` shown in a

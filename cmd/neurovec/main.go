@@ -108,8 +108,6 @@ func main() {
 		err = cmdExplain(os.Args[2:])
 	case "check":
 		err = cmdCheck(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -160,8 +158,6 @@ commands:
             print diagnostics (-json for the v2 wire format, -corpus
             polybench,mibench,figure7,tsvc,generated, -strict to fail on
             warnings); exits 1 when errors are found
-  profile   capture CPU/heap profiles of an inference workload for
-            go tool pprof (-cpu cpu.prof, -heap heap.prof, -duration 5s)
 `)
 }
 

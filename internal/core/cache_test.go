@@ -79,7 +79,7 @@ func TestCacheConcurrent(t *testing.T) {
 // TestLoopCacheSharesVectors pins down that a LoopLRU hit hands out the
 // stored vector itself, not a copy, and that serving from it leaves every
 // cached vector bit-for-bit intact. Every consumer of a code vector (the rl
-// Decider, ranker.BestObs, the nns index's Predict) only reads its input.
+// Decider and the nns index's Predict) only reads its input.
 func TestLoopCacheSharesVectors(t *testing.T) {
 	fw := versionedFramework(t)
 	cache := NewLoopCache(DefaultLoopCacheEntries)

@@ -102,7 +102,9 @@ type Unit struct {
 // are setup- and training-time operations for a single goroutine. The
 // inference APIs documented as stateless — PredictLoops, Compile, Decide,
 // SweepSource — only read the configuration and trained weights, so any
-// number of goroutines may call them once setup is done.
+// number of goroutines may call them once setup is done. Training's own
+// rollout workers call Reward and the embedder concurrently; both only read
+// the units and weights.
 type Framework struct {
 	Cfg Config
 
@@ -506,8 +508,11 @@ func (f *Framework) retrained() {
 	f.invalidatePolicies()
 }
 
-// Train runs PPO over the loaded units. Passing nil uses the paper's
-// defaults. Returns the learning curves.
+// Train runs PPO over the loaded units on a fresh agent. Passing nil uses
+// the paper's defaults. Returns the learning curves. It is the trainer's
+// loop (rl.Agent.TrainIterations: parallel rollout on (seed, iteration)
+// streams), so it yields the weights a package trainer run of the same
+// corpus, seed and config does, at any GOMAXPROCS.
 func (f *Framework) Train(cfg *rl.Config) *rl.Stats {
 	return f.InitAgent(cfg).Train(f)
 }
@@ -515,7 +520,8 @@ func (f *Framework) Train(cfg *rl.Config) *rl.Stats {
 // TrainWithEmbedder trains the agent on a caller-supplied observation source
 // instead of the code2vec model — used by the hand-crafted-features ablation
 // (package features). The embedder's sample IDs must match the framework's
-// unit indices.
+// unit indices, and its Embed must be safe for concurrent callers (rollout
+// runs on GOMAXPROCS workers).
 func (f *Framework) TrainWithEmbedder(emb rl.Embedder, cfg *rl.Config) *rl.Stats {
 	f.agent = rl.NewAgent(emb, f.normalizeRL(cfg))
 	f.retrained()
@@ -526,7 +532,9 @@ func (f *Framework) TrainWithEmbedder(emb rl.Embedder, cfg *rl.Config) *rl.Stats
 // the currently loaded units — the paper's footnote 2: "it might still be
 // beneficial to keep online training activated so that when completely new
 // loops are observed, the agent learns how to optimize them too". Load the
-// new programs first (LoadSource/LoadBenchmarks), then call this.
+// new programs first (LoadSource/LoadBenchmarks), then call this. The agent
+// continues from the iterations it has completed, drawing that iteration's
+// (seed, iteration) streams, under a fresh Adam optimizer.
 func (f *Framework) ContinueTraining(iterations int) (*rl.Stats, error) {
 	if f.agent == nil {
 		return nil, fmt.Errorf("core: no agent; call Train first: %w", ErrNoAgent)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,6 +223,41 @@ func TestContinueTrainingRequiresAgent(t *testing.T) {
 	fw := smallFramework(t, 5)
 	if _, err := fw.ContinueTraining(2); err == nil {
 		t.Fatal("expected error before initial training")
+	}
+}
+
+// TestContinueTrainingDrawsFreshStreams: a continuation after Train(m) runs
+// iteration m's (seed, iteration) streams, not iteration 0's again, so its
+// first reward mean is the one CollectBatch draws at iteration m from the
+// same weights.
+func TestContinueTrainingDrawsFreshStreams(t *testing.T) {
+	const m = 3
+	fw := smallFramework(t, 20)
+	fw.Train(fastRL(m))
+	agent := fw.Agent()
+	want := agent.CollectBatch(fw, agent.Cfg.Seed, m, 1).RewardMean()
+	stats, err := fw.ContinueTraining(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.RewardMean[0]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("ContinueTraining(1) reward mean = %v, want iteration %d's %v", got, m, want)
+	}
+}
+
+// TestPredictIsServedRule: the in-process greedy decision for a unit is the
+// served one, PredictObs over the unit's embedding.
+func TestPredictIsServedRule(t *testing.T) {
+	fw := smallFramework(t, 20)
+	fw.Train(fastRL(3))
+	for i := 0; i < fw.NumSamples(); i++ {
+		vf, ifc, err := fw.Predict(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wvf, wifc := fw.Agent().PredictObs(fw.Embedding(i)); vf != wvf || ifc != wifc {
+			t.Fatalf("unit %d: Predict = (%d,%d), PredictObs(Embedding) = (%d,%d)", i, vf, ifc, wvf, wifc)
+		}
 	}
 }
 

@@ -12,13 +12,10 @@
 package ranker
 
 import (
-	"context"
-	"errors"
 	"math"
 	"math/rand"
 
 	"neurovec/internal/nn"
-	"neurovec/internal/policy"
 	"neurovec/internal/rl"
 )
 
@@ -154,45 +151,6 @@ func (m *Model) Best(sample int) (vf, ifc int) {
 		}
 	}
 	return vf, ifc
-}
-
-// BestObs is Best over an already-computed embedding vector. It uses the
-// networks' stateless Apply path, so any number of goroutines may call it on
-// a trained model.
-func (m *Model) BestObs(vec []float64) (vf, ifc int) {
-	best := math.Inf(1)
-	vf, ifc = 1, 1
-	x := make([]float64, len(vec)+len(m.Cfg.VFs)+len(m.Cfg.IFs))
-	copy(x, vec)
-	for vi, v := range m.Cfg.VFs {
-		for ii, f := range m.Cfg.IFs {
-			for i := len(vec); i < len(x); i++ {
-				x[i] = 0
-			}
-			x[len(vec)+vi] = 1
-			x[len(vec)+len(m.Cfg.VFs)+ii] = 1
-			pred := m.head.Apply(m.trunk.Apply(x))[0]
-			if pred < best {
-				best, vf, ifc = pred, v, f
-			}
-		}
-	}
-	return vf, ifc
-}
-
-// Policy wraps the trained model as a pluggable decision policy under the
-// name "ranker" — the learned cost model served through the same interface
-// as every other method. It is bound to this instance (trained weights), so
-// it is passed to inference with core.WithPolicy rather than registered
-// globally.
-func (m *Model) Policy() policy.Policy {
-	return policy.Func("ranker", func(ctx context.Context, req *policy.Request) (*policy.Decision, error) {
-		if req.Embed == nil {
-			return nil, errors.New("ranker: request carries no embedding")
-		}
-		vf, ifc := m.BestObs(req.Embed())
-		return &policy.Decision{VF: vf, IF: ifc}, nil
-	})
 }
 
 func indexOf(a []int, v int) int {

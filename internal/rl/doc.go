@@ -13,22 +13,27 @@
 // VF and IF arrays — the best performer), a single continuous action
 // encoding both factors, and two continuous actions.
 //
-// # Training paths
+// # Training loop
 //
-// Agent.Train / Agent.TrainIterations are the original single-goroutine
-// loop: one shared RNG drives sample selection, action sampling, and
-// minibatch shuffling in sequence, so its results depend on that exact
-// interleaving. They remain the simple in-process path used by the
-// experiment harness.
+// There is one PPO loop. CollectBatch shards rollout collection (the
+// expensive part — every transition costs a simulated compilation and run)
+// across a worker pool, with each batch slot drawing from its own RNG stream
+// derived from (seed, iteration, slot). Because no state is shared between
+// slots, the collected batch — and therefore the whole training run — is
+// bit-identical for any worker count, and a checkpoint needs only
+// (seed, iteration) to reconstruct every stream on resume. UpdateBatch then
+// applies the PPO epochs sequentially (gradient accumulation is inherently
+// ordered) with a shuffle stream derived from (seed, iteration).
 //
-// CollectBatch and UpdateBatch are the building blocks of the parallel
-// pipeline in package neurovec/internal/trainer. CollectBatch shards rollout
-// collection (the expensive part — every transition costs a simulated
-// compilation and run) across a worker pool, with each batch slot drawing
-// from its own RNG stream derived from (seed, iteration, slot). Because no
-// state is shared between slots, the collected batch — and therefore the
-// whole training run — is bit-identical for any worker count, and a
-// checkpoint needs only (seed, iteration) to reconstruct every stream on
-// resume. UpdateBatch then applies the PPO epochs sequentially (gradient
-// accumulation is inherently ordered) with an explicit shuffle RNG.
+// Package neurovec/internal/trainer drives these two calls with
+// checkpoints, resume and interleaved evaluation. Agent.Train and
+// Agent.TrainIterations are the same loop in process, and they continue
+// from the agent's own iteration count on every call.
+//
+// # Forward passes
+//
+// Rollout, Predict, Value and PredictObs share one stateless forward over
+// pooled scratch, which reads only weights and so is safe for concurrent
+// callers. The caching forward that backward needs is used only by the
+// PPO update.
 package rl

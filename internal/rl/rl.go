@@ -86,7 +86,8 @@ type Config struct {
 	MaxGradNorm float64
 	// Space selects the Figure 6 action-space definition.
 	Space SpaceKind
-	// Seed drives action sampling, minibatch shuffling, and weight init.
+	// Seed drives weight init and the (seed, iteration)-derived streams of
+	// sample selection, action sampling and minibatch shuffling.
 	Seed int64
 }
 
@@ -136,21 +137,24 @@ type Agent struct {
 	logStd *nn.Param // continuous spaces only
 
 	params []*nn.Param
-	rng    *rand.Rand
+	// iters counts the iterations TrainIterations has completed; it is the
+	// next iteration's stream coordinate.
+	iters int
 
-	// inferPool recycles the per-call buffers PredictObs needs so that
-	// steady-state serving does zero heap allocations. Scratches are keyed
-	// to this agent's layer dims; the pool is safe for any number of
-	// concurrent PredictObs callers.
+	// inferPool recycles the buffers of the stateless forward (apply) so
+	// that steady-state serving does zero heap allocations. Scratches are
+	// keyed to this agent's layer dims; the pool is safe for any number of
+	// concurrent callers.
 	inferPool sync.Pool
 }
 
-// inferScratch is one caller's worth of inference buffers: trunk ping-pong
-// scratch plus one destination slice per action head.
+// inferScratch is one caller's worth of forward buffers: trunk ping-pong
+// scratch plus one destination slice per head.
 type inferScratch struct {
 	trunk *nn.Scratch
 	vf    []float64
 	ifc   []float64
+	v     []float64
 }
 
 // getScratch pops a pooled scratch, building one sized to this agent's
@@ -160,7 +164,7 @@ func (a *Agent) getScratch() *inferScratch {
 	if s, ok := a.inferPool.Get().(*inferScratch); ok {
 		return s
 	}
-	s := &inferScratch{trunk: nn.NewScratch(a.trunk), vf: make([]float64, a.headVF.Out)}
+	s := &inferScratch{trunk: nn.NewScratch(a.trunk), vf: make([]float64, a.headVF.Out), v: make([]float64, 1)}
 	if a.headIF != nil {
 		s.ifc = make([]float64, a.headIF.Out)
 	}
@@ -169,13 +173,27 @@ func (a *Agent) getScratch() *inferScratch {
 
 func (a *Agent) putScratch(s *inferScratch) { a.inferPool.Put(s) }
 
+// apply is the agent's one stateless forward: trunk and action heads over an
+// observation, through s. The action heads' raw outputs (logits, or
+// continuous means) land in s.vf and s.ifc; the trunk features are returned
+// for the value head. It reads only weights, so rollout workers, Predict,
+// Value and PredictObs may all run it at once.
+func (a *Agent) apply(s *inferScratch, vec []float64) []float64 {
+	feat := a.trunk.ApplyScratch(s.trunk, vec)
+	a.headVF.ApplyTo(s.vf, feat)
+	if a.headIF != nil {
+		a.headIF.ApplyTo(s.ifc, feat)
+	}
+	return feat
+}
+
 // NewAgent builds the policy for the given embedder and config.
 func NewAgent(emb Embedder, cfg Config) *Agent {
 	if len(cfg.VFs) == 0 || len(cfg.IFs) == 0 {
 		panic("rl: empty action space")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	a := &Agent{Cfg: cfg, emb: emb, rng: rng}
+	a := &Agent{Cfg: cfg, emb: emb}
 	a.trunk = nn.NewMLP("trunk", emb.Dim(), cfg.Hidden, rng)
 	feat := a.trunk.OutDim()
 	switch cfg.Space {
@@ -224,7 +242,8 @@ type evalOut struct {
 	value    float64
 }
 
-// forward runs embedder+trunk+heads for a sample.
+// forward runs embedder+trunk+heads for a sample, caching every layer's
+// input for backward; only update uses it.
 func (a *Agent) forward(sample int) *evalOut {
 	vec, st := a.emb.Embed(sample)
 	feat := a.trunk.Forward(vec)
@@ -252,12 +271,6 @@ type transition struct {
 	oldLogp float64
 	adv     float64
 	reward  float64
-}
-
-// sampleAction draws an action from the current policy using the agent's
-// shared RNG (the single-goroutine training path).
-func (a *Agent) sampleAction(out *evalOut) (vfIdx, ifIdx int, raw [2]float64, logp float64) {
-	return a.sampleActionWith(out, a.rng)
 }
 
 // sampleActionWith draws an action from the current policy using an explicit

@@ -59,7 +59,7 @@ func (b *Batch) RewardMean() float64 { return b.rewardMean }
 // CollectBatch gathers Cfg.Batch bandit transitions from env, sharded over a
 // worker pool of the given width (0 or negative means GOMAXPROCS). Slot b of
 // iteration iter draws from an RNG derived from (seed, iter, b) and the
-// forward passes use the networks' stateless Apply path, so the batch is
+// forward passes use the agent's stateless forward, so the batch is
 // bit-identical for any worker count — jobs changes only the wall time.
 //
 // The embedder's Embed and env.Reward must be safe for concurrent callers;
@@ -106,34 +106,34 @@ func (a *Agent) CollectBatch(env Env, seed int64, iter, jobs int) *Batch {
 // touching no per-agent mutable state.
 func (a *Agent) rolloutSlot(env Env, seed int64, iter, slot int) *transition {
 	rng := deriveRNG(seed, uint64(iter), streamRollout, uint64(slot))
-	s := rng.Intn(env.NumSamples())
-	out := a.applyOut(s)
+	smp := rng.Intn(env.NumSamples())
+	s := a.getScratch()
+	out := a.applyOut(s, smp)
 	vfIdx, ifIdx, raw, logp := a.sampleActionWith(out, rng)
-	r := env.Reward(s, a.Cfg.VFs[vfIdx], a.Cfg.IFs[ifIdx])
+	a.putScratch(s)
+	r := env.Reward(smp, a.Cfg.VFs[vfIdx], a.Cfg.IFs[ifIdx])
 	return &transition{
-		sample: s, vfIdx: vfIdx, ifIdx: ifIdx, raw: raw,
+		sample: smp, vfIdx: vfIdx, ifIdx: ifIdx, raw: raw,
 		oldLogp: logp, reward: r, adv: r - out.value,
 	}
 }
 
-// applyOut is the stateless twin of forward: embedder + trunk + heads
-// through the Apply path, reading only weights so concurrent rollout workers
-// can share the agent.
-func (a *Agent) applyOut(sample int) *evalOut {
+// applyOut evaluates the policy for a sample through the stateless forward:
+// discrete heads become log-probabilities in place, and the value head runs
+// too. The returned slices alias s.
+func (a *Agent) applyOut(s *inferScratch, sample int) *evalOut {
 	vec, _ := a.emb.Embed(sample)
-	feat := a.trunk.Apply(vec)
-	out := &evalOut{}
+	feat := a.apply(s, vec)
+	out := &evalOut{value: a.headV.ApplyTo(s.v, feat)[0]}
 	switch a.Cfg.Space {
 	case Discrete:
-		out.logpVF = nn.LogSoftmax(a.headVF.Apply(feat))
-		out.logpIF = nn.LogSoftmax(a.headIF.Apply(feat))
+		out.logpVF = nn.LogSoftmaxTo(s.vf, s.vf)
+		out.logpIF = nn.LogSoftmaxTo(s.ifc, s.ifc)
 	case Continuous1:
-		out.meanVF = a.headVF.Apply(feat)[0]
+		out.meanVF = s.vf[0]
 	case Continuous2:
-		out.meanVF = a.headVF.Apply(feat)[0]
-		out.meanIF = a.headIF.Apply(feat)[0]
+		out.meanVF, out.meanIF = s.vf[0], s.ifc[0]
 	}
-	out.value = a.headV.Apply(feat)[0]
 	return out
 }
 

@@ -13,58 +13,28 @@ import (
 // passes of clipped-surrogate updates over them.
 func (a *Agent) Train(env Env) *Stats { return a.TrainIterations(env, a.Cfg.Iterations) }
 
-// TrainIterations is Train with an explicit iteration count. The override is
-// a parameter rather than a temporary Cfg.Iterations mutation so that a
-// concurrently-serving reader of the shared config (e.g. an inference path
-// inspecting Agent.Cfg) never observes a transient value mid-continuation.
+// TrainIterations is Train with an explicit iteration count, and the loop
+// package trainer runs: iteration i is CollectBatch(env, Cfg.Seed, i, 0) —
+// rollout on GOMAXPROCS workers, so the embedder and env must be safe for
+// concurrent callers — then UpdateBatch. Each call starts a fresh Adam and
+// continues from the iterations the agent has completed, so a continuation
+// draws fresh (seed, iteration) streams instead of replaying the first ones.
+// One call on a fresh agent yields the weights of a trainer run of the same
+// length, bit for bit.
+//
+// The count is a parameter rather than a temporary Cfg.Iterations mutation
+// so that a concurrently-serving reader of the shared config never observes
+// a transient value mid-continuation.
 func (a *Agent) TrainIterations(env Env, iterations int) *Stats {
-	cfg := a.Cfg
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(a.Cfg.LR)
 	stats := &Stats{}
 	steps := 0
-
-	for iter := 0; iter < iterations; iter++ {
-		// ---- Rollout ----
-		batch := make([]*transition, cfg.Batch)
-		rewardSum := 0.0
-		for b := 0; b < cfg.Batch; b++ {
-			s := a.rng.Intn(env.NumSamples())
-			out := a.forward(s)
-			vfIdx, ifIdx, raw, logp := a.sampleAction(out)
-			r := env.Reward(s, cfg.VFs[vfIdx], cfg.IFs[ifIdx])
-			rewardSum += r
-			batch[b] = &transition{
-				sample: s, vfIdx: vfIdx, ifIdx: ifIdx, raw: raw,
-				oldLogp: logp, reward: r, adv: r - out.value,
-			}
-		}
-		steps += cfg.Batch
-		normalizeAdvantages(batch)
-
-		// ---- PPO updates ----
-		lossSum, lossN := 0.0, 0
-		mb := cfg.MiniBatch
-		if mb <= 0 || mb > len(batch) {
-			mb = len(batch)
-		}
-		for ep := 0; ep < cfg.Epochs; ep++ {
-			a.shuffle(batch)
-			for start := 0; start < len(batch); start += mb {
-				end := start + mb
-				if end > len(batch) {
-					end = len(batch)
-				}
-				lossSum += a.update(batch[start:end], opt)
-				lossN++
-			}
-		}
-
-		stats.RewardMean = append(stats.RewardMean, rewardSum/float64(cfg.Batch))
-		if lossN > 0 {
-			stats.Loss = append(stats.Loss, lossSum/float64(lossN))
-		} else {
-			stats.Loss = append(stats.Loss, 0)
-		}
+	for end := a.iters + iterations; a.iters < end; a.iters++ {
+		batch := a.CollectBatch(env, a.Cfg.Seed, a.iters, 0)
+		loss := a.UpdateBatch(batch, opt, a.Cfg.Seed, a.iters)
+		steps += batch.Len()
+		stats.RewardMean = append(stats.RewardMean, batch.RewardMean())
+		stats.Loss = append(stats.Loss, loss)
 		stats.Steps = append(stats.Steps, steps)
 	}
 	return stats
@@ -162,49 +132,44 @@ func (a *Agent) backward(out *evalOut, tr *transition, dLogp, dValue, entCoef fl
 
 // Predict returns the greedy action (deterministic inference, the deployment
 // mode the paper describes: "a single step only, similar to the baseline
-// cost model").
+// cost model"). It is PredictObs over the embedder's current vector, so the
+// in-process greedy rule is the served one, and it is safe for concurrent
+// callers.
 func (a *Agent) Predict(sample int) (vf, ifc int) {
-	out := a.forward(sample)
-	switch a.Cfg.Space {
-	case Discrete:
-		return a.Cfg.VFs[nn.Argmax(out.logpVF)], a.Cfg.IFs[nn.Argmax(out.logpIF)]
-	case Continuous1:
-		vi, ii := a.decodeJoint(out.meanVF)
-		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
-	default:
-		vi := clampRound(out.meanVF, len(a.Cfg.VFs))
-		ii := clampRound(out.meanIF, len(a.Cfg.IFs))
-		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
-	}
+	vec, _ := a.emb.Embed(sample)
+	return a.PredictObs(vec)
 }
 
 // PredictObs returns the greedy action for an already-computed observation
-// vector. Unlike Predict it bypasses the embedder and runs the networks
-// through pooled scratch buffers (see Agent.inferPool), so steady-state
-// calls perform zero heap allocations and touch no per-agent mutable state
-// beyond the pool: any number of goroutines may call it concurrently on a
-// trained agent (provided no concurrent Train step is mutating the
-// weights). Outputs are bit-identical to the allocating Apply path.
+// vector. It runs the stateless forward (apply) through pooled scratch, so
+// steady-state calls perform zero heap allocations and touch no per-agent
+// mutable state beyond the pool: any number of goroutines may call it
+// concurrently on a trained agent (provided no concurrent Train step is
+// mutating the weights).
 func (a *Agent) PredictObs(vec []float64) (vf, ifc int) {
 	s := a.getScratch()
 	defer a.putScratch(s)
-	feat := a.trunk.ApplyScratch(s.trunk, vec)
+	a.apply(s, vec)
 	switch a.Cfg.Space {
 	case Discrete:
-		return a.Cfg.VFs[nn.Argmax(a.headVF.ApplyTo(s.vf, feat))],
-			a.Cfg.IFs[nn.Argmax(a.headIF.ApplyTo(s.ifc, feat))]
+		return a.Cfg.VFs[nn.Argmax(s.vf)], a.Cfg.IFs[nn.Argmax(s.ifc)]
 	case Continuous1:
-		vi, ii := a.decodeJoint(a.headVF.ApplyTo(s.vf, feat)[0])
+		vi, ii := a.decodeJoint(s.vf[0])
 		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
 	default:
-		vi := clampRound(a.headVF.ApplyTo(s.vf, feat)[0], len(a.Cfg.VFs))
-		ii := clampRound(a.headIF.ApplyTo(s.ifc, feat)[0], len(a.Cfg.IFs))
+		vi := clampRound(s.vf[0], len(a.Cfg.VFs))
+		ii := clampRound(s.ifc[0], len(a.Cfg.IFs))
 		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
 	}
 }
 
 // Value returns the value baseline's estimate for a sample (diagnostics).
-func (a *Agent) Value(sample int) float64 { return a.forward(sample).value }
+func (a *Agent) Value(sample int) float64 {
+	vec, _ := a.emb.Embed(sample)
+	s := a.getScratch()
+	defer a.putScratch(s)
+	return a.headV.ApplyTo(s.v, a.apply(s, vec))[0]
+}
 
 // Params returns every trainable parameter of the policy, including the
 // embedder's — the set a model snapshot must persist.
@@ -238,10 +203,7 @@ func normalizeAdvantages(batch []*transition) {
 	}
 }
 
-func (a *Agent) shuffle(batch []*transition) { shuffleWith(batch, a.rng) }
-
-// shuffleWith is a Fisher-Yates shuffle driven by an explicit RNG, shared by
-// the single-goroutine and deterministic-parallel update paths.
+// shuffleWith is a Fisher-Yates shuffle driven by an explicit RNG.
 func shuffleWith(batch []*transition, rng *rand.Rand) {
 	for i := len(batch) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)

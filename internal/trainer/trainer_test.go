@@ -3,6 +3,7 @@ package trainer
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -248,5 +249,37 @@ func TestCancellationWritesCheckpoint(t *testing.T) {
 	}
 	if got := readFile(t, killed.CheckpointPath); !bytes.Equal(want, got) {
 		t.Errorf("resumed-after-kill checkpoint differs from uninterrupted run")
+	}
+}
+
+// TestTrainMatchesTrainer pins the single PPO loop: in-process training
+// through Framework.Train and a trainer run over the same corpus, seed, RL
+// config and iteration count end with weights equal bit for bit.
+func TestTrainMatchesTrainer(t *testing.T) {
+	const iters = 2
+	cfg := testConfig(t, iters, 2)
+	cfg.CheckpointPath = ""
+	tr, _ := runTrainer(t, cfg)
+
+	c := *smallCore()
+	c.Seed = cfg.Seed
+	fw := core.New(c)
+	if err := loadCorpus(fw, cfg.Corpus, cfg.GenN, "", cfg.Seed); err != nil {
+		t.Fatal(err)
+	}
+	rc := *fastRL()
+	rc.Iterations = iters
+	fw.Train(&rc)
+
+	want, got := tr.Framework().Agent().Params(), fw.Agent().Params()
+	if len(want) != len(got) {
+		t.Fatalf("param count %d, want %d", len(got), len(want))
+	}
+	for i, p := range want {
+		for j, w := range p.W {
+			if math.Float64bits(got[i].W[j]) != math.Float64bits(w) {
+				t.Fatalf("%s[%d] = %v after Framework.Train, %v after trainer.Run", p.Name, j, got[i].W[j], w)
+			}
+		}
 	}
 }
