@@ -5,10 +5,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"neurovec/internal/api"
+	"neurovec/internal/dataset"
 	"neurovec/internal/service"
 )
 
@@ -85,6 +87,10 @@ func TestCmdBrute(t *testing.T) {
 	}
 }
 
+// TestCmdExplain runs explain on the test kernel and on tsvc's s113, whose
+// trip count only semantic analysis proves. Explain loads the file through
+// the served front end, so its baseline decision is the pragma
+// `annotate -policy costmodel` emits.
 func TestCmdExplain(t *testing.T) {
 	path := writeKernel(t)
 	out, err := captureStdout(t, func() error { return cmdExplain([]string{"-file", path}) })
@@ -93,6 +99,36 @@ func TestCmdExplain(t *testing.T) {
 	}
 	if !strings.Contains(out, "baseline cost model decision") || !strings.Contains(out, "brute-force best") {
 		t.Fatalf("explain output incomplete:\n%s", out)
+	}
+
+	var s113 string
+	for _, b := range dataset.TSVC() {
+		if b.Name == "s113_invariant_element" {
+			s113 = filepath.Join(t.TempDir(), "s113.c")
+			if err := os.WriteFile(s113, []byte(b.Source), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s113 == "" {
+		t.Fatal("tsvc has no s113_invariant_element")
+	}
+	out, err = captureStdout(t, func() error { return cmdExplain([]string{"-file", s113}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`baseline cost model decision \(VF=(\d+), IF=(\d+)\)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("explain printed no baseline decision:\n%s", out)
+	}
+	annotated, err := captureStdout(t, func() error {
+		return cmdAnnotate([]string{"-file", s113, "-policy", "costmodel"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "vectorize_width(" + m[1] + ") interleave_count(" + m[2] + ")"; !strings.Contains(annotated, want) {
+		t.Errorf("explain's baseline is (VF=%s, IF=%s), annotate -policy costmodel emits:\n%s", m[1], m[2], annotated)
 	}
 }
 

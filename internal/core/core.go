@@ -25,18 +25,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"neurovec/internal/code2vec"
-	"neurovec/internal/costmodel"
 	"neurovec/internal/dataset"
-	"neurovec/internal/extractor"
 	"neurovec/internal/ir"
 	"neurovec/internal/lang"
 	"neurovec/internal/lower"
@@ -79,14 +75,18 @@ func DefaultConfig() Config {
 	}
 }
 
-// Unit is one loaded loop sample: a parsed program, its primary innermost
-// loop, the extracted path contexts, and cached baseline measurements.
+// Unit is one loaded loop sample: the program compiled as /v2/compile
+// compiles it, one of its innermost loops, that loop's nest in the parsed
+// source with the path contexts extracted from it, and cached baseline
+// measurements. Units of one program share its IR and baseline plans.
 type Unit struct {
-	Name   string
-	Source string
+	Name string
 
 	Prog *ir.Program
 	Loop *ir.Loop
+	// Nest is the root of the loop's enclosing nest in the parsed source
+	// (extractor.LoopInfo.Outermost): the AST the code embedding reads.
+	Nest *lang.ForStmt
 	Ctxs []code2vec.Context
 
 	baselinePlans   map[string]*vectorizer.Plan
@@ -97,7 +97,7 @@ type Unit struct {
 
 // Framework is the end-to-end system.
 //
-// Concurrency: the mutating APIs (LoadSet/LoadSource/LoadDir, Train,
+// Concurrency: the mutating APIs (LoadSet/LoadSource, Train,
 // SaveModel/LoadModel, and the reward/measurement paths over loaded units)
 // are setup- and training-time operations for a single goroutine. The
 // inference APIs documented as stateless — PredictLoops, Compile, Decide,
@@ -219,13 +219,6 @@ func (f *Framework) Policy(name string) (policy.Policy, error) {
 	return p, nil
 }
 
-// InvalidatePolicies drops cached policy instances. Every framework mutation
-// calls it internally; external training drivers that step the agent's
-// weights directly (package neurovec/internal/trainer) must call it before
-// resolving policies against the updated model, because a cached instance
-// (the NNS index, say) may have been built from the previous weights.
-func (f *Framework) InvalidatePolicies() { f.invalidatePolicies() }
-
 // invalidatePolicies drops cached policy instances; called by every mutation
 // that changes the corpus or the trained weights an instance may hold (the
 // NNS index, for example, is built from both).
@@ -235,8 +228,8 @@ func (f *Framework) invalidatePolicies() {
 	f.policyMu.Unlock()
 }
 
-// LoadSet parses, lowers and extracts every sample of a dataset. Programs
-// with multiple innermost loops contribute one unit per loop.
+// LoadSet loads every sample of a dataset with LoadSource. Programs with
+// multiple innermost loops contribute one unit per loop.
 func (f *Framework) LoadSet(set *dataset.Set) error {
 	for _, s := range set.Samples {
 		if err := f.LoadSource(s.Name, s.Source, nil); err != nil {
@@ -246,56 +239,33 @@ func (f *Framework) LoadSet(set *dataset.Set) error {
 	return nil
 }
 
-// LoadBenchmarks loads evaluation benchmarks as units (with their simulated
-// runtime parameter values).
-func (f *Framework) LoadBenchmarks(bs []dataset.Benchmark) error {
-	for _, b := range bs {
-		if err := f.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadSource loads one program, creating a unit per innermost loop.
-// The unit index range added is [previous len(Units), new len(Units)).
+// LoadSource compiles one program as /v2/compile does — parse, lax
+// semantic analysis, extraction, lowering with the proven facts, and the
+// baseline simulation (Compile) — and adds one unit per innermost loop, in
+// source order. The unit index range added is [previous len(Units), new
+// len(Units)). A program without loops fails with ErrNoLoops before it is
+// lowered.
 func (f *Framework) LoadSource(name, source string, params map[string]int64) error {
-	prog, err := lang.Parse(source)
+	c, err := f.compileSource(context.Background(), source, params, &inferOpts{file: name})
 	if err != nil {
 		return fmt.Errorf("core: load %s: %w", name, err)
 	}
-	opts := f.Cfg.Lower
-	if params != nil {
-		opts.ParamValues = params
-	}
-	irp, err := lower.Program(prog, opts)
-	if err != nil {
-		return fmt.Errorf("core: load %s: %w", name, err)
-	}
-
-	infos := extractor.Loops(prog)
-	basePlans := costmodel.Plans(irp, f.Cfg.Arch)
-	baseCycles := sim.Program(irp, basePlans, f.Cfg.Sim).Cycles
-	baseCompile := sim.CompileTime(irp, basePlans, f.Cfg.Arch)
-
-	for _, info := range infos {
-		loop := irp.FindLoop(info.Label)
+	baseCompile := sim.CompileTime(c.irp, c.basePlans, f.Cfg.Arch)
+	for _, info := range c.infos {
+		loop := c.irp.FindLoop(info.Label)
 		if loop == nil {
 			return fmt.Errorf("core: load %s: loop %s missing from IR", name, info.Label)
 		}
 		f.units = append(f.units, &Unit{
 			Name:            fmt.Sprintf("%s/%s", name, info.Label),
-			Source:          source,
-			Prog:            irp,
+			Prog:            c.irp,
 			Loop:            loop,
+			Nest:            info.Outermost,
 			Ctxs:            code2vec.ExtractContexts(info.Outermost, f.Cfg.Embed),
-			baselinePlans:   basePlans,
-			baselineCycles:  baseCycles,
+			baselinePlans:   c.basePlans,
+			baselineCycles:  c.baseCycles,
 			baselineCompile: baseCompile,
 		})
-	}
-	if len(infos) == 0 {
-		return fmt.Errorf("core: load %s: %w", name, ErrNoLoops)
 	}
 	f.invalidatePolicies()
 	return nil
@@ -309,35 +279,6 @@ var ErrNoLoops = errors.New("program has no loops")
 // (1, 1) fallback that masked misconfigured deployments. It aliases
 // policy.ErrNoAgent so errors.Is matches across both packages.
 var ErrNoAgent = policy.ErrNoAgent
-
-// LoadDir loads every .c file under dir, recursively — the paper's input
-// granularity ("the directory of code files is fed to the framework as text
-// code"). Files without loops are skipped. Returns the number of files that
-// contributed units.
-func (f *Framework) LoadDir(dir string) (int, error) {
-	loaded := 0
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || filepath.Ext(path) != ".c" {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := f.LoadSource(path, string(src), nil); err != nil {
-			if errors.Is(err, ErrNoLoops) {
-				return nil
-			}
-			return err
-		}
-		loaded++
-		return nil
-	})
-	return loaded, err
-}
 
 // BaselineChoice returns the baseline cost model's effective (VF, IF) for a
 // unit's loop.
@@ -496,14 +437,17 @@ func (f *Framework) normalizeRL(cfg *rl.Config) rl.Config {
 // Passing nil uses the paper's default hyperparameters.
 func (f *Framework) InitAgent(cfg *rl.Config) *rl.Agent {
 	f.agent = rl.NewAgent(&embedAdapter{fw: f}, f.normalizeRL(cfg))
-	f.retrained()
+	f.Retrained()
 	return f.agent
 }
 
-// retrained records that the weights no longer match any saved or loaded
+// Retrained records that the weights no longer match any saved or loaded
 // checkpoint: the model version is cleared, which bypasses the per-loop
-// caches, and cached policy instances are dropped.
-func (f *Framework) retrained() {
+// caches, and cached policy instances (the NNS index, say, built from the
+// previous weights) are dropped. The framework's own training calls it;
+// external training drivers that step the agent's weights directly
+// (package neurovec/internal/trainer) must call it after every update.
+func (f *Framework) Retrained() {
 	f.modelVersion = ""
 	f.invalidatePolicies()
 }
@@ -524,7 +468,7 @@ func (f *Framework) Train(cfg *rl.Config) *rl.Stats {
 // runs on GOMAXPROCS workers).
 func (f *Framework) TrainWithEmbedder(emb rl.Embedder, cfg *rl.Config) *rl.Stats {
 	f.agent = rl.NewAgent(emb, f.normalizeRL(cfg))
-	f.retrained()
+	f.Retrained()
 	return f.agent.Train(f)
 }
 
@@ -532,7 +476,7 @@ func (f *Framework) TrainWithEmbedder(emb rl.Embedder, cfg *rl.Config) *rl.Stats
 // the currently loaded units — the paper's footnote 2: "it might still be
 // beneficial to keep online training activated so that when completely new
 // loops are observed, the agent learns how to optimize them too". Load the
-// new programs first (LoadSource/LoadBenchmarks), then call this. The agent
+// new programs first (LoadSource), then call this. The agent
 // continues from the iterations it has completed, drawing that iteration's
 // (seed, iteration) streams, under a fresh Adam optimizer.
 func (f *Framework) ContinueTraining(iterations int) (*rl.Stats, error) {
@@ -542,7 +486,7 @@ func (f *Framework) ContinueTraining(iterations int) (*rl.Stats, error) {
 	// The iteration count is passed explicitly rather than written into the
 	// shared Cfg: a save/restore of Cfg.Iterations would expose a transient
 	// value to anything concurrently reading the agent's config.
-	f.retrained()
+	f.Retrained()
 	stats := f.agent.TrainIterations(f, iterations)
 	return stats, nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -270,8 +268,10 @@ func TestOnlineTrainingAdaptsToNewLoops(t *testing.T) {
 	fw.Train(fastRL(8))
 
 	start := fw.NumSamples()
-	if err := fw.LoadBenchmarks(dataset.PolyBench()); err != nil {
-		t.Fatal(err)
+	for _, b := range dataset.PolyBench() {
+		if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
+			t.Fatal(err)
+		}
 	}
 	end := fw.NumSamples()
 	cyclesAt := func() float64 {
@@ -294,77 +294,6 @@ func TestOnlineTrainingAdaptsToNewLoops(t *testing.T) {
 		t.Errorf("online training regressed new loops: %.3g -> %.3g cycles", before, after)
 	}
 	t.Logf("new-loop cycles: %.3g -> %.3g (%.2f%% change)", before, after, 100*(after/before-1))
-}
-
-func TestLoadDir(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"a.c":      "int a[64];\nvoid f() { for (int i = 0; i < 64; i++) { a[i] = i; } }\n",
-		"noloop.c": "int g() { return 7; }\n",
-		"b.c":      "float z[32];\nvoid h() { for (int i = 0; i < 32; i++) { z[i] = 0; } }\n",
-		"skip.txt": "not C at all",
-	}
-	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fw := New(DefaultConfig())
-	n, err := fw.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("loaded %d files, want 2 (loopless and non-C skipped)", n)
-	}
-	if fw.NumSamples() != 2 {
-		t.Fatalf("units = %d, want 2", fw.NumSamples())
-	}
-}
-
-func TestLoadDirNested(t *testing.T) {
-	dir := t.TempDir()
-	deep := filepath.Join(dir, "sub", "deeper")
-	if err := os.MkdirAll(deep, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	loop := func(name string) string {
-		return "int " + name + "[64];\nvoid f_" + name + "() { for (int i = 0; i < 64; i++) { " + name + "[i] = i; } }\n"
-	}
-	files := map[string]string{
-		filepath.Join(dir, "a.c"):             loop("a"),
-		filepath.Join(dir, "sub", "b.c"):      loop("b"),
-		filepath.Join(deep, "c.c"):            loop("c"),
-		filepath.Join(dir, "sub", "noloop.c"): "int g() { return 7; }\n", // ErrNoLoops: skipped, not fatal
-		filepath.Join(dir, "sub", "notes.md"): "# not C\n",               // non-.c: ignored
-	}
-	for path, src := range files {
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fw := New(DefaultConfig())
-	n, err := fw.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("loaded %d files, want 3 (nested dirs walked, loopless and non-C skipped)", n)
-	}
-	if fw.NumSamples() != 3 {
-		t.Fatalf("units = %d, want 3", fw.NumSamples())
-	}
-}
-
-func TestLoadDirPropagatesParseErrors(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.c"), []byte("void f() { for }"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fw := New(DefaultConfig())
-	if _, err := fw.LoadDir(dir); err == nil {
-		t.Fatal("expected a parse error to propagate (only ErrNoLoops is skippable)")
-	}
 }
 
 func TestContinueTrainingKeepsConfigIterations(t *testing.T) {
@@ -472,5 +401,66 @@ func TestRewardDeterministic(t *testing.T) {
 	fw := smallFramework(t, 4)
 	if fw.Reward(1, 8, 2) != fw.Reward(1, 8, 2) {
 		t.Fatal("reward not deterministic")
+	}
+}
+
+// TestUnitsMatchServedCompile pins the one front end: a loaded unit is the
+// loop /v2/compile serves. Over every shipped suite and an extended
+// generated sample, each unit's baseline equals the served baseline, and
+// the unit's simulated cycles at the costmodel and brute decisions equal the
+// served cycles, bit for bit. (tsvc's s113 is the loop where a front end
+// without semantic analysis misses the proven trip count.)
+func TestUnitsMatchServedCompile(t *testing.T) {
+	type file struct {
+		name, src string
+		params    map[string]int64
+	}
+	var files []file
+	for _, suite := range [][]dataset.Benchmark{dataset.PolyBench(), dataset.MiBench(), dataset.EvalBenchmarks(), dataset.TSVC()} {
+		for _, b := range suite {
+			files = append(files, file{b.Name, b.Source, b.ParamValues})
+		}
+	}
+	for _, s := range dataset.Generate(dataset.GenConfig{N: 500, Seed: 3, Extended: true}).Samples {
+		files = append(files, file{s.Name, s.Source, nil})
+	}
+
+	ctx := context.Background()
+	fw := New(DefaultConfig())
+	for _, f := range files {
+		start := fw.NumSamples()
+		err := fw.LoadSource(f.name, f.src, f.params)
+		if errors.Is(err, ErrNoLoops) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := fw.Compile(ctx, f.src, f.params, WithSourceName(f.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []string{"costmodel", "brute"} {
+			resp, err := fw.Decide(ctx, c, WithPolicyName(pol))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := fw.NumSamples() - start; n != len(resp.Loops) {
+				t.Fatalf("%s: %d units, %d served loops", f.name, n, len(resp.Loops))
+			}
+			for j, d := range resp.Loops {
+				i := start + j
+				if u := fw.Units()[i]; u.Loop.Label != d.Label {
+					t.Fatalf("%s: unit %d is loop %s, served loop %d is %s", f.name, i, u.Loop.Label, j, d.Label)
+				}
+				if got := fw.BaselineCycles(i); math.Float64bits(got) != math.Float64bits(resp.BaselineCycles) {
+					t.Errorf("%s/%s: unit baseline %v cycles, served %v", f.name, d.Label, got, resp.BaselineCycles)
+				}
+				if got := fw.Cycles(i, d.VF, d.IF); math.Float64bits(got) != math.Float64bits(d.Cycles) {
+					t.Errorf("%s/%s: %s's (VF=%d, IF=%d) costs the unit %v cycles, served %v",
+						f.name, d.Label, pol, d.VF, d.IF, got, d.Cycles)
+				}
+			}
+		}
 	}
 }

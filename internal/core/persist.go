@@ -10,8 +10,6 @@ import (
 	"os"
 
 	"neurovec/internal/code2vec"
-	"neurovec/internal/extractor"
-	"neurovec/internal/lang"
 	"neurovec/internal/nn"
 	"neurovec/internal/rl"
 )
@@ -106,7 +104,7 @@ func (f *Framework) LoadModelWith(r io.Reader, extra func(dec *gob.Decoder) erro
 	// Context extraction depends on Embed config; re-extract for already
 	// loaded units so embeddings match the restored model.
 	for _, u := range f.units {
-		u.Ctxs = reextract(u, h.Embed)
+		u.Ctxs = code2vec.ExtractContexts(u.Nest, h.Embed)
 	}
 	// Cached policy instances may hold the previous weights (the NNS index
 	// embeds with them); resolve afresh against the restored model.
@@ -115,21 +113,6 @@ func (f *Framework) LoadModelWith(r io.Reader, extra func(dec *gob.Decoder) erro
 		return extra(dec)
 	}
 	return nil
-}
-
-// reextract recomputes a unit's path contexts under a (possibly different)
-// embedding configuration.
-func reextract(u *Unit, cfg code2vec.Config) []code2vec.Context {
-	prog, err := lang.Parse(u.Source)
-	if err != nil {
-		return u.Ctxs
-	}
-	for _, info := range extractor.Loops(prog) {
-		if info.Label == u.Loop.Label {
-			return code2vec.ExtractContexts(info.Outermost, cfg)
-		}
-	}
-	return u.Ctxs
 }
 
 // ModelVersion returns the fingerprint of the model most recently saved or

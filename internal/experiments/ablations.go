@@ -8,8 +8,6 @@ import (
 	"neurovec/internal/costmodel"
 	"neurovec/internal/dataset"
 	"neurovec/internal/features"
-	"neurovec/internal/lang"
-	"neurovec/internal/lower"
 	"neurovec/internal/polly"
 	"neurovec/internal/ranker"
 	"neurovec/internal/sim"
@@ -114,20 +112,14 @@ func AblationPolly(o Options) *Table {
 		pickBenchmark(dataset.PolyBench(), "gemm"),
 		pickBenchmark(dataset.EvalBenchmarks(), "bench10_fusible"),
 	}
-	arch := core.DefaultConfig().Arch
-	simCfg := sim.Config{Arch: arch, WarmCaches: true}
+	fw := core.New(core.DefaultConfig())
+	arch, simCfg := fw.Cfg.Arch, fw.Cfg.Sim
 	for _, b := range cases {
-		opts := lower.DefaultOptions()
-		opts.ParamValues = b.ParamValues
-		prog, err := lang.ParseFile(b.Name, b.Source)
-		if err != nil {
+		start := fw.NumSamples()
+		if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
 			panic(err)
 		}
-		irp, err := lower.Program(prog, opts)
-		if err != nil {
-			panic(err)
-		}
-		base := sim.Program(irp, costmodel.Plans(irp, arch), simCfg).Cycles
+		irp, base := fw.Units()[start].Prog, fw.BaselineCycles(start)
 		vals := map[string]float64{}
 		for _, v := range []struct {
 			label          string

@@ -1,9 +1,53 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
+
+// checkGolden compares a table — its rendering plus every cell at full
+// precision — with testdata/<name>.golden. Figures 1 and 2 run entirely on
+// loaded units, so a drift here means the unit front end changed.
+// Regenerate with:
+//
+//	go test ./internal/experiments -run 'TestFig[12]' -update
+func checkGolden(t *testing.T, name string, tab *Table) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(tab.String())
+	for _, row := range tab.Rows() {
+		for _, col := range tab.Columns {
+			if v, ok := tab.Get(row, col); ok {
+				fmt.Fprintf(&b, "%s\t%s\t%v\n", row, col, v)
+			}
+		}
+	}
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("%s drifted from %s.\nIf the change is deliberate, regenerate with -update.\n--- got ---\n%s\n--- want ---\n%s",
+			name, path, b.String(), want)
+	}
+}
 
 func TestFig1Shape(t *testing.T) {
 	tab := Fig1(QuickOptions())
@@ -33,6 +77,7 @@ func TestFig1Shape(t *testing.T) {
 	if s := tab.String(); !strings.Contains(s, "Figure 1") {
 		t.Error("table renders without title")
 	}
+	checkGolden(t, "fig1", tab)
 }
 
 func TestFig2AllAtLeastBaseline(t *testing.T) {
@@ -49,6 +94,7 @@ func TestFig2AllAtLeastBaseline(t *testing.T) {
 	if m := tab.Mean("brute/baseline"); m < 1.05 {
 		t.Errorf("mean brute/baseline = %.3fx, want a visible gap (paper: up to 1.5x)", m)
 	}
+	checkGolden(t, "fig2", tab)
 }
 
 func TestFig6DiscreteBest(t *testing.T) {

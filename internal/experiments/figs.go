@@ -8,8 +8,6 @@ import (
 	"neurovec/internal/costmodel"
 	"neurovec/internal/dataset"
 	"neurovec/internal/ir"
-	"neurovec/internal/lang"
-	"neurovec/internal/lower"
 	"neurovec/internal/polly"
 	"neurovec/internal/rl"
 	"neurovec/internal/search"
@@ -351,25 +349,17 @@ func evaluateBenchmarks(fw *core.Framework, sup *supervised, bs []dataset.Benchm
 	t := &Table{Title: title, Columns: cols}
 
 	for _, b := range bs {
-		opts := lower.DefaultOptions()
-		opts.ParamValues = b.ParamValues
-		prog, err := lang.ParseFile(b.Name, b.Source)
-		if err != nil {
-			panic(err)
-		}
-		irp, err := lower.Program(prog, opts)
-		if err != nil {
-			panic(err)
-		}
-
-		// Register the benchmark's loops as units for embedding/prediction.
+		// Register the benchmark's loops as units for embedding/prediction;
+		// the units carry the program's IR and baseline.
 		start := fw.NumSamples()
 		if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
 			panic(err)
 		}
 		end := fw.NumSamples()
+		irp := fw.Units()[start].Prog
+		basePlans := costmodel.Plans(irp, cfg.Arch)
 
-		baseCycles := sim.Program(irp, costmodel.Plans(irp, cfg.Arch), cfg.Sim).Cycles
+		baseCycles := fw.BaselineCycles(start)
 		scalar := b.ScalarWorkFactor * baseCycles
 		baseTotal := baseCycles + scalar
 
@@ -383,7 +373,7 @@ func evaluateBenchmarks(fw *core.Framework, sup *supervised, bs []dataset.Benchm
 				plans[u.Loop.Label] = vectorizer.New(u.Loop, cfg.Arch, vf, ifc)
 			}
 			// Loops without decisions fall back to baseline.
-			for label, p := range costmodel.Plans(irp, cfg.Arch) {
+			for label, p := range basePlans {
 				if _, ok := plans[label]; !ok {
 					plans[label] = p
 				}

@@ -175,14 +175,6 @@ func (a *Agent) Value(sample int) float64 {
 // embedder's — the set a model snapshot must persist.
 func (a *Agent) Params() []*nn.Param { return a.params }
 
-// Embedding exposes the (current) code vector for a sample so that the
-// supervised methods (NNS, decision trees) can reuse the representation the
-// RL training produced — the paper's Section 3.5 workflow.
-func (a *Agent) Embedding(sample int) []float64 {
-	vec, _ := a.emb.Embed(sample)
-	return vec
-}
-
 func normalizeAdvantages(batch []*transition) {
 	if len(batch) < 2 {
 		return

@@ -29,7 +29,7 @@ type Config struct {
 	RL *rl.Config
 
 	// Corpus is the training-corpus spec, a comma-separated list of built-in
-	// suites (polybench, mibench, figure7, generated); see
+	// suites (polybench, mibench, figure7, tsvc, generated); see
 	// evalharness.BuildCorpus. Default "generated".
 	Corpus string
 	// GenN sizes the generated suite (default 16).
@@ -115,7 +115,8 @@ type Result struct {
 	// Units is the number of training loop units loaded from the corpus.
 	Units int
 	// ModelVersion fingerprints the last checkpoint written ("" when
-	// checkpointing was disabled).
+	// checkpointing was disabled, even on a resumed run: its weights have
+	// moved past the checkpoint it resumed from).
 	ModelVersion   string
 	CheckpointPath string
 	// CheckpointWritten reports that this run wrote CheckpointPath at least
@@ -336,6 +337,9 @@ func (t *Trainer) Run(ctx context.Context) (*Result, error) {
 		_, usp := obs.StartSpan(ctx, "update")
 		loss := t.agent.UpdateBatch(batch, t.opt, t.state.Seed, iter)
 		usp.End()
+		// The weights have moved past any checkpoint, including the one a
+		// resumed run started from; the next checkpoint names them again.
+		t.fw.Retrained()
 		steps += batch.Len()
 		t.state.RewardMean = append(t.state.RewardMean, batch.RewardMean())
 		t.state.Loss = append(t.state.Loss, loss)
@@ -386,8 +390,6 @@ func (t *Trainer) evalPoint(ctx context.Context, iteration, steps int, rewardMea
 	ctx, sp := obs.StartSpan(ctx, "eval")
 	sp.Annotate(fmt.Sprintf("iteration=%d", iteration))
 	defer sp.End()
-	// Cached policy instances may hold pre-update weights (the NNS index).
-	t.fw.InvalidatePolicies()
 	report, err := evalharness.New(t.fw).Run(ctx, t.evalCorpus, evalharness.Options{
 		Policy:   "rl",
 		Baseline: t.state.EvalBaseline,

@@ -283,3 +283,142 @@ func TestTrainMatchesTrainer(t *testing.T) {
 		}
 	}
 }
+
+// TestResumedRunClearsVersion: a resumed run moves the weights past the
+// checkpoint it started from, so without checkpointing neither the framework
+// nor the result may name that checkpoint; with checkpointing the result
+// names the last checkpoint written.
+func TestResumedRunClearsVersion(t *testing.T) {
+	first := testConfig(t, 1, 2)
+	_, firstRes := runTrainer(t, first)
+	if firstRes.ModelVersion == "" {
+		t.Fatal("first leg wrote a checkpoint but reports no version")
+	}
+
+	tr, err := Resume(Config{Core: smallCore(), Jobs: 2, Iterations: 3}, first.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Framework().ModelVersion(); got != firstRes.ModelVersion {
+		t.Fatalf("before Run the resumed framework reports %q, want the checkpoint's %q", got, firstRes.ModelVersion)
+	}
+	res, err := tr.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Framework().ModelVersion(); got != "" {
+		t.Errorf("Framework().ModelVersion() = %q after 2 uncheckpointed iterations, want \"\"", got)
+	}
+	if res.ModelVersion != "" {
+		t.Errorf("Result.ModelVersion = %q with checkpointing disabled, want \"\"", res.ModelVersion)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "resumed.gob")
+	tr, err = Resume(Config{Core: smallCore(), Jobs: 2, Iterations: 3, CheckpointPath: ckpt}, first.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = tr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fw := core.New(*smallCore())
+	if err := fw.LoadModelFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if res.ModelVersion != fw.ModelVersion() || res.ModelVersion == firstRes.ModelVersion {
+		t.Errorf("Result.ModelVersion = %q, want the last checkpoint's %q (resumed from %q)",
+			res.ModelVersion, fw.ModelVersion(), firstRes.ModelVersion)
+	}
+}
+
+// dirUnits returns the unit names a trainer built with Config.Dir = dir adds
+// on top of the same run without it.
+func dirUnits(t *testing.T, dir string) ([]string, error) {
+	t.Helper()
+	cfg := Config{Core: smallCore(), RL: fastRL(), Corpus: "figure7", Seed: 1}
+	base, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir = dir
+	tr, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	seen := map[string]bool{}
+	for _, u := range base.Framework().Units() {
+		seen[u.Name] = true
+	}
+	for _, u := range tr.Framework().Units() {
+		if !seen[u.Name] {
+			names = append(names, u.Name)
+		}
+	}
+	return names, nil
+}
+
+func writeFiles(t *testing.T, files map[string]string) {
+	t.Helper()
+	for path, src := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoadDir: every .c file with loops under Config.Dir becomes training
+// units; loopless and non-C files are skipped.
+func TestLoadDir(t *testing.T) {
+	dir := t.TempDir()
+	writeFiles(t, map[string]string{
+		filepath.Join(dir, "a.c"):      "int a[64];\nvoid f() { for (int i = 0; i < 64; i++) { a[i] = i; } }\n",
+		filepath.Join(dir, "noloop.c"): "int g() { return 7; }\n",
+		filepath.Join(dir, "b.c"):      "float z[32];\nvoid h() { for (int i = 0; i < 32; i++) { z[i] = 0; } }\n",
+		filepath.Join(dir, "skip.txt"): "not C at all",
+	})
+	names, err := dirUnits(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"dir/a.c/L0", "dir/b.c/L0"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("directory units = %v, want %v (loopless and non-C skipped)", names, want)
+	}
+}
+
+// TestLoadDirNested: the directory is walked recursively.
+func TestLoadDirNested(t *testing.T) {
+	dir := t.TempDir()
+	loop := func(name string) string {
+		return "int " + name + "[64];\nvoid f_" + name + "() { for (int i = 0; i < 64; i++) { " + name + "[i] = i; } }\n"
+	}
+	writeFiles(t, map[string]string{
+		filepath.Join(dir, "a.c"):                  loop("a"),
+		filepath.Join(dir, "sub", "b.c"):           loop("b"),
+		filepath.Join(dir, "sub", "deeper", "c.c"): loop("c"),
+		filepath.Join(dir, "sub", "noloop.c"):      "int g() { return 7; }\n", // ErrNoLoops: skipped, not fatal
+		filepath.Join(dir, "sub", "notes.md"):      "# not C\n",               // non-.c: ignored
+	})
+	names, err := dirUnits(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"dir/a.c/L0", "dir/sub/b.c/L0", "dir/sub/deeper/c.c/L0"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("directory units = %v, want %v (nested dirs walked)", names, want)
+	}
+}
+
+// TestLoadDirPropagatesParseErrors: only ErrNoLoops is skippable; a file
+// that does not parse fails the run's setup.
+func TestLoadDirPropagatesParseErrors(t *testing.T) {
+	dir := t.TempDir()
+	writeFiles(t, map[string]string{filepath.Join(dir, "bad.c"): "void f() { for }"})
+	if _, err := dirUnits(t, dir); err == nil {
+		t.Fatal("expected a parse error to fail trainer.New")
+	}
+}
