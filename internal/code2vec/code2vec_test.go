@@ -98,8 +98,8 @@ func TestForwardShapeAndDeterminism(t *testing.T) {
 	cfg.OutDim = 340
 	m := NewModel(cfg)
 	ctxs := ExtractContexts(loopStmt(t, copySrc), cfg)
-	v1, _ := m.Forward(ctxs)
-	v2, _ := m.Forward(ctxs)
+	v1, _ := forward(m, ctxs)
+	v2, _ := forward(m, ctxs)
 	if len(v1) != 340 {
 		t.Fatalf("code vector dim = %d, want 340 (paper)", len(v1))
 	}
@@ -121,13 +121,13 @@ func TestForwardShapeAndDeterminism(t *testing.T) {
 
 func TestForwardEmptyContexts(t *testing.T) {
 	m := NewModel(DefaultConfig())
-	v, st := m.Forward(nil)
+	v, st := forward(m, nil)
 	for _, x := range v {
 		if x != 0 {
 			t.Fatal("empty bag should embed to zero vector")
 		}
 	}
-	m.Backward(st, v) // must not panic
+	m.Backward(st, nil, v) // must not panic
 }
 
 func TestBackwardGradientCheck(t *testing.T) {
@@ -141,18 +141,18 @@ func TestBackwardGradientCheck(t *testing.T) {
 
 	// Loss = 0.5 * |v|^2, so dLoss/dv = v.
 	loss := func() float64 {
-		v, _ := m.Forward(ctxs)
+		v, _ := forward(m, ctxs)
 		s := 0.0
 		for _, x := range v {
 			s += 0.5 * x * x
 		}
 		return s
 	}
-	v, st := m.Forward(ctxs)
+	v, st := forward(m, ctxs)
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-	m.Backward(st, v)
+	m.Backward(st, ctxs, v)
 
 	check := func(p [](*[]float64)) {}
 	_ = check
@@ -201,7 +201,7 @@ func TestAttentionFavoursInformativeContext(t *testing.T) {
 	// Gradient steps pulling v toward target while the path-9 embedding is
 	// frozen at a random point would shift attention; here we simply check
 	// that alpha sums to one and stays positive through updates.
-	v, st := m.Forward(ctxs)
+	v, st := forward(m, ctxs)
 	if math.Abs(st.alpha[0]+st.alpha[1]-1) > 1e-9 {
 		t.Fatalf("alpha = %v, want sum 1", st.alpha)
 	}
@@ -212,7 +212,7 @@ func TestAttentionFavoursInformativeContext(t *testing.T) {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-	m.Backward(st, dv)
+	m.Backward(st, ctxs, dv)
 	// Gradients must be finite.
 	for _, p := range m.Params() {
 		for _, g := range p.G {
@@ -226,8 +226,8 @@ func TestAttentionFavoursInformativeContext(t *testing.T) {
 func TestDifferentLoopsEmbedDifferently(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewModel(cfg)
-	v1, _ := m.Forward(ExtractContexts(loopStmt(t, copySrc), cfg))
-	v2, _ := m.Forward(ExtractContexts(loopStmt(t, `
+	v1, _ := forward(m, ExtractContexts(loopStmt(t, copySrc), cfg))
+	v2, _ := forward(m, ExtractContexts(loopStmt(t, `
 int v[512];
 int f() {
     int s = 0;

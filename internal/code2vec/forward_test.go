@@ -15,7 +15,7 @@ import (
 // input c = [Tok[Left] | Path[Path] | Tok[Right]] is concatenated, and every
 // output's pre-activation is B[o] plus W[o][k]·c[k] summed in k order. It
 // returns the code vector, the squashed projections and the attention
-// weights, and pins the arithmetic ForwardInto and Forward must reproduce.
+// weights, and pins the arithmetic ForwardInto must reproduce.
 func referenceForward(m *Model, ctxs []Context) (vec []float64, h [][]float64, alpha []float64) {
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
@@ -45,7 +45,7 @@ func referenceForward(m *Model, ctxs []Context) (vec []float64, h [][]float64, a
 		}
 		scores[i] = sc
 	}
-	alpha = nn.Softmax(scores)
+	alpha = nn.SoftmaxTo(make([]float64, len(scores)), scores)
 	for i := range ctxs {
 		for o := 0; o < out; o++ {
 			vec[o] += alpha[i] * h[i][o]
@@ -95,29 +95,34 @@ func corpusSources() []string {
 	return srcs
 }
 
-// checkBag requires ForwardInto (through the shared scratch s) and Forward
-// to reproduce referenceForward's bits: the code vector, and for Forward
-// also the projections and attention weights Backward reads.
+// forward runs ForwardInto on a fresh Scratch and returns the code vector
+// and the Scratch, which holds what Backward reads.
+func forward(m *Model, ctxs []Context) ([]float64, *Scratch) {
+	s := new(Scratch)
+	return m.ForwardInto(make([]float64, m.Cfg.OutDim), ctxs, s), s
+}
+
+// checkBag requires ForwardInto, through the shared scratch s, to reproduce
+// referenceForward's bits: the code vector, and the projections and
+// attention weights it leaves in s for Backward.
 func checkBag(t *testing.T, m *Model, name string, ctxs []Context, s *Scratch) {
 	t.Helper()
 	want, wantH, wantAlpha := referenceForward(m, ctxs)
 	got := m.ForwardInto(make([]float64, m.Cfg.OutDim), ctxs, s)
-	vec, st := m.Forward(ctxs)
 	for o := range want {
 		if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
 			t.Fatalf("%s (n=%d): ForwardInto out[%d] = %v, reference %v", name, len(ctxs), o, got[o], want[o])
 		}
-		if math.Float64bits(vec[o]) != math.Float64bits(want[o]) {
-			t.Fatalf("%s (n=%d): Forward out[%d] = %v, reference %v", name, len(ctxs), o, vec[o], want[o])
-		}
 	}
+	out := m.Cfg.OutDim
 	for i := range ctxs {
-		if math.Float64bits(st.alpha[i]) != math.Float64bits(wantAlpha[i]) {
-			t.Fatalf("%s: Forward alpha[%d] = %v, reference %v", name, i, st.alpha[i], wantAlpha[i])
+		if math.Float64bits(s.alpha[i]) != math.Float64bits(wantAlpha[i]) {
+			t.Fatalf("%s: scratch alpha[%d] = %v, reference %v", name, i, s.alpha[i], wantAlpha[i])
 		}
+		h := s.h[s.triple[i]*out : (s.triple[i]+1)*out]
 		for o := range wantH[i] {
-			if math.Float64bits(st.h[i][o]) != math.Float64bits(wantH[i][o]) {
-				t.Fatalf("%s: Forward h[%d][%d] = %v, reference %v", name, i, o, st.h[i][o], wantH[i][o])
+			if math.Float64bits(h[o]) != math.Float64bits(wantH[i][o]) {
+				t.Fatalf("%s: scratch h[%d][%d] = %v, reference %v", name, i, o, h[o], wantH[i][o])
 			}
 		}
 	}

@@ -47,51 +47,11 @@ func (m *Model) Params() []*nn.Param {
 // Dim returns the code-vector width.
 func (m *Model) Dim() int { return m.Cfg.OutDim }
 
-// State caches a forward pass for the matching Backward call.
-type State struct {
-	ctxs  []Context
-	c     [][]float64 // concatenated context inputs, 3d each
-	h     [][]float64 // tanh(W c + b), OutDim each
-	alpha []float64   // attention weights
-}
-
-// Forward embeds a context bag into a code vector and keeps the State its
-// Backward needs. An empty bag yields the zero vector (e.g. a degenerate loop
-// with no terminals). The activations come from ForwardInto, so training and
-// inference share one projection kernel and agree bit for bit.
-func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
-	d := m.Cfg.EmbedDim
-	out := m.Cfg.OutDim
-	var s Scratch
-	vec := m.ForwardInto(make([]float64, out), ctxs, &s)
-	st := &State{ctxs: ctxs}
-	if len(ctxs) == 0 {
-		return vec, st
-	}
-
-	// s is this call's own, so State keeps views of its buffers. Contexts
-	// with the same triple share one row of projections; Backward only
-	// reads them.
-	n := len(ctxs)
-	st.c = make([][]float64, n)
-	st.h = make([][]float64, n)
-	cs := make([]float64, n*3*d)
-	for i, cx := range ctxs {
-		c := cs[i*3*d : (i+1)*3*d]
-		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
-		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
-		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
-		st.c[i] = c
-		t := s.triple[i]
-		st.h[i] = s.h[t*out : (t+1)*out]
-	}
-	st.alpha = s.alpha[:n]
-	return vec, st
-}
-
-// Scratch holds the reusable buffers ForwardInto needs. A Scratch belongs to
-// one caller at a time; pool or confine it. The zero value is ready to use —
-// buffers grow on demand and are retained across calls.
+// Scratch holds the reusable buffers ForwardInto needs, and keeps what it
+// computed for Backward: the triple numbering, the squashed projections and
+// the attention weights. A Scratch belongs to one caller at a time; pool or
+// confine it. The zero value is ready to use — buffers grow on demand and
+// are retained across calls.
 type Scratch struct {
 	triple []int     // per context: index of its (Left, Path, Right) among the distinct triples
 	pairOf []int     // per distinct triple: index of its (Left, Path) among the distinct pairs
@@ -103,6 +63,7 @@ type Scratch struct {
 	h      []float64 // projections, a row of OutDim per distinct prefix: pre-activation, then squashed
 	scores []float64 // attention logits, n
 	alpha  []float64 // attention weights, n
+	grad   []float64 // Backward's dAlpha (n), per-context input and its gradient (3*EmbedDim each)
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -112,10 +73,12 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ForwardInto is Forward for inference: it writes the code vector into dst
-// (which must have length Cfg.OutDim), keeps no State for Backward, and
-// performs zero heap allocations once s's buffers have grown to the bag
-// size: after a bag of n contexts, any bag of at most n.
+// ForwardInto embeds a context bag into a code vector: it writes the vector
+// into dst (which must have length Cfg.OutDim), leaves in s what Backward
+// needs, and performs zero heap allocations once s's buffers have grown to
+// the bag size: after a bag of n contexts, any bag of at most n. An empty
+// bag yields the zero vector (e.g. a degenerate loop with no terminals).
+// Training and inference run this one forward, so they agree bit for bit.
 //
 // Each context's pre-activation is B[o] + Σ_k W[o][k]·c[k] over its input
 // c = [Tok[Left] | Path[Path] | Tok[Right]], summed in k order. After the
@@ -334,45 +297,59 @@ func accum1(acc, x, w []float64, stride, k0 int) {
 	}
 }
 
-// Backward accumulates parameter gradients given dLoss/dCodeVector.
-func (m *Model) Backward(st *State, dvec []float64) {
-	if len(st.ctxs) == 0 {
+// Backward accumulates parameter gradients given dLoss/dCodeVector for the
+// bag ctxs, whose forward pass ForwardInto last ran through s. It reads the
+// projections and attention weights from s and each context's input rows
+// from Tok and Path, which an optimizer step must not change in between.
+// Nothing is allocated once s has grown to the bag.
+func (m *Model) Backward(s *Scratch, ctxs []Context, dvec []float64) {
+	if len(ctxs) == 0 {
 		return
+	}
+	if len(ctxs) != len(s.triple) {
+		panic(&nn.ShapeError{Op: "code2vec backward contexts", Got: len(ctxs), Want: len(s.triple)})
 	}
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
-	n := len(st.ctxs)
+	n := len(ctxs)
+	alpha := s.alpha[:n]
 
 	// v = sum_i alpha_i h_i with alpha = softmax(attn . h_i).
 	// dAlpha_i = h_i . dvec ; dScore via softmax Jacobian;
-	// dh_i = alpha_i dvec + dScore_i * attn. One buffer holds dAlpha and
-	// the per-context input gradient dc, which is cleared for each context.
-	buf := make([]float64, n+3*d)
-	dAlpha, dc := buf[:n], buf[n:]
-	for i := 0; i < n; i++ {
-		s := 0.0
+	// dh_i = alpha_i dvec + dScore_i * attn. One buffer holds dAlpha, the
+	// per-context input c and its gradient dc, which is cleared for each
+	// context. Contexts with the same triple share one row of projections.
+	s.grad = growF(s.grad, n+6*d)
+	dAlpha, c, dc := s.grad[:n], s.grad[n:n+3*d], s.grad[n+3*d:]
+	for i, t := range s.triple {
+		h := s.h[t*out : (t+1)*out]
+		v := 0.0
 		for o := 0; o < out; o++ {
-			s += st.h[i][o] * dvec[o]
+			v += h[o] * dvec[o]
 		}
-		dAlpha[i] = s
+		dAlpha[i] = v
 	}
 	dot := 0.0
 	for i := 0; i < n; i++ {
-		dot += st.alpha[i] * dAlpha[i]
+		dot += alpha[i] * dAlpha[i]
 	}
-	for i := 0; i < n; i++ {
-		dScore := st.alpha[i] * (dAlpha[i] - dot)
+	for i, cx := range ctxs {
+		h := s.h[s.triple[i]*out : (s.triple[i]+1)*out]
+		dScore := alpha[i] * (dAlpha[i] - dot)
 		// Attention vector gradient.
 		for o := 0; o < out; o++ {
-			m.Attn.G[o] += dScore * st.h[i][o]
+			m.Attn.G[o] += dScore * h[o]
 		}
-		// Through h_i (tanh) into W, b and the context inputs.
-		cx := st.ctxs[i]
-		c := st.c[i]
+		// Through h_i (tanh) into W, b and the context input
+		// c = [Tok[Left] | Path[Path] | Tok[Right]], gathered from the
+		// tables.
+		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
+		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
+		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
 		clear(dc)
 		for o := 0; o < out; o++ {
-			dh := st.alpha[i]*dvec[o] + dScore*m.Attn.W[o]
-			dpre := dh * (1 - st.h[i][o]*st.h[i][o])
+			dh := alpha[i]*dvec[o] + dScore*m.Attn.W[o]
+			dpre := dh * (1 - h[o]*h[o])
 			if dpre == 0 {
 				continue
 			}

@@ -1,6 +1,7 @@
 package code2vec
 
 import (
+	"math"
 	"testing"
 )
 
@@ -13,9 +14,8 @@ void g() {
 }
 `
 
-// TestForwardIntoParity pins the tentpole invariant: the scratch-backed
-// inference forward is bit-identical to the allocating one, across reuse of
-// the same Scratch on different bags.
+// TestForwardIntoParity pins reuse: ForwardInto through one Scratch that
+// already held other bags is bit-identical to the plain per-context loop.
 func TestForwardIntoParity(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OutDim = 48
@@ -25,15 +25,15 @@ func TestForwardIntoParity(t *testing.T) {
 	dst := make([]float64, cfg.OutDim)
 	for _, src := range []string{copySrc, squareSrc, copySrc} {
 		ctxs := ExtractContexts(loopStmt(t, src), cfg)
-		want, _ := m.Forward(ctxs)
+		want, _, _ := referenceForward(m, ctxs)
 		got := m.ForwardInto(dst, ctxs, &s)
 		for o := range want {
-			if got[o] != want[o] {
+			if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
 				t.Fatalf("%q out[%d] = %g, want %g (must be bit-identical)", src[:20], o, got[o], want[o])
 			}
 		}
 	}
-	// Empty bag: zero vector, like Forward.
+	// Empty bag: the zero vector.
 	got := m.ForwardInto(dst, nil, &s)
 	for o, v := range got {
 		if v != 0 {

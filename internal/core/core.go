@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"neurovec/internal/code2vec"
@@ -40,6 +39,7 @@ import (
 	"neurovec/internal/nn"
 	"neurovec/internal/policy"
 	"neurovec/internal/rl"
+	"neurovec/internal/search"
 	"neurovec/internal/sim"
 	"neurovec/internal/vectorizer"
 )
@@ -374,13 +374,24 @@ type embedAdapter struct {
 	fw *Framework
 }
 
-func (e *embedAdapter) Embed(sample int) ([]float64, any) {
-	vec, st := e.fw.embed.Forward(e.fw.units[sample].Ctxs)
-	return vec, st
+// adapterScratch is one caller's code vector and the forward state its
+// backward reads.
+type adapterScratch struct {
+	vec []float64
+	sc  code2vec.Scratch
 }
 
-func (e *embedAdapter) Backward(state any, dvec []float64) {
-	e.fw.embed.Backward(state.(*code2vec.State), dvec)
+func (e *embedAdapter) NewScratch() any {
+	return &adapterScratch{vec: make([]float64, e.fw.embed.Dim())}
+}
+
+func (e *embedAdapter) Embed(s any, sample int) []float64 {
+	as := s.(*adapterScratch)
+	return e.fw.embed.ForwardInto(as.vec, e.fw.units[sample].Ctxs, &as.sc)
+}
+
+func (e *embedAdapter) Backward(s any, sample int, dvec []float64) {
+	e.fw.embed.Backward(&s.(*adapterScratch).sc, e.fw.units[sample].Ctxs, dvec)
 }
 
 func (e *embedAdapter) Params() []*nn.Param { return e.fw.embed.Params() }
@@ -520,14 +531,8 @@ func (f *Framework) Predict(sample int) (vf, ifc int, err error) {
 // BruteForceLabel exhaustively searches the action space for a unit and
 // returns the best pair (the supervised-learning label of Section 3.5).
 func (f *Framework) BruteForceLabel(sample int) (vf, ifc int) {
-	best := math.Inf(1)
-	vf, ifc = 1, 1
-	for _, v := range f.Cfg.Arch.VFs() {
-		for _, c := range f.Cfg.Arch.IFs() {
-			if cy := f.Cycles(sample, v, c); cy < best {
-				best, vf, ifc = cy, v, c
-			}
-		}
-	}
+	vf, ifc, _ = search.BruteForce(f.Cfg.Arch.VFs(), f.Cfg.Arch.IFs(), func(v, c int) float64 {
+		return f.Cycles(sample, v, c)
+	})
 	return vf, ifc
 }

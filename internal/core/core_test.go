@@ -388,14 +388,15 @@ func TestTrainWithEmbedderDefaults(t *testing.T) {
 
 type fixedEmbedder struct{ dim int }
 
-func (e *fixedEmbedder) Embed(sample int) ([]float64, any) {
+func (e *fixedEmbedder) NewScratch() any { return nil }
+func (e *fixedEmbedder) Embed(_ any, sample int) []float64 {
 	v := make([]float64, e.dim)
 	v[sample%e.dim] = 1
-	return v, nil
+	return v
 }
-func (e *fixedEmbedder) Backward(any, []float64) {}
-func (e *fixedEmbedder) Params() []*nn.Param     { return nil }
-func (e *fixedEmbedder) Dim() int                { return e.dim }
+func (e *fixedEmbedder) Backward(any, int, []float64) {}
+func (e *fixedEmbedder) Params() []*nn.Param          { return nil }
+func (e *fixedEmbedder) Dim() int                     { return e.dim }
 
 func TestRewardDeterministic(t *testing.T) {
 	fw := smallFramework(t, 4)

@@ -303,10 +303,11 @@ func TestEmbeddingIntoParityAndAllocs(t *testing.T) {
 // path produces — the embed-config skew of a malformed deployment.
 type narrowEmbedder struct{ dim int }
 
-func (e *narrowEmbedder) Embed(sample int) ([]float64, any) { return make([]float64, e.dim), nil }
-func (e *narrowEmbedder) Backward(any, []float64)           {}
-func (e *narrowEmbedder) Params() []*nn.Param               { return nil }
-func (e *narrowEmbedder) Dim() int                          { return e.dim }
+func (e *narrowEmbedder) NewScratch() any              { return nil }
+func (e *narrowEmbedder) Embed(any, int) []float64     { return make([]float64, e.dim) }
+func (e *narrowEmbedder) Backward(any, int, []float64) {}
+func (e *narrowEmbedder) Params() []*nn.Param          { return nil }
+func (e *narrowEmbedder) Dim() int                     { return e.dim }
 
 // TestShapeMismatchSurfacesTypedError drives a real shape-skewed model
 // through PredictLoops and asserts the nn panic comes back as ErrModelShape

@@ -154,13 +154,16 @@ type Embedder struct {
 	Loops []*ir.Loop
 }
 
-// Embed returns the feature vector; the backward state is nil.
-func (e *Embedder) Embed(sample int) ([]float64, any) {
-	return Vector(e.Loops[sample]), nil
+// NewScratch returns nil: the features need no per-caller state.
+func (e *Embedder) NewScratch() any { return nil }
+
+// Embed returns a freshly computed feature vector.
+func (e *Embedder) Embed(_ any, sample int) []float64 {
+	return Vector(e.Loops[sample])
 }
 
 // Backward is a no-op: hand-crafted features do not learn.
-func (e *Embedder) Backward(any, []float64) {}
+func (e *Embedder) Backward(any, int, []float64) {}
 
 // Params returns nil.
 func (e *Embedder) Params() []*nn.Param { return nil }

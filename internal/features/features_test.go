@@ -32,11 +32,14 @@ void f() {
 	if e.Dim() != Dim {
 		t.Fatal("Embedder.Dim mismatch")
 	}
-	got, st := e.Embed(0)
-	if st != nil || len(got) != Dim {
-		t.Fatal("Embed wrong shape/state")
+	if e.NewScratch() != nil {
+		t.Fatal("features need no scratch")
 	}
-	e.Backward(nil, got) // must be a no-op
+	got := e.Embed(nil, 0)
+	if len(got) != Dim {
+		t.Fatal("Embed wrong shape")
+	}
+	e.Backward(nil, 0, got) // must be a no-op
 	if e.Params() != nil {
 		t.Fatal("features must have no parameters")
 	}

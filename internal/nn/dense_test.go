@@ -24,6 +24,32 @@ func edgeFloat(rng *rand.Rand) float64 {
 	}
 }
 
+// scalarDense is the plain reference for a dense layer: each output is
+// B[o] plus W[o][i]·x[i] summed in i order, one output at a time.
+func scalarDense(d *Dense, x []float64) []float64 {
+	y := make([]float64, d.Out)
+	for o := range y {
+		s := d.B.W[o]
+		for i, xv := range x {
+			s += d.W.W[o*d.In+i] * xv
+		}
+		y[o] = s
+	}
+	return y
+}
+
+// scalarMLP is the plain reference for an MLP: scalarDense then tanh, layer
+// by layer.
+func scalarMLP(m *MLP, x []float64) []float64 {
+	for _, d := range m.Layers {
+		x = scalarDense(d, x)
+		for i, v := range x {
+			x[i] = math.Tanh(v)
+		}
+	}
+	return x
+}
+
 // TestDenseApplyToMatchesScalar pins the register-blocked Dense.ApplyTo to
 // the plain loop that sums one output at a time, B[o] then W[o][i]·x[i] in
 // i order, bit for bit: output counts below, at and around the four-output
@@ -41,14 +67,11 @@ func TestDenseApplyToMatchesScalar(t *testing.T) {
 					}
 				}
 				got := d.ApplyTo(make([]float64, out), x)
+				want := scalarDense(d, x)
 				for o := 0; o < out; o++ {
-					s := d.B.W[o]
-					for i, xv := range x {
-						s += d.W.W[o*in+i] * xv
-					}
-					if math.Float64bits(got[o]) != math.Float64bits(s) {
+					if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
 						t.Fatalf("out=%d in=%d: y[%d] = %v (%#x), scalar %v (%#x)",
-							out, in, o, got[o], math.Float64bits(got[o]), s, math.Float64bits(s))
+							out, in, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
 					}
 				}
 			}

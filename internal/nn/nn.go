@@ -2,23 +2,21 @@
 // for the paper's models: fully-connected policy/value networks (the 64x64
 // FCNN and the wider variants of the hyperparameter sweep), the code2vec
 // attention encoder, categorical and Gaussian action heads, and the Adam
-// optimizer. Everything is float64 and single-threaded; forward passes cache
-// activations for the matching backward pass, so a network instance must not
-// be shared between concurrent callers of Forward/Backward.
+// optimizer. Everything is float64 and single-threaded.
 //
-// For inference-only use, every layer also provides Apply: the same
-// computation as Forward but without caching. Apply only reads parameter
-// weights, so any number of goroutines may call it on a shared network as
-// long as no concurrent training step mutates the weights.
-//
-// The serving hot path uses the destination-passing variants instead:
-// Dense.ApplyTo, the activations' in-place ApplyTo, MLP.ApplyScratch with a
-// caller-owned Scratch, and SoftmaxTo/LogSoftmaxTo. They compute exactly the
-// same values as Apply (same floating-point operation order, so outputs are
-// bit-identical) but perform zero heap allocations, which is what keeps a
-// model-serving worker out of the garbage collector. Shape violations panic
-// with a typed *ShapeError so a serving boundary can recover it into an
-// error instead of crashing the process.
+// Every op has one variant, and it is destination-passing: Dense.ApplyTo,
+// MLP.ApplyScratch over a caller-owned Scratch, SoftmaxTo and LogSoftmaxTo
+// write into buffers the caller brings and allocate nothing. Layers hold
+// only parameters, and training reads them exactly as inference does: a
+// backward pass is handed the activations its forward left in the caller's
+// buffers (Dense.Backward takes its input x; MLP.Backward reads the
+// Scratch that ApplyScratch filled). So the forward that serves is the
+// forward that trains, bit for bit, and any number of goroutines may run
+// it on a shared network, each with its own buffers, as long as no
+// optimizer step mutates the weights concurrently. Backward passes
+// accumulate into the parameters' gradients and so belong to one goroutine.
+// Shape violations panic with a typed *ShapeError so a serving boundary can
+// recover it into an error instead of crashing the process.
 package nn
 
 import (
@@ -75,24 +73,14 @@ func (p *Param) ZeroGrad() {
 // Len returns the number of elements.
 func (p *Param) Len() int { return len(p.W) }
 
-// Layer is one differentiable stage of a network. Forward caches whatever
-// Backward needs; Backward accumulates parameter gradients and returns the
-// gradient with respect to its input. Apply computes the same function as
-// Forward without touching the cache (safe for concurrent inference).
-type Layer interface {
-	Forward(x []float64) []float64
-	Apply(x []float64) []float64
-	Backward(dy []float64) []float64
-	Params() []*Param
-}
-
 // ---- Dense ----
 
-// Dense is a fully-connected layer y = W x + b.
+// Dense is a fully-connected layer y = W x + b. It holds only parameters:
+// the activations a backward pass needs live in the caller's buffers, so
+// training reads the layer exactly as inference does.
 type Dense struct {
 	In, Out int
 	W, B    *Param
-	x       []float64 // cached input
 }
 
 // NewDense creates a dense layer with Xavier/Glorot initialisation.
@@ -103,24 +91,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 		W: NewParamInit(name+".W", in*out, func(int) float64 { return rng.NormFloat64() * scale }),
 		B: NewParam(name+".b", out),
 	}
-}
-
-// Forward computes W x + b, caching the input for Backward. The cache is an
-// unaliased copy of x: callers are free to hand Forward a scratch-backed
-// slice and recycle it immediately, and a later in-place activation can
-// never corrupt the values Backward multiplies into the weight gradients.
-func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.In {
-		panic(&ShapeError{Op: "dense " + d.W.Name + " input", Got: len(x), Want: d.In})
-	}
-	d.x = append(d.x[:0], x...)
-	return d.Apply(x)
-}
-
-// Apply computes W x + b without caching; it only reads the weights, so it
-// is safe for concurrent callers.
-func (d *Dense) Apply(x []float64) []float64 {
-	return d.ApplyTo(make([]float64, d.Out), x)
 }
 
 // ApplyTo computes W x + b into the caller-owned dst (len must be Out) and
@@ -169,11 +139,22 @@ func (d *Dense) ApplyTo(dst, x []float64) []float64 {
 	return dst
 }
 
-// Backward accumulates dW, db and returns dx.
-func (d *Dense) Backward(dy []float64) []float64 {
-	dx := make([]float64, d.In)
-	for o := 0; o < d.Out; o++ {
-		g := dy[o]
+// Backward accumulates dW and db for the input x that ApplyTo was given and
+// the output gradient dy, and writes dx = Wᵀ dy into the caller-owned dx
+// (len must be In), which it returns. dx must not alias x or dy. Nothing is
+// allocated.
+func (d *Dense) Backward(dx, x, dy []float64) []float64 {
+	if len(x) != d.In {
+		panic(&ShapeError{Op: "dense " + d.W.Name + " backward input", Got: len(x), Want: d.In})
+	}
+	if len(dx) != d.In {
+		panic(&ShapeError{Op: "dense " + d.W.Name + " backward dx", Got: len(dx), Want: d.In})
+	}
+	if len(dy) != d.Out {
+		panic(&ShapeError{Op: "dense " + d.W.Name + " backward dy", Got: len(dy), Want: d.Out})
+	}
+	clear(dx)
+	for o, g := range dy {
 		if g == 0 {
 			// Audited fast path: skipping the row elides `d.B.G[o] += 0` and
 			// a row of `+= 0` weight-gradient accumulations — bit-identical
@@ -187,7 +168,7 @@ func (d *Dense) Backward(dy []float64) []float64 {
 		grow := d.W.G[o*d.In : (o+1)*d.In]
 		d.B.G[o] += g
 		for i := range row {
-			grow[i] += g * d.x[i]
+			grow[i] += g * x[i]
 			dx[i] += g * row[i]
 		}
 	}
@@ -197,103 +178,10 @@ func (d *Dense) Backward(dy []float64) []float64 {
 // Params returns the layer's parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ---- Activations ----
-
-// Tanh is an elementwise tanh layer.
-type Tanh struct{ y []float64 }
-
-// Forward applies tanh elementwise, caching the output for Backward.
-func (t *Tanh) Forward(x []float64) []float64 {
-	out := t.Apply(x)
-	t.y = append(t.y[:0], out...)
-	return out
-}
-
-// Apply applies tanh elementwise without caching (stateless).
-func (t *Tanh) Apply(x []float64) []float64 {
-	return t.ApplyTo(make([]float64, len(x)), x)
-}
-
-// ApplyTo applies tanh elementwise into dst (len must match x) and returns
-// it. dst may alias x for an in-place squash; nothing is allocated.
-func (t *Tanh) ApplyTo(dst, x []float64) []float64 {
-	if len(dst) != len(x) {
-		panic(&ShapeError{Op: "tanh dst", Got: len(dst), Want: len(x)})
-	}
-	for i, v := range x {
-		dst[i] = math.Tanh(v)
-	}
-	return dst
-}
-
-// Backward multiplies by 1 - tanh^2.
-func (t *Tanh) Backward(dy []float64) []float64 {
-	dx := make([]float64, len(dy))
-	for i, g := range dy {
-		dx[i] = g * (1 - t.y[i]*t.y[i])
-	}
-	return dx
-}
-
-// Params returns nil (no parameters).
-func (t *Tanh) Params() []*Param { return nil }
-
-// ReLU is an elementwise rectifier layer.
-type ReLU struct{ mask []bool }
-
-// Forward applies max(0, x), caching the sign mask for Backward.
-func (r *ReLU) Forward(x []float64) []float64 {
-	r.mask = make([]bool, len(x))
-	out := make([]float64, len(x))
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-			r.mask[i] = true
-		}
-	}
-	return out
-}
-
-// Apply applies max(0, x) without caching (stateless).
-func (r *ReLU) Apply(x []float64) []float64 {
-	return r.ApplyTo(make([]float64, len(x)), x)
-}
-
-// ApplyTo applies max(0, x) elementwise into dst (len must match x) and
-// returns it. dst may alias x for an in-place rectification; nothing is
-// allocated.
-func (r *ReLU) ApplyTo(dst, x []float64) []float64 {
-	if len(dst) != len(x) {
-		panic(&ShapeError{Op: "relu dst", Got: len(dst), Want: len(x)})
-	}
-	for i, v := range x {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst
-}
-
-// Backward zeroes gradients where the input was negative.
-func (r *ReLU) Backward(dy []float64) []float64 {
-	dx := make([]float64, len(dy))
-	for i, g := range dy {
-		if r.mask[i] {
-			dx[i] = g
-		}
-	}
-	return dx
-}
-
-// Params returns nil (no parameters).
-func (r *ReLU) Params() []*Param { return nil }
-
 // ---- MLP ----
 
-// MLP is a sequential stack of layers.
-type MLP struct{ Layers []Layer }
+// MLP is a stack of dense layers, each followed by an elementwise tanh.
+type MLP struct{ Layers []*Dense }
 
 // NewMLP builds a tanh MLP with the given hidden sizes (the paper's default
 // is hidden = [64, 64]).
@@ -301,9 +189,7 @@ func NewMLP(name string, in int, hidden []int, rng *rand.Rand) *MLP {
 	m := &MLP{}
 	prev := in
 	for i, h := range hidden {
-		m.Layers = append(m.Layers,
-			NewDense(fmt.Sprintf("%s.fc%d", name, i), prev, h, rng),
-			&Tanh{})
+		m.Layers = append(m.Layers, NewDense(fmt.Sprintf("%s.fc%d", name, i), prev, h, rng))
 		prev = h
 	}
 	return m
@@ -311,128 +197,93 @@ func NewMLP(name string, in int, hidden []int, rng *rand.Rand) *MLP {
 
 // OutDim returns the width of the final layer.
 func (m *MLP) OutDim() int {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		if d, ok := m.Layers[i].(*Dense); ok {
-			return d.Out
-		}
+	if len(m.Layers) == 0 {
+		return 0
 	}
-	return 0
+	return m.Layers[len(m.Layers)-1].Out
 }
 
-// Forward runs the stack.
-func (m *MLP) Forward(x []float64) []float64 {
-	for _, l := range m.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Apply runs the stack statelessly (read-only on every layer), so a trained
-// MLP can serve concurrent inference callers.
-func (m *MLP) Apply(x []float64) []float64 {
-	for _, l := range m.Layers {
-		x = l.Apply(x)
-	}
-	return x
-}
-
-// Scratch is the caller-owned buffer pair MLP.ApplyScratch ping-pongs
-// between. Size it once from the network with NewScratch (the buffers also
-// grow on demand, so a Scratch survives a hot-reload to a wider model) and
-// reuse it across calls — typically via a sync.Pool, one Scratch per
-// in-flight request. A Scratch must not be shared by concurrent callers.
+// Scratch is the caller-owned memory of one MLP pass: one output buffer per
+// layer, which ApplyScratch fills and Backward reads, and the two gradient
+// buffers Backward works through, grown on its first call so that a Scratch
+// only ever used to serve holds just the activations. Size it once from the
+// network with NewScratch (the buffers also grow on demand, so a Scratch
+// survives a hot-reload to a wider model) and reuse it across calls —
+// typically via a sync.Pool, one Scratch per in-flight request. A Scratch
+// must not be shared by concurrent callers.
 type Scratch struct {
-	bufs [2][]float64
+	outs     [][]float64
+	dpre, dx []float64
 }
 
-// NewScratch returns a Scratch pre-sized for every dense layer of m, so the
-// first ApplyScratch call already allocates nothing.
+// NewScratch returns a Scratch pre-sized for every layer of m, so the first
+// ApplyScratch call already allocates nothing.
 func NewScratch(m *MLP) *Scratch {
-	max := 0
-	for _, l := range m.Layers {
-		if d, ok := l.(*Dense); ok {
-			if d.Out > max {
-				max = d.Out
-			}
-			if d.In > max {
-				max = d.In
-			}
-		}
+	s := &Scratch{outs: make([][]float64, len(m.Layers))}
+	for i, d := range m.Layers {
+		s.outs[i] = make([]float64, d.Out)
 	}
-	s := &Scratch{}
-	s.bufs[0] = make([]float64, max)
-	s.bufs[1] = make([]float64, max)
 	return s
 }
 
-// buf returns scratch buffer i resized to n, growing its backing array only
-// when n exceeds the high-water mark.
-func (s *Scratch) buf(i, n int) []float64 {
-	if cap(s.bufs[i]) < n {
-		s.bufs[i] = make([]float64, n)
+// growTo returns buf resized to n, growing its backing array only when n
+// exceeds the high-water mark.
+func growTo(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	return s.bufs[i][:n]
+	return buf[:n]
 }
 
-// owns reports whether v is backed by one of the scratch buffers.
-func (s *Scratch) owns(v []float64) bool {
-	if len(v) == 0 {
-		return false
+// out returns layer i's output buffer resized to n.
+func (s *Scratch) out(i, n int) []float64 {
+	for len(s.outs) <= i {
+		s.outs = append(s.outs, nil)
 	}
-	for i := range s.bufs {
-		if len(s.bufs[i]) > 0 && &v[0] == &s.bufs[i][0] {
-			return true
-		}
-	}
-	return false
+	s.outs[i] = growTo(s.outs[i], n)
+	return s.outs[i]
 }
 
-// ApplyScratch runs the stack like Apply but with zero heap allocations:
-// dense layers write into the scratch's alternating buffers and activations
-// squash in place. The result is bit-identical to Apply (same operation
-// order) and remains valid only until the next ApplyScratch call on s; the
-// caller's x is never written to. Layers other than Dense/Tanh/ReLU fall
-// back to their allocating Apply.
+// ApplyScratch runs the stack on x with zero heap allocations once s has
+// grown to the network: each dense layer writes into its own buffer of s,
+// which tanh then squashes in place. The result is the last layer's buffer;
+// it and every hidden activation stay valid until the next ApplyScratch on
+// s, which is what Backward reads. The caller's x is never written to.
 func (m *MLP) ApplyScratch(s *Scratch, x []float64) []float64 {
 	cur := x
-	idx := 0
-	for _, l := range m.Layers {
-		switch t := l.(type) {
-		case *Dense:
-			dst := s.buf(idx, t.Out)
-			if len(cur) > 0 && len(dst) > 0 && &dst[0] == &cur[0] {
-				idx ^= 1
-				dst = s.buf(idx, t.Out)
-			}
-			cur = t.ApplyTo(dst, cur)
-			idx ^= 1
-		case *Tanh:
-			cur = t.ApplyTo(s.inPlace(&idx, cur), cur)
-		case *ReLU:
-			cur = t.ApplyTo(s.inPlace(&idx, cur), cur)
-		default:
-			cur = l.Apply(cur)
+	for i, d := range m.Layers {
+		y := d.ApplyTo(s.out(i, d.Out), cur)
+		for j, v := range y {
+			y[j] = math.Tanh(v)
 		}
+		cur = y
 	}
 	return cur
 }
 
-// inPlace returns a destination for an elementwise layer: cur itself when it
-// already lives in scratch, otherwise a scratch copy target — so the
-// caller's input slice is never mutated.
-func (s *Scratch) inPlace(idx *int, cur []float64) []float64 {
-	if s.owns(cur) {
-		return cur
+// Backward accumulates every layer's parameter gradients for the pass
+// ApplyScratch last ran through s on input x, given dy, the gradient with
+// respect to the stack's output. It returns the gradient with respect to x,
+// which lives in s and stays valid until the next Backward on s. dy is only
+// read. Nothing is allocated after the first Backward on s.
+func (m *MLP) Backward(s *Scratch, x, dy []float64) []float64 {
+	if len(dy) != m.OutDim() {
+		panic(&ShapeError{Op: "mlp backward dy", Got: len(dy), Want: m.OutDim()})
 	}
-	dst := s.buf(*idx, len(cur))
-	*idx ^= 1
-	return dst
-}
-
-// Backward runs the stack in reverse.
-func (m *MLP) Backward(dy []float64) []float64 {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dy = m.Layers[i].Backward(dy)
+		d := m.Layers[i]
+		y := s.outs[i][:d.Out]
+		// Through tanh: dpre = dy·(1 - y²), y being the squashed output.
+		s.dpre = growTo(s.dpre, d.Out)
+		for j, g := range dy {
+			s.dpre[j] = g * (1 - y[j]*y[j])
+		}
+		in := x
+		if i > 0 {
+			in = s.outs[i-1][:d.In]
+		}
+		s.dx = growTo(s.dx, d.In)
+		dy = d.Backward(s.dx, in, s.dpre)
 	}
 	return dy
 }
@@ -440,8 +291,8 @@ func (m *MLP) Backward(dy []float64) []float64 {
 // Params returns all parameters of the stack.
 func (m *MLP) Params() []*Param {
 	var ps []*Param
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
+	for _, d := range m.Layers {
+		ps = append(ps, d.Params()...)
 	}
 	return ps
 }
@@ -519,13 +370,6 @@ func ClipGrads(params []*Param, maxNorm float64) float64 {
 
 // ---- Distributions ----
 
-// Softmax returns the softmax of logits (numerically stable). Degenerate
-// inputs — empty logits, all -Inf, or NaN poisoning — yield an empty or
-// uniform distribution instead of NaN; see SoftmaxTo.
-func Softmax(logits []float64) []float64 {
-	return SoftmaxTo(make([]float64, len(logits)), logits)
-}
-
 // SoftmaxTo computes the softmax of logits into the caller-owned dst (len
 // must match) and returns it; nothing is allocated and dst may alias logits.
 //
@@ -575,12 +419,6 @@ func fillUniform(dst []float64) []float64 {
 		dst[i] = u
 	}
 	return dst
-}
-
-// LogSoftmax returns log(softmax(logits)), with the same degenerate-input
-// guarantees as Softmax (uniform log-probabilities instead of NaN).
-func LogSoftmax(logits []float64) []float64 {
-	return LogSoftmaxTo(make([]float64, len(logits)), logits)
 }
 
 // LogSoftmaxTo computes log(softmax(logits)) into the caller-owned dst (len

@@ -26,7 +26,7 @@ func TestDenseGradientCheck(t *testing.T) {
 	target := []float64{1, 0, -1}
 
 	loss := func() float64 {
-		y := d.Forward(x)
+		y := d.ApplyTo(make([]float64, d.Out), x)
 		s := 0.0
 		for i := range y {
 			diff := y[i] - target[i]
@@ -35,14 +35,14 @@ func TestDenseGradientCheck(t *testing.T) {
 		return s
 	}
 
-	y := d.Forward(x)
+	y := d.ApplyTo(make([]float64, d.Out), x)
 	dy := make([]float64, len(y))
 	for i := range y {
 		dy[i] = y[i] - target[i]
 	}
 	d.W.ZeroGrad()
 	d.B.ZeroGrad()
-	dx := d.Backward(dy)
+	dx := d.Backward(make([]float64, d.In), x, dy)
 
 	for i := 0; i < d.W.Len(); i++ {
 		want := numericGrad(loss, d.W.W, i)
@@ -75,20 +75,22 @@ func TestMLPGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewMLP("t", 3, []int{5, 4}, rng)
 	x := []float64{0.5, -0.2, 1.3}
+	ls := NewScratch(m)
 	loss := func() float64 {
-		y := m.Forward(x)
+		y := m.ApplyScratch(ls, x)
 		s := 0.0
 		for _, v := range y {
 			s += 0.5 * v * v
 		}
 		return s
 	}
-	y := m.Forward(x)
+	s := NewScratch(m)
+	y := m.ApplyScratch(s, x)
 	dy := append([]float64(nil), y...)
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-	m.Backward(dy)
+	dx := m.Backward(s, x, dy)
 	for _, p := range m.Params() {
 		for i := 0; i < p.Len(); i += 7 { // sample every 7th weight
 			want := numericGrad(loss, p.W, i)
@@ -97,27 +99,10 @@ func TestMLPGradientCheck(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestTanhAndReLU(t *testing.T) {
-	th := &Tanh{}
-	y := th.Forward([]float64{0, 1, -1})
-	if y[0] != 0 || math.Abs(y[1]-math.Tanh(1)) > 1e-12 {
-		t.Fatalf("tanh forward = %v", y)
-	}
-	dx := th.Backward([]float64{1, 1, 1})
-	if math.Abs(dx[0]-1) > 1e-12 {
-		t.Errorf("tanh'(0) = %g, want 1", dx[0])
-	}
-
-	re := &ReLU{}
-	y = re.Forward([]float64{-2, 3})
-	if y[0] != 0 || y[1] != 3 {
-		t.Fatalf("relu forward = %v", y)
-	}
-	dx = re.Backward([]float64{5, 5})
-	if dx[0] != 0 || dx[1] != 5 {
-		t.Errorf("relu backward = %v", dx)
+	for i := range x {
+		if want := numericGrad(loss, x, i); math.Abs(dx[i]-want) > 1e-4 {
+			t.Errorf("dx[%d] = %g, numeric %g", i, dx[i], want)
+		}
 	}
 }
 
@@ -141,16 +126,16 @@ func TestMLPLearnsXOR(t *testing.T) {
 	params := append(m.Params(), out.Params()...)
 	opt := NewAdam(0.05)
 	data := [][3]float64{{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}}
+	s := NewScratch(m)
+	y, dh := make([]float64, 1), make([]float64, 8)
 	var last float64
 	for epoch := 0; epoch < 800; epoch++ {
 		last = 0
 		for _, d := range data {
-			h := m.Forward(d[:2])
-			y := out.Forward(h)[0]
-			diff := y - d[2]
+			h := m.ApplyScratch(s, d[:2])
+			diff := out.ApplyTo(y, h)[0] - d[2]
 			last += 0.5 * diff * diff
-			dh := out.Backward([]float64{diff})
-			m.Backward(dh)
+			m.Backward(s, d[:2], out.Backward(dh, h, []float64{diff}))
 		}
 		opt.Step(params)
 	}
@@ -165,7 +150,7 @@ func TestSoftmaxProperties(t *testing.T) {
 		for i, v := range raw {
 			logits[i] = float64(v) / 16
 		}
-		p := Softmax(logits)
+		p := SoftmaxTo(make([]float64, 5), logits)
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -177,7 +162,7 @@ func TestSoftmaxProperties(t *testing.T) {
 			return false
 		}
 		// LogSoftmax consistency.
-		lp := LogSoftmax(logits)
+		lp := LogSoftmaxTo(make([]float64, 5), logits)
 		for i := range p {
 			if math.Abs(math.Exp(lp[i])-p[i]) > 1e-9 {
 				return false
@@ -191,7 +176,7 @@ func TestSoftmaxProperties(t *testing.T) {
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {
-	p := Softmax([]float64{1000, 1001, 1002})
+	p := SoftmaxTo(make([]float64, 3), []float64{1000, 1001, 1002})
 	sum := 0.0
 	for _, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

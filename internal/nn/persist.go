@@ -3,7 +3,6 @@ package nn
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -22,16 +21,11 @@ type snapshot struct {
 	Params []paramBlob
 }
 
-// SaveParams serialises the parameters' weights (not optimizer state) to w.
+// EncodeParams writes the parameters' weights (not optimizer state) through
+// enc, so a caller can put configuration and weights in one gob stream
+// (mixing multiple encoders over one unbuffered reader corrupts decoding).
 // Parameter names must be unique within the set. The output bytes are
 // deterministic for a given weight set.
-func SaveParams(w io.Writer, params []*Param) error {
-	return EncodeParams(gob.NewEncoder(w), params)
-}
-
-// EncodeParams writes the weights through an existing gob encoder, so a
-// caller can put configuration and weights in one gob stream (mixing
-// multiple encoders over one unbuffered reader corrupts decoding).
 func EncodeParams(enc *gob.Encoder, params []*Param) error {
 	s := snapshot{Params: make([]paramBlob, 0, len(params))}
 	seen := make(map[string]bool, len(params))
@@ -46,16 +40,11 @@ func EncodeParams(enc *gob.Encoder, params []*Param) error {
 	return enc.Encode(s)
 }
 
-// LoadParams restores weights into params by name. Every parameter must be
-// present in the stream with a matching length; extra stream entries are an
-// error too, so a config mismatch is caught loudly rather than silently
-// producing a half-initialised model.
-func LoadParams(r io.Reader, params []*Param) error {
-	return DecodeParams(gob.NewDecoder(r), params)
-}
-
-// DecodeParams reads weights through an existing gob decoder; see
-// EncodeParams.
+// DecodeParams restores weights into params by name through dec; see
+// EncodeParams. Every parameter must be present in the stream with a
+// matching length; extra stream entries are an error too, so a config
+// mismatch is caught loudly rather than silently producing a
+// half-initialised model.
 func DecodeParams(dec *gob.Decoder, params []*Param) error {
 	var s snapshot
 	if err := dec.Decode(&s); err != nil {

@@ -16,9 +16,10 @@ func randVec(n int, rng *rand.Rand) []float64 {
 	return v
 }
 
-// TestApplyScratchParity asserts the zero-allocation path computes
-// bit-identical outputs to Apply across random shapes — the invariant that
-// lets serving switch paths without perturbing any decision.
+// TestApplyScratchParity asserts the scratch-backed forward computes
+// bit-identical outputs to the plain scalar loop across random shapes — the
+// invariant that lets serving and training share one forward without
+// perturbing any decision.
 func TestApplyScratchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct {
@@ -36,13 +37,13 @@ func TestApplyScratchParity(t *testing.T) {
 		s := NewScratch(m)
 		for trial := 0; trial < 10; trial++ {
 			x := randVec(sh.in, rng)
-			want := m.Apply(x)
+			want := scalarMLP(m, x)
 			got := m.ApplyScratch(s, x)
 			if len(got) != len(want) {
 				t.Fatalf("shape %v: len %d, want %d", sh, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("shape %v: out[%d] = %g, want %g (must be bit-identical)", sh, i, got[i], want[i])
 				}
 			}
@@ -63,23 +64,6 @@ func TestApplyScratchDoesNotMutateInput(t *testing.T) {
 	for i := range x {
 		if x[i] != orig[i] {
 			t.Fatalf("input[%d] mutated: %g -> %g", i, orig[i], x[i])
-		}
-	}
-	// An activation-first stack must also leave the caller's slice alone.
-	act := &MLP{Layers: []Layer{&Tanh{}, NewDense("d", 6, 2, rng)}}
-	sa := NewScratch(act)
-	x2 := randVec(6, rng)
-	orig2 := append([]float64(nil), x2...)
-	want := act.Apply(x2)
-	got := act.ApplyScratch(sa, x2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("activation-first parity: out[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	for i := range x2 {
-		if x2[i] != orig2[i] {
-			t.Fatalf("activation-first input[%d] mutated", i)
 		}
 	}
 }
@@ -107,40 +91,22 @@ func TestApplyScratchZeroAllocs(t *testing.T) {
 }
 
 // TestScratchGrowsAcrossModels verifies one Scratch survives being reused
-// against a wider network (the hot-reload case).
+// against a wider network (the hot-reload case), forward and backward.
 func TestScratchGrowsAcrossModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	small := NewMLP("s", 4, []int{3}, rng)
 	big := NewMLP("b", 4, []int{128, 64}, rng)
 	s := NewScratch(small)
 	x := randVec(4, rng)
-	want := big.Apply(x)
+	want := scalarMLP(big, x)
 	got := big.ApplyScratch(s, x)
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("grown scratch parity: out[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
-}
-
-// TestForwardCachesUnaliasedInput pins the Backward-correctness contract the
-// in-place activations rely on: after Forward, the caller may recycle (or an
-// in-place activation may overwrite) the input slice without corrupting the
-// gradients Backward computes from the cached copy.
-func TestForwardCachesUnaliasedInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDense("t", 3, 2, rng)
-	x := []float64{1, 2, 3}
-	d.Forward(x)
-	x[0], x[1], x[2] = -9, -9, -9 // simulate scratch reuse after Forward
-	d.W.ZeroGrad()
-	d.B.ZeroGrad()
-	d.Backward([]float64{1, 0})
-	// dW[0][i] = dy[0] * cached_x[i] — must reflect the original input.
-	for i, want := range []float64{1, 2, 3} {
-		if d.W.G[i] != want {
-			t.Fatalf("dW[0][%d] = %g, want %g (input cache aliased?)", i, d.W.G[i], want)
-		}
+	if dx := big.Backward(s, x, randVec(64, rng)); len(dx) != 4 {
+		t.Fatalf("grown scratch backward: len(dx) = %d, want 4", len(dx))
 	}
 }
 
@@ -152,10 +118,10 @@ func TestBackwardZeroGradientFastPath(t *testing.T) {
 	d := NewDense("t", 3, 4, rng)
 	x := []float64{0.5, -1, 2}
 	dy := []float64{0, 2, 0, -3} // rows 0 and 2 take the fast path
-	d.Forward(x)
 	d.W.ZeroGrad()
 	d.B.ZeroGrad()
-	dx := d.Backward(dy)
+	dx := []float64{7, 7, 7} // Backward must overwrite, not accumulate into, dx
+	d.Backward(dx, x, dy)
 	for o := 0; o < 4; o++ {
 		if d.B.G[o] != dy[o] {
 			t.Fatalf("db[%d] = %g, want %g", o, d.B.G[o], dy[o])
@@ -197,7 +163,7 @@ func TestSoftmaxEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := Softmax(tc.logits)
+			p := SoftmaxTo(make([]float64, len(tc.logits)), tc.logits)
 			if len(p) != len(tc.logits) {
 				t.Fatalf("len = %d, want %d", len(p), len(tc.logits))
 			}
@@ -218,7 +184,7 @@ func TestSoftmaxEdgeCases(t *testing.T) {
 					}
 				}
 			}
-			lp := LogSoftmax(tc.logits)
+			lp := LogSoftmaxTo(make([]float64, len(tc.logits)), tc.logits)
 			for i, v := range lp {
 				if math.IsNaN(v) {
 					t.Fatalf("logp[%d] is NaN", i)
@@ -264,13 +230,19 @@ func TestShapeErrorPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustShapePanic("apply short input", func() { d.Apply([]float64{1}) })
-	mustShapePanic("forward short input", func() { d.Forward([]float64{1}) })
+	mustShapePanic("applyto short input", func() { d.ApplyTo(make([]float64, 2), []float64{1}) })
 	mustShapePanic("applyto bad dst", func() { d.ApplyTo(make([]float64, 5), []float64{1, 2, 3}) })
+	mustShapePanic("backward short input", func() { d.Backward(make([]float64, 3), []float64{1}, []float64{1, 2}) })
+	mustShapePanic("backward bad dx", func() { d.Backward(make([]float64, 2), []float64{1, 2, 3}, []float64{1, 2}) })
+	mustShapePanic("backward bad dy", func() { d.Backward(make([]float64, 3), []float64{1, 2, 3}, []float64{1}) })
+	mustShapePanic("mlp backward bad dy", func() {
+		m := NewMLP("m", 3, []int{2}, rng)
+		s := NewScratch(m)
+		m.ApplyScratch(s, []float64{1, 2, 3})
+		m.Backward(s, []float64{1, 2, 3}, []float64{1})
+	})
 	mustShapePanic("softmaxto bad dst", func() { SoftmaxTo(make([]float64, 1), []float64{1, 2}) })
 	mustShapePanic("logsoftmaxto bad dst", func() { LogSoftmaxTo(make([]float64, 1), []float64{1, 2}) })
-	mustShapePanic("tanh bad dst", func() { new(Tanh).ApplyTo(make([]float64, 1), []float64{1, 2}) })
-	mustShapePanic("relu bad dst", func() { new(ReLU).ApplyTo(make([]float64, 1), []float64{1, 2}) })
 	mustShapePanic("aliased dst", func() {
 		buf := []float64{1, 2, 3}
 		NewDense("a", 3, 3, rng).ApplyTo(buf, buf)

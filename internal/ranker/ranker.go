@@ -50,7 +50,8 @@ func DefaultConfig(vfs, ifs []int) Config {
 	}
 }
 
-// Model is the learned cost model.
+// Model is the learned cost model. Its forward and backward run through one
+// set of buffers the model owns, so a Model serves one caller at a time.
 type Model struct {
 	Cfg Config
 
@@ -59,6 +60,16 @@ type Model struct {
 	head   *nn.Dense
 	params []*nn.Param
 	rng    *rand.Rand
+
+	// The buffers: the embedder's state, the trunk input x (the embedding
+	// followed by one-hot VF and IF), the trunk's activations and its
+	// output h, the head's output y, and the gradients dy at y and dh at h.
+	embS  any
+	x     []float64
+	ts    *nn.Scratch
+	h     []float64
+	y, dy []float64
+	dh    []float64
 }
 
 // New builds the model over an embedder (typically the code2vec model, so
@@ -72,25 +83,34 @@ func New(emb rl.Embedder, cfg Config) *Model {
 	m.params = append(m.params, emb.Params()...)
 	m.params = append(m.params, m.trunk.Params()...)
 	m.params = append(m.params, m.head.Params()...)
+	m.embS = emb.NewScratch()
+	m.x = make([]float64, in)
+	m.ts = nn.NewScratch(m.trunk)
+	m.y, m.dy = make([]float64, 1), make([]float64, 1)
+	m.dh = make([]float64, m.trunk.OutDim())
 	return m
 }
 
-// input concatenates the embedding with one-hot action encodings, returning
-// the vector and the embedder's backward state.
-func (m *Model) input(sample, vfIdx, ifIdx int) ([]float64, any, int) {
-	vec, st := m.emb.Embed(sample)
-	x := make([]float64, len(vec)+len(m.Cfg.VFs)+len(m.Cfg.IFs))
+// forward predicts log-normalized time for (sample, action indices), leaving
+// its activations in the model's buffers for backward.
+func (m *Model) forward(sample, vfIdx, ifIdx int) float64 {
+	vec := m.emb.Embed(m.embS, sample)
+	x := m.x
 	copy(x, vec)
+	clear(x[len(vec):])
 	x[len(vec)+vfIdx] = 1
 	x[len(vec)+len(m.Cfg.VFs)+ifIdx] = 1
-	return x, st, len(vec)
+	m.h = m.trunk.ApplyScratch(m.ts, x)
+	return m.head.ApplyTo(m.y, m.h)[0]
 }
 
-// forward predicts log-normalized time for (sample, action indices).
-func (m *Model) forward(sample, vfIdx, ifIdx int) (float64, any, int) {
-	x, st, embLen := m.input(sample, vfIdx, ifIdx)
-	h := m.trunk.Forward(x)
-	return m.head.Forward(h)[0], st, embLen
+// backward accumulates the gradients of the last forward, for sample, given
+// dLoss/dPrediction.
+func (m *Model) backward(sample int, dpred float64) {
+	m.dy[0] = dpred
+	dh := m.head.Backward(m.dh, m.h, m.dy)
+	dx := m.trunk.Backward(m.ts, m.x, dh)
+	m.emb.Backward(m.embS, sample, dx[:m.emb.Dim()])
 }
 
 // Train fits the model by sampling (sample, action) pairs and regressing on
@@ -112,13 +132,12 @@ func (m *Model) Train(tgt Target) []float64 {
 		ifIdx := m.rng.Intn(len(m.Cfg.IFs))
 		target := math.Log(math.Max(tgt.NormTime(sample, m.Cfg.VFs[vfIdx], m.Cfg.IFs[ifIdx]), 1e-6))
 
-		pred, st, embLen := m.forward(sample, vfIdx, ifIdx)
+		pred := m.forward(sample, vfIdx, ifIdx)
 		diff := pred - target
 		runSum += diff * diff
 		runN++
 
-		dx := m.trunk.Backward(m.head.Backward([]float64{diff / float64(m.Cfg.Batch)}))
-		m.emb.Backward(st, dx[:embLen])
+		m.backward(sample, diff/float64(m.Cfg.Batch))
 		if (step+1)%m.Cfg.Batch == 0 {
 			nn.ClipGrads(m.params, 5)
 			opt.Step(m.params)
@@ -133,7 +152,7 @@ func (m *Model) Train(tgt Target) []float64 {
 
 // PredictTime returns the predicted normalized time for concrete factors.
 func (m *Model) PredictTime(sample, vf, ifc int) float64 {
-	pred, _, _ := m.forward(sample, indexOf(m.Cfg.VFs, vf), indexOf(m.Cfg.IFs, ifc))
+	pred := m.forward(sample, indexOf(m.Cfg.VFs, vf), indexOf(m.Cfg.IFs, ifc))
 	return math.Exp(pred)
 }
 
@@ -144,7 +163,7 @@ func (m *Model) Best(sample int) (vf, ifc int) {
 	vf, ifc = 1, 1
 	for vi, v := range m.Cfg.VFs {
 		for ii, f := range m.Cfg.IFs {
-			pred, _, _ := m.forward(sample, vi, ii)
+			pred := m.forward(sample, vi, ii)
 			if pred < best {
 				best, vf, ifc = pred, v, f
 			}

@@ -41,14 +41,15 @@ func idx(a []int, v int) int {
 // classEmbedder emits one-hot class observations with no parameters.
 type classEmbedder struct{ classes int }
 
-func (e *classEmbedder) Embed(sample int) ([]float64, any) {
+func (e *classEmbedder) NewScratch() any { return nil }
+func (e *classEmbedder) Embed(_ any, sample int) []float64 {
 	v := make([]float64, e.classes)
 	v[sample%e.classes] = 1
-	return v, nil
+	return v
 }
-func (e *classEmbedder) Backward(any, []float64) {}
-func (e *classEmbedder) Params() []*nn.Param     { return nil }
-func (e *classEmbedder) Dim() int                { return e.classes }
+func (e *classEmbedder) Backward(any, int, []float64) {}
+func (e *classEmbedder) Params() []*nn.Param          { return nil }
+func (e *classEmbedder) Dim() int                     { return e.classes }
 
 func toySetup() (*classEmbedder, *toyTarget, Config) {
 	vfs := []int{1, 2, 4, 8, 16, 32, 64}

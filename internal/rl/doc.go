@@ -32,8 +32,13 @@
 //
 // # Forward passes
 //
-// Rollout, Predict, Value and PredictObs share one stateless forward over
-// pooled scratch, which reads only weights and so is safe for concurrent
-// callers. The caching forward that backward needs is used only by the
-// PPO update.
+// Each network has one forward. Rollout, Predict, PredictObs and the PPO
+// update all run apply over a pooled scratch that holds the trunk's
+// activations and the heads' outputs, plus the embedder's state
+// (Embedder.NewScratch) and the sampling and gradient buffers, which are
+// built on first use, so a scratch that only serves PredictObs holds none
+// of them. The forward reads only weights, so concurrent callers are safe.
+// The update backpropagates from what that forward left in the scratch, so
+// the policy it differentiates is, bit for bit, the one that serves, and no
+// layer caches activations of its own.
 package rl

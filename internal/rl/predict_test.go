@@ -1,26 +1,47 @@
 package rl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"neurovec/internal/nn"
 )
 
-// referencePredictObs is PredictObs through the allocating Apply path — the
-// pre-pooling implementation — used to pin bit-identical parity.
+// scalarDense is the plain reference for a dense layer: each output is
+// B[o] plus W[o][i]·x[i] summed in i order.
+func scalarDense(d *nn.Dense, x []float64) []float64 {
+	y := make([]float64, d.Out)
+	for o := range y {
+		s := d.B.W[o]
+		for i, xv := range x {
+			s += d.W.W[o*d.In+i] * xv
+		}
+		y[o] = s
+	}
+	return y
+}
+
+// referencePredictObs is PredictObs over plain scalar loops — tanh after
+// every trunk layer, then the heads — used to pin bit-identical parity.
 func referencePredictObs(a *Agent, vec []float64) (int, int) {
-	feat := a.trunk.Apply(vec)
+	feat := vec
+	for _, d := range a.trunk.Layers {
+		feat = scalarDense(d, feat)
+		for i, v := range feat {
+			feat[i] = math.Tanh(v)
+		}
+	}
 	switch a.Cfg.Space {
 	case Discrete:
-		return a.Cfg.VFs[nn.Argmax(a.headVF.Apply(feat))],
-			a.Cfg.IFs[nn.Argmax(a.headIF.Apply(feat))]
+		return a.Cfg.VFs[nn.Argmax(scalarDense(a.headVF, feat))],
+			a.Cfg.IFs[nn.Argmax(scalarDense(a.headIF, feat))]
 	case Continuous1:
-		vi, ii := a.decodeJoint(a.headVF.Apply(feat)[0])
+		vi, ii := a.decodeJoint(scalarDense(a.headVF, feat)[0])
 		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
 	default:
-		vi := clampRound(a.headVF.Apply(feat)[0], len(a.Cfg.VFs))
-		ii := clampRound(a.headIF.Apply(feat)[0], len(a.Cfg.IFs))
+		vi := clampRound(scalarDense(a.headVF, feat)[0], len(a.Cfg.VFs))
+		ii := clampRound(scalarDense(a.headIF, feat)[0], len(a.Cfg.IFs))
 		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
 	}
 }

@@ -12,11 +12,21 @@ import (
 // Embedder turns an opaque sample ID into a differentiable observation
 // vector. The code2vec model is the paper's embedder; a hand-crafted feature
 // extractor is provided elsewhere as an ablation.
+//
+// Embed and Backward work through a caller-owned scratch from NewScratch,
+// which holds the observation and whatever the backward pass needs, so one
+// forward serves rollout, inference and the update alike. A scratch belongs
+// to one goroutine at a time; Embed must be safe for concurrent callers
+// with distinct scratches.
 type Embedder interface {
-	// Embed returns the observation and an opaque state for Backward.
-	Embed(sample int) ([]float64, any)
-	// Backward pushes dLoss/dObservation into the embedder's parameters.
-	Backward(state any, dvec []float64)
+	// NewScratch returns fresh per-caller state for Embed and Backward.
+	NewScratch() any
+	// Embed computes sample's observation through s and returns it. The
+	// vector may live in s, valid until the next Embed on s.
+	Embed(s any, sample int) []float64
+	// Backward pushes dLoss/dObservation into the embedder's parameters
+	// for sample, which must be the sample last embedded through s.
+	Backward(s any, sample int, dvec []float64)
 	// Params returns trainable parameters (may be empty).
 	Params() []*nn.Param
 	// Dim is the observation width.
@@ -141,20 +151,35 @@ type Agent struct {
 	// next iteration's stream coordinate.
 	iters int
 
-	// inferPool recycles the buffers of the stateless forward (apply) so
-	// that steady-state serving does zero heap allocations. Scratches are
-	// keyed to this agent's layer dims; the pool is safe for any number of
-	// concurrent callers.
+	// inferPool recycles the buffers of the forward (apply) and of the
+	// update's backward, so that steady-state serving, rollout and update
+	// do zero heap allocations. Scratches are keyed to this agent's layer
+	// dims; the pool is safe for any number of concurrent callers.
 	inferPool sync.Pool
 }
 
-// inferScratch is one caller's worth of forward buffers: trunk ping-pong
-// scratch plus one destination slice per head.
+// inferScratch is one caller's worth of buffers: the trunk's activations
+// and one destination slice per head, which is all PredictObs uses, plus
+// the embedder's state and the rollout and update buffers, each built on
+// first use so that a scratch that only serves stays this small.
 type inferScratch struct {
 	trunk *nn.Scratch
-	vf    []float64
-	ifc   []float64
-	v     []float64
+	vf    []float64 // VF head output: logits, then log-probabilities; or a mean
+	ifc   []float64 // IF head output, likewise (nil for Continuous1)
+	v     []float64 // value head output
+	emb   any       // the embedder's scratch (see embed)
+	train *trainScratch
+}
+
+// trainScratch holds the buffers of action sampling and of the update's
+// backward.
+type trainScratch struct {
+	pvf   []float64 // exp of vf (discrete)
+	pif   []float64 // exp of ifc (discrete)
+	dvf   []float64 // gradient at the VF head's output
+	dif   []float64 // gradient at the IF head's output
+	dx    []float64 // one head's input gradient
+	dFeat []float64 // the heads' input gradients summed
 }
 
 // getScratch pops a pooled scratch, building one sized to this agent's
@@ -171,13 +196,44 @@ func (a *Agent) getScratch() *inferScratch {
 	return s
 }
 
+// embed runs the embedder on sample through s, building the embedder's
+// scratch on s's first embed.
+func (a *Agent) embed(s *inferScratch, sample int) []float64 {
+	if s.emb == nil {
+		s.emb = a.emb.NewScratch()
+	}
+	return a.emb.Embed(s.emb, sample)
+}
+
+// trainBufs returns s's sampling and backward buffers, building them on
+// first use.
+func (a *Agent) trainBufs(s *inferScratch) *trainScratch {
+	if s.train != nil {
+		return s.train
+	}
+	feat := a.trunk.OutDim()
+	t := &trainScratch{
+		pvf:   make([]float64, a.headVF.Out),
+		dvf:   make([]float64, a.headVF.Out),
+		dx:    make([]float64, feat),
+		dFeat: make([]float64, feat),
+	}
+	if a.headIF != nil {
+		t.pif = make([]float64, a.headIF.Out)
+		t.dif = make([]float64, a.headIF.Out)
+	}
+	s.train = t
+	return t
+}
+
 func (a *Agent) putScratch(s *inferScratch) { a.inferPool.Put(s) }
 
-// apply is the agent's one stateless forward: trunk and action heads over an
+// apply is the agent's one forward: trunk and action heads over an
 // observation, through s. The action heads' raw outputs (logits, or
 // continuous means) land in s.vf and s.ifc; the trunk features are returned
-// for the value head. It reads only weights, so rollout workers, Predict,
-// Value and PredictObs may all run it at once.
+// for the value head, and every activation stays in s for the update's
+// backward. It reads only weights, so rollout workers, Predict and
+// PredictObs may all run it at once.
 func (a *Agent) apply(s *inferScratch, vec []float64) []float64 {
 	feat := a.trunk.ApplyScratch(s.trunk, vec)
 	a.headVF.ApplyTo(s.vf, feat)
@@ -232,34 +288,16 @@ func NewAgent(emb Embedder, cfg Config) *Agent {
 	return a
 }
 
-// evalOut is one policy evaluation.
+// evalOut is one policy evaluation. Its slices alias the scratch it was
+// computed through.
 type evalOut struct {
-	embState any
-	logpVF   []float64 // discrete: log-softmax per head
-	logpIF   []float64
-	meanVF   float64 // continuous heads
-	meanIF   float64
-	value    float64
-}
-
-// forward runs embedder+trunk+heads for a sample, caching every layer's
-// input for backward; only update uses it.
-func (a *Agent) forward(sample int) *evalOut {
-	vec, st := a.emb.Embed(sample)
-	feat := a.trunk.Forward(vec)
-	out := &evalOut{embState: st}
-	switch a.Cfg.Space {
-	case Discrete:
-		out.logpVF = nn.LogSoftmax(a.headVF.Forward(feat))
-		out.logpIF = nn.LogSoftmax(a.headIF.Forward(feat))
-	case Continuous1:
-		out.meanVF = a.headVF.Forward(feat)[0]
-	case Continuous2:
-		out.meanVF = a.headVF.Forward(feat)[0]
-		out.meanIF = a.headIF.Forward(feat)[0]
-	}
-	out.value = a.headV.Forward(feat)[0]
-	return out
+	obs    []float64 // the embedder's observation
+	feat   []float64 // trunk features
+	logpVF []float64 // discrete: log-softmax per head
+	logpIF []float64
+	meanVF float64 // continuous heads
+	meanIF float64
+	value  float64
 }
 
 // transition is one bandit step stored for PPO updates.
@@ -275,13 +313,12 @@ type transition struct {
 
 // sampleActionWith draws an action from the current policy using an explicit
 // RNG, so parallel rollout workers can each bring their own derived stream.
-func (a *Agent) sampleActionWith(out *evalOut, rng *rand.Rand) (vfIdx, ifIdx int, raw [2]float64, logp float64) {
+func (a *Agent) sampleActionWith(s *inferScratch, out evalOut, rng *rand.Rand) (vfIdx, ifIdx int, raw [2]float64, logp float64) {
 	switch a.Cfg.Space {
 	case Discrete:
-		pv := expv(out.logpVF)
-		pi := expv(out.logpIF)
-		vfIdx = nn.SampleCategorical(pv, rng)
-		ifIdx = nn.SampleCategorical(pi, rng)
+		t := a.trainBufs(s)
+		vfIdx = nn.SampleCategorical(expInto(t.pvf, out.logpVF), rng)
+		ifIdx = nn.SampleCategorical(expInto(t.pif, out.logpIF), rng)
 		logp = out.logpVF[vfIdx] + out.logpIF[ifIdx]
 	case Continuous1:
 		x := out.meanVF + rng.NormFloat64()*math.Exp(a.logStd.W[0])
@@ -320,12 +357,14 @@ func clampRound(x float64, n int) int {
 }
 
 // logpOf recomputes the log-probability (and entropy) of a stored action
-// under the current policy output.
-func (a *Agent) logpOf(out *evalOut, tr *transition) (logp, entropy float64) {
+// under the current policy output; discrete probabilities land in the
+// pvf and pif of s's training buffers.
+func (a *Agent) logpOf(s *inferScratch, out evalOut, tr *transition) (logp, entropy float64) {
 	switch a.Cfg.Space {
 	case Discrete:
 		logp = out.logpVF[tr.vfIdx] + out.logpIF[tr.ifIdx]
-		entropy = nn.CategoricalEntropy(expv(out.logpVF)) + nn.CategoricalEntropy(expv(out.logpIF))
+		t := a.trainBufs(s)
+		entropy = nn.CategoricalEntropy(expInto(t.pvf, out.logpVF)) + nn.CategoricalEntropy(expInto(t.pif, out.logpIF))
 	case Continuous1:
 		logp = nn.GaussianLogProb(tr.raw[0], out.meanVF, a.logStd.W[0])
 		entropy = nn.GaussianEntropy(a.logStd.W[0])
@@ -337,10 +376,10 @@ func (a *Agent) logpOf(out *evalOut, tr *transition) (logp, entropy float64) {
 	return logp, entropy
 }
 
-func expv(logp []float64) []float64 {
-	out := make([]float64, len(logp))
+// expInto writes exp(logp) elementwise into dst and returns it.
+func expInto(dst, logp []float64) []float64 {
 	for i, v := range logp {
-		out[i] = math.Exp(v)
+		dst[i] = math.Exp(v)
 	}
-	return out
+	return dst
 }

@@ -11,14 +11,15 @@ import (
 // no trainable parameters, isolating the PPO machinery under test.
 type toyEmbedder struct{ classes int }
 
-func (e *toyEmbedder) Embed(sample int) ([]float64, any) {
+func (e *toyEmbedder) NewScratch() any { return nil }
+func (e *toyEmbedder) Embed(_ any, sample int) []float64 {
 	v := make([]float64, e.classes)
 	v[sample%e.classes] = 1
-	return v, nil
+	return v
 }
-func (e *toyEmbedder) Backward(any, []float64) {}
-func (e *toyEmbedder) Params() []*nn.Param     { return nil }
-func (e *toyEmbedder) Dim() int                { return e.classes }
+func (e *toyEmbedder) Backward(any, int, []float64) {}
+func (e *toyEmbedder) Params() []*nn.Param          { return nil }
+func (e *toyEmbedder) Dim() int                     { return e.classes }
 
 // toyEnv rewards actions by closeness to a per-class optimum — a noiseless
 // contextual bandit the agent must solve by reading the observation.
@@ -187,10 +188,18 @@ func TestValueBaselineTracksRewards(t *testing.T) {
 	// After convergence the value of each class should be near the reward
 	// its (near-optimal) policy obtains, i.e. well above zero.
 	for c := 0; c < 3; c++ {
-		if v := agent.Value(c); v < 0.2 {
+		if v := value(agent, c); v < 0.2 {
 			t.Errorf("class %d value = %.3f, want > 0.2 after convergence", c, v)
 		}
 	}
+}
+
+// value is the value baseline's estimate for a sample, through the
+// rollout's forward.
+func value(a *Agent, sample int) float64 {
+	s := a.getScratch()
+	defer a.putScratch(s)
+	return a.applyOut(s, sample).value
 }
 
 func TestSpaceKindString(t *testing.T) {

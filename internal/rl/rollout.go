@@ -59,7 +59,7 @@ func (b *Batch) RewardMean() float64 { return b.rewardMean }
 // CollectBatch gathers Cfg.Batch bandit transitions from env, sharded over a
 // worker pool of the given width (0 or negative means GOMAXPROCS). Slot b of
 // iteration iter draws from an RNG derived from (seed, iter, b) and the
-// forward passes use the agent's stateless forward, so the batch is
+// forward passes read only weights, so the batch is
 // bit-identical for any worker count — jobs changes only the wall time.
 //
 // The embedder's Embed and env.Reward must be safe for concurrent callers;
@@ -109,7 +109,7 @@ func (a *Agent) rolloutSlot(env Env, seed int64, iter, slot int) *transition {
 	smp := rng.Intn(env.NumSamples())
 	s := a.getScratch()
 	out := a.applyOut(s, smp)
-	vfIdx, ifIdx, raw, logp := a.sampleActionWith(out, rng)
+	vfIdx, ifIdx, raw, logp := a.sampleActionWith(s, out, rng)
 	a.putScratch(s)
 	r := env.Reward(smp, a.Cfg.VFs[vfIdx], a.Cfg.IFs[ifIdx])
 	return &transition{
@@ -118,13 +118,14 @@ func (a *Agent) rolloutSlot(env Env, seed int64, iter, slot int) *transition {
 	}
 }
 
-// applyOut evaluates the policy for a sample through the stateless forward:
-// discrete heads become log-probabilities in place, and the value head runs
-// too. The returned slices alias s.
-func (a *Agent) applyOut(s *inferScratch, sample int) *evalOut {
-	vec, _ := a.emb.Embed(sample)
+// applyOut evaluates the policy for a sample through s: the embedder, the
+// trunk and every head. Discrete heads become log-probabilities in place.
+// The returned slices alias s, which keeps everything the update's backward
+// reads.
+func (a *Agent) applyOut(s *inferScratch, sample int) evalOut {
+	vec := a.embed(s, sample)
 	feat := a.apply(s, vec)
-	out := &evalOut{value: a.headV.ApplyTo(s.v, feat)[0]}
+	out := evalOut{obs: vec, feat: feat, value: a.headV.ApplyTo(s.v, feat)[0]}
 	switch a.Cfg.Space {
 	case Discrete:
 		out.logpVF = nn.LogSoftmaxTo(s.vf, s.vf)

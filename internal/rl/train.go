@@ -41,15 +41,18 @@ func (a *Agent) TrainIterations(env Env, iterations int) *Stats {
 }
 
 // update performs one gradient step over a minibatch and returns its mean
-// total loss.
+// total loss. Each sample runs the rollout's forward (applyOut) and
+// backpropagates from the activations it left in the scratch.
 func (a *Agent) update(mb []*transition, opt *nn.Adam) float64 {
 	cfg := a.Cfg
 	inv := 1.0 / float64(len(mb))
 	totalLoss := 0.0
+	s := a.getScratch()
+	defer a.putScratch(s)
 
 	for _, tr := range mb {
-		out := a.forward(tr.sample)
-		logp, entropy := a.logpOf(out, tr)
+		out := a.applyOut(s, tr.sample)
+		logp, entropy := a.logpOf(s, out, tr)
 		ratio := math.Exp(logp - tr.oldLogp)
 		adv := tr.adv
 
@@ -66,7 +69,7 @@ func (a *Agent) update(mb []*transition, opt *nn.Adam) float64 {
 		if unclipped <= clipped {
 			dLogp = -adv * ratio
 		}
-		a.backward(out, tr, dLogp*inv, cfg.ValueCoef*vDiff*inv, cfg.EntropyCoef*inv)
+		a.backward(s, out, tr, dLogp*inv, cfg.ValueCoef*vDiff*inv, cfg.EntropyCoef*inv)
 	}
 	nn.ClipGrads(a.params, cfg.MaxGradNorm)
 	opt.Step(a.params)
@@ -74,74 +77,79 @@ func (a *Agent) update(mb []*transition, opt *nn.Adam) float64 {
 }
 
 // backward pushes gradients for one sample through heads, trunk and
-// embedder. dLogp multiplies dlogpi/dparams; dValue is dLoss/dv; entCoef
-// scales the entropy-bonus gradient.
-func (a *Agent) backward(out *evalOut, tr *transition, dLogp, dValue, entCoef float64) {
-	feat := 0
-	if d := a.trunk.OutDim(); d > 0 {
-		feat = d
-	}
-	dFeat := make([]float64, feat)
+// embedder, reading the activations applyOut left in s; logpOf has already
+// put the discrete probabilities in s's training buffers. dLogp multiplies
+// dlogpi/dparams; dValue is dLoss/dv; entCoef scales the entropy-bonus
+// gradient. Each head's input gradient is computed in dx and then added
+// into dFeat, VF head first, then IF, then value, so the sums round the
+// same way in every run.
+func (a *Agent) backward(s *inferScratch, out evalOut, tr *transition, dLogp, dValue, entCoef float64) {
+	feat := out.feat
+	t := a.trainBufs(s)
+	dFeat := t.dFeat
+	clear(dFeat)
 
 	switch a.Cfg.Space {
 	case Discrete:
 		// d(logp)/dlogits = onehot - softmax; entropy gradient per head.
-		pv := expv(out.logpVF)
-		pi := expv(out.logpIF)
+		pv, pi := t.pvf, t.pif
 		hv := nn.CategoricalEntropy(pv)
 		hi := nn.CategoricalEntropy(pi)
-		dLogitsVF := make([]float64, len(pv))
 		for j := range pv {
 			oneHot := 0.0
 			if j == tr.vfIdx {
 				oneHot = 1
 			}
-			dLogitsVF[j] = dLogp*(oneHot-pv[j]) + entCoef*pv[j]*(out.logpVF[j]+hv)
+			t.dvf[j] = dLogp*(oneHot-pv[j]) + entCoef*pv[j]*(out.logpVF[j]+hv)
 		}
-		dLogitsIF := make([]float64, len(pi))
 		for j := range pi {
 			oneHot := 0.0
 			if j == tr.ifIdx {
 				oneHot = 1
 			}
-			dLogitsIF[j] = dLogp*(oneHot-pi[j]) + entCoef*pi[j]*(out.logpIF[j]+hi)
+			t.dif[j] = dLogp*(oneHot-pi[j]) + entCoef*pi[j]*(out.logpIF[j]+hi)
 		}
-		addInto(dFeat, a.headVF.Backward(dLogitsVF))
-		addInto(dFeat, a.headIF.Backward(dLogitsIF))
+		addInto(dFeat, a.headVF.Backward(t.dx, feat, t.dvf))
+		addInto(dFeat, a.headIF.Backward(t.dx, feat, t.dif))
 	case Continuous1:
 		sigma := math.Exp(a.logStd.W[0])
 		z := (tr.raw[0] - out.meanVF) / sigma
 		// dlogp/dmean = z/sigma ; dlogp/dlogstd = z^2 - 1 ; dH/dlogstd = 1.
-		addInto(dFeat, a.headVF.Backward([]float64{dLogp * z / sigma}))
+		t.dvf[0] = dLogp * z / sigma
+		addInto(dFeat, a.headVF.Backward(t.dx, feat, t.dvf))
 		a.logStd.G[0] += dLogp*(z*z-1) - entCoef
 	case Continuous2:
 		s0 := math.Exp(a.logStd.W[0])
 		s1 := math.Exp(a.logStd.W[1])
 		z0 := (tr.raw[0] - out.meanVF) / s0
 		z1 := (tr.raw[1] - out.meanIF) / s1
-		addInto(dFeat, a.headVF.Backward([]float64{dLogp * z0 / s0}))
-		addInto(dFeat, a.headIF.Backward([]float64{dLogp * z1 / s1}))
+		t.dvf[0] = dLogp * z0 / s0
+		t.dif[0] = dLogp * z1 / s1
+		addInto(dFeat, a.headVF.Backward(t.dx, feat, t.dvf))
+		addInto(dFeat, a.headIF.Backward(t.dx, feat, t.dif))
 		a.logStd.G[0] += dLogp*(z0*z0-1) - entCoef
 		a.logStd.G[1] += dLogp*(z1*z1-1) - entCoef
 	}
-	addInto(dFeat, a.headV.Backward([]float64{dValue}))
+	dv := [1]float64{dValue}
+	addInto(dFeat, a.headV.Backward(t.dx, feat, dv[:]))
 
-	dObs := a.trunk.Backward(dFeat)
-	a.emb.Backward(out.embState, dObs)
+	dObs := a.trunk.Backward(s.trunk, out.obs, dFeat)
+	a.emb.Backward(s.emb, tr.sample, dObs)
 }
 
 // Predict returns the greedy action (deterministic inference, the deployment
 // mode the paper describes: "a single step only, similar to the baseline
-// cost model"). It is PredictObs over the embedder's current vector, so the
-// in-process greedy rule is the served one, and it is safe for concurrent
-// callers.
+// cost model"). It embeds the sample and decides as PredictObs does, through
+// pooled scratch, so the in-process greedy rule is the served one, and it is
+// safe for concurrent callers.
 func (a *Agent) Predict(sample int) (vf, ifc int) {
-	vec, _ := a.emb.Embed(sample)
-	return a.PredictObs(vec)
+	s := a.getScratch()
+	defer a.putScratch(s)
+	return a.greedy(s, a.embed(s, sample))
 }
 
 // PredictObs returns the greedy action for an already-computed observation
-// vector. It runs the stateless forward (apply) through pooled scratch, so
+// vector. It runs the forward (apply) through pooled scratch, so
 // steady-state calls perform zero heap allocations and touch no per-agent
 // mutable state beyond the pool: any number of goroutines may call it
 // concurrently on a trained agent (provided no concurrent Train step is
@@ -149,6 +157,11 @@ func (a *Agent) Predict(sample int) (vf, ifc int) {
 func (a *Agent) PredictObs(vec []float64) (vf, ifc int) {
 	s := a.getScratch()
 	defer a.putScratch(s)
+	return a.greedy(s, vec)
+}
+
+// greedy decides the most likely action for an observation through s.
+func (a *Agent) greedy(s *inferScratch, vec []float64) (vf, ifc int) {
 	a.apply(s, vec)
 	switch a.Cfg.Space {
 	case Discrete:
@@ -161,14 +174,6 @@ func (a *Agent) PredictObs(vec []float64) (vf, ifc int) {
 		ii := clampRound(s.ifc[0], len(a.Cfg.IFs))
 		return a.Cfg.VFs[vi], a.Cfg.IFs[ii]
 	}
-}
-
-// Value returns the value baseline's estimate for a sample (diagnostics).
-func (a *Agent) Value(sample int) float64 {
-	vec, _ := a.emb.Embed(sample)
-	s := a.getScratch()
-	defer a.putScratch(s)
-	return a.headV.ApplyTo(s.v, a.apply(s, vec))[0]
 }
 
 // Params returns every trainable parameter of the policy, including the
