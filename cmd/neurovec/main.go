@@ -238,30 +238,20 @@ func cmdReport(args []string) error {
 	return nil
 }
 
+// buildTrainer loads n generated samples into a fresh framework and maps the
+// training settings onto PPO hyperparameters the way `neurovec train` does.
 func buildTrainer(n, iters, batch int, lr float64, seed int64, space string) (*core.Framework, *rl.Config, error) {
+	rc, err := trainRLConfig(&trainOpts{iters: iters, batch: batch, lr: lr, seed: seed, space: space})
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	fw := core.New(cfg)
 	if err := fw.LoadSet(dataset.Generate(dataset.GenConfig{N: n, Seed: seed})); err != nil {
 		return nil, nil, err
 	}
-	rc := rl.DefaultConfig(cfg.Arch.VFs(), cfg.Arch.IFs())
-	rc.Iterations = iters
-	rc.Batch = batch
-	rc.MiniBatch = batch / 4
-	rc.LR = lr
-	rc.Seed = seed
-	switch space {
-	case "discrete":
-		rc.Space = rl.Discrete
-	case "cont1":
-		rc.Space = rl.Continuous1
-	case "cont2":
-		rc.Space = rl.Continuous2
-	default:
-		return nil, nil, fmt.Errorf("unknown action space %q", space)
-	}
-	return fw, &rc, nil
+	return fw, rc, nil
 }
 
 // cmdAnnotate and cmdBrute are one policy runner: annotate defaults to the

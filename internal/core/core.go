@@ -124,24 +124,23 @@ type Framework struct {
 	policies map[string]policy.Policy
 
 	// embedPool recycles per-request embedding state (path-context
-	// extractor buffers, code2vec forward scratch, one code vector) across
-	// the inference paths, so steady-state embedding heap-allocates nothing
-	// beyond what a caller asks to own.
+	// extractor buffers and code2vec forward scratch) across the inference
+	// paths, so steady-state embedding heap-allocates nothing beyond what a
+	// caller asks to own.
 	embedPool sync.Pool
 }
 
 // embedScratch is one caller's worth of embedding buffers.
 type embedScratch struct {
-	ex  code2vec.Extractor
-	sc  code2vec.Scratch
-	vec []float64
+	ex code2vec.Extractor
+	sc code2vec.Scratch
 }
 
 func (f *Framework) getEmbedScratch() *embedScratch {
 	if s, ok := f.embedPool.Get().(*embedScratch); ok {
 		return s
 	}
-	return &embedScratch{vec: make([]float64, f.embed.Dim())}
+	return &embedScratch{}
 }
 
 func (f *Framework) putEmbedScratch(s *embedScratch) { f.embedPool.Put(s) }

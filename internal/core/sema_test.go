@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"neurovec/internal/deps"
 	"neurovec/internal/diag"
 )
 
@@ -139,5 +140,79 @@ void f() {
 	}
 	if resp.Loops[0].VF <= 1 {
 		t.Errorf("VF = %d; sema facts should legalize vectorization of this nest", resp.Loops[0].VF)
+	}
+}
+
+// TestDecisionsLegalUnderSemaConstants compiles loops whose store lands one
+// element past the load in some iteration, through a constant only sema's
+// flow- and scope-aware folding gets right. The dependence analysis must
+// cap them at VF 1, and every policy that consults it must decide (1, 1).
+func TestDecisionsLegalUnderSemaConstants(t *testing.T) {
+	for name, src := range map[string]string{
+		"increment before loop": `
+int a[256];
+void f() {
+    int k = 0;
+    k++;
+    for (int i = 0; i < 64; i++) { a[i + k] = a[i] * 2; }
+}
+`,
+		"shadowed global": `
+int a[256];
+int k = 1;
+void f() {
+    { int k = 0; a[k] = 0; }
+    for (int i = 0; i < 64; i++) { a[i + k] = a[i] * 2; }
+}
+`,
+		"assigned in body": `
+int a[256];
+void f() {
+    int k = 0;
+    for (int i = 0; i < 64; i++) { a[i + k] = a[i] * 2; k = 1; }
+}
+`,
+		"assigned in then, read in else": `
+int a[256];
+void f(int c) {
+    int k = 1;
+    if (c) { k = 0; } else {
+        for (int i = 0; i < 64; i++) { a[i + k] = a[i] * 2; }
+    }
+}
+`,
+		"assigned in an earlier switch arm": `
+int a[256];
+void f(int c) {
+    int k = 1;
+    switch (c) {
+    case 0: k = 0; break;
+    default:
+        for (int i = 0; i < 64; i++) { a[i + k] = a[i] * 2; }
+    }
+}
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			fw := New(DefaultConfig())
+			ctx := context.Background()
+			c, err := fw.Compile(ctx, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := c.irp.InnermostLoops()[0]
+			if r := deps.Analyze(l); r.MaxVF != 1 {
+				t.Errorf("MaxVF = %d (%s), want 1", r.MaxVF, r.Reason)
+			}
+			for _, pol := range []string{"costmodel", "brute"} {
+				resp, err := fw.PredictLoops(ctx, src, nil, WithPolicyName(pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := resp.Loops[0]; d.VF != 1 || d.IF != 1 {
+					t.Errorf("%s decided (%d, %d), want (1, 1)", pol, d.VF, d.IF)
+				}
+			}
+		})
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"neurovec/internal/lower"
 )
 
-// lowerLoop lowers src twice — once plain, once with sema's proven facts
-// threaded through lower.Options.Facts — and returns both innermost loops.
-// It refuses sources with semantic errors: the sharper legality rules are
-// only ever fed facts from clean programs.
+// lowerLoop lowers src twice with sema's facts threaded through
+// lower.Options.Facts and returns both innermost loops: plain has every
+// proven trip count cleared, as if no proof had been established, and
+// withFacts keeps them. It refuses sources with semantic errors: the sharper
+// legality rules are only ever fed facts from clean programs.
 func lowerLoop(t *testing.T, src string) (plain, withFacts *ir.Loop) {
 	t.Helper()
 	prog, err := lang.ParseFile("facts.c", src)
@@ -24,12 +25,17 @@ func lowerLoop(t *testing.T, src string) (plain, withFacts *ir.Loop) {
 		t.Fatalf("semantic errors in test source:\n%s", info.Diags.String())
 	}
 
-	p1, err := lower.Program(prog, lower.DefaultOptions())
+	opts := lower.DefaultOptions()
+	opts.Facts = info.Facts
+	p1, err := lower.Program(prog, opts)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	opts := lower.DefaultOptions()
-	opts.Facts = info.Facts
+	for _, f := range p1.Funcs {
+		for _, l := range f.Loops {
+			l.Walk(func(x *ir.Loop) { x.ProvenTrip = 0 })
+		}
+	}
 	p2, err := lower.Program(prog, opts)
 	if err != nil {
 		t.Fatalf("lower with facts: %v", err)

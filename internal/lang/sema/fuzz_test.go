@@ -1,6 +1,8 @@
 package sema
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"neurovec/internal/dataset"
@@ -9,39 +11,20 @@ import (
 
 // FuzzSemaNoPanic holds sema to its contract: Check never panics on any
 // parseable input. Seeds mirror the parser's round-trip fuzz corpus (the
-// synthetic generator) plus handwritten pathological programs around the
-// analyses most likely to trip — const folding, loop proofs, scoping.
+// synthetic generator) plus the handwritten pathological programs of
+// testdata/fuzz_seeds.txt.
 func FuzzSemaNoPanic(f *testing.F) {
 	for _, s := range dataset.Generate(dataset.GenConfig{N: 8, Seed: 42, Extended: true}).Samples {
 		f.Add(s.Source)
 	}
-	for _, src := range []string{
-		"int x; void f() { for (int i = 0; i < 8; i++) { x += i; } }",
-		"void f() { int x = 1 / 0; x = x % 0; }",
-		"void f() { for (;;) {} }",
-		"void f() { for (int i = 0; i < 8; i++) for (int i = 0; i < 8; i++) {} }",
-		"int a[1]; void f() { a[-1] = a[0 - 1]; }",
-		"void f() { int n; for (int i = n; i < n; i = i + n) {} }",
-		"float m[2][2]; void f() { m[m[0][0]][0] = 1.0; }",
-		"void f() { int x = (int)1.5 + (char)300; }",
-		"void f(int n) { if (n) { int n; } else { int n; } }",
-		"void f() { return; } void f() { return; }",
-		// Extended-grammar pathologies: struct misuse, member access on
-		// non-structs, malformed switches, breaks outside loops, struct
-		// recurrences and self-referential field chains.
-		"struct p { int x; }; void f() { struct p v; v.y = 1; }",
-		"struct p { int x; }; struct q w; void f() { w.x = 1; }",
-		"int a[4]; void f() { a.x = 1; a[0] = a[1].y; }",
-		"struct p { int x; }; struct p v; void f() { v = 3; int z = v + 1; }",
-		"struct p { int x; int x; }; struct p v; void f() { v.x = v.x.x; }",
-		"int a[4]; void f() { switch (a[0]) { case 0: case 0: a[1] = 1; default: a[2] = 2; default: a[3] = 3; } }",
-		"int a[4]; void f(int n) { switch (n) { case n: a[0] = 1; break; } }",
-		"void f() { break; } void g() { switch (1) { case 1: break; } break; }",
-		"struct s { float v; }; struct s g[8]; void f() { for (int i = 0; i < 7; i++) { g[i + 1].v = g[i].v; if (g[i].v) { break; } } }",
-		"int a[8]; void f() { for (int i = 8; i != 0; i = i / 2) { a[i - 1] = i; } for (int j = 0; ; j++) { a[0] = j; break; } }",
-		"int m[2][2]; struct t { int u; }; struct t w[2]; void f() { for (int i = 0; i < 2; i += 3) { m[w[i].u][i] = w[m[i][i]].u; } }",
-	} {
-		f.Add(src)
+	data, err := os.ReadFile("testdata/fuzz_seeds.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			f.Add(line)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := lang.Parse(src)
@@ -52,11 +35,16 @@ func FuzzSemaNoPanic(f *testing.F) {
 		if info == nil {
 			t.Fatal("Check returned nil info")
 		}
-		// The facts table must honor its own invariants even on garbage:
-		// a proven trip is always positive.
 		for _, d := range info.Diags {
 			if d.Code == "" {
 				t.Errorf("diagnostic without a code: %s", d.String())
+			}
+		}
+		// The facts table must honor its own invariants even on garbage:
+		// a proven trip is always positive.
+		for label, fact := range info.Facts.loops {
+			if fact.TripProven && fact.Trip <= 0 {
+				t.Errorf("loop %s: proven trip %d is not positive", label, fact.Trip)
 			}
 		}
 	})

@@ -10,7 +10,10 @@
 //   - a Facts table of per-loop proofs (constant trip counts, affine
 //     subscript form, distinct-array storage) that downstream passes — in
 //     particular the dependence analysis in internal/deps — may rely on to
-//     accept provably safe loops they would otherwise reject.
+//     accept provably safe loops they would otherwise reject, together with
+//     each loop's induction form and the folded value of every integer
+//     constant expression. The lowering pass builds its IR from these, so
+//     the checker's fold is the program's only constant folder.
 //
 // The analysis never panics on any parseable input; FuzzSemaNoPanic holds it
 // to that.
@@ -92,6 +95,9 @@ type symbol struct {
 	isConst  bool // holds a known constant value at the current walk point
 	constVal int64
 	poison   bool // synthesised for an undeclared name to stop cascades
+	// funcAssigned marks a global some function assigns: any call may run
+	// that assignment, so the global never holds a known constant.
+	funcAssigned bool
 }
 
 // value is the checked result of an expression: its type plus, when the
@@ -248,6 +254,14 @@ func (c *checker) run(p *lang.Program) {
 			}
 		}
 	}
+	// Only globals are in scope here, so this marks the ones any function
+	// assigns. A same-named local or parameter marks the global too, which
+	// only forgoes a constant.
+	for _, f := range p.Funcs {
+		if f.Body != nil {
+			c.eachAssigned(f.Body, markFuncAssigned)
+		}
+	}
 	for _, f := range p.Funcs {
 		if prev, dup := c.funcs[f.Name]; dup {
 			c.errorf(CodeRedeclared, f.Pos, "function %q redefined (previous definition at %s)", f.Name, prev.Pos)
@@ -331,10 +345,14 @@ func (c *checker) checkStmt(s lang.Stmt) {
 	case *lang.IfStmt:
 		cond := c.checkExpr(st.Cond)
 		c.requireScalar(cond, st.Pos)
-		c.invalidateBranchConsts(st.Then)
+		// What a branch assigns holds neither in the other branch nor
+		// after the statement, where either may have run.
+		c.forgetAssigned(st.Then)
 		c.checkBlock(st.Then)
+		c.forgetAssigned(st.Then)
 		if st.Else != nil {
 			c.checkStmt(st.Else)
+			c.forgetAssigned(st.Else)
 		}
 
 	case *lang.ReturnStmt:
@@ -392,21 +410,24 @@ func (c *checker) checkSwitch(st *lang.SwitchStmt) {
 		} else {
 			v := c.checkExpr(cc.Value)
 			c.requireScalar(v, cc.Pos)
-			if cv, ok := c.evalConst(cc.Value); !ok {
+			if !v.isConst {
 				c.errorf(CodeBadSwitch, cc.Pos, "case value is not a constant expression")
-			} else if prev, dup := seen[cv]; dup {
-				c.errorf(CodeBadSwitch, cc.Pos, "duplicate case value %d (previous arm at %s)", cv, prev)
+			} else if prev, dup := seen[v.constVal]; dup {
+				c.errorf(CodeBadSwitch, cc.Pos, "duplicate case value %d (previous arm at %s)", v.constVal, prev)
 			} else {
-				seen[cv] = cc.Pos
+				seen[v.constVal] = cc.Pos
 			}
 		}
-		// Each arm executes conditionally: forget constant knowledge for
-		// variables it assigns, like an if branch.
+		// Each arm executes conditionally, like an if branch: forget
+		// constant knowledge for variables it assigns, before the arm and
+		// again after it, since a later arm is entered either instead of
+		// this one or by falling through it.
 		armBlock := &lang.BlockStmt{Stmts: cc.Body, Pos: cc.Pos}
-		c.invalidateBranchConsts(armBlock)
+		c.forgetAssigned(armBlock)
 		c.breakables = append(c.breakables, inSwitchArm)
 		c.checkBlock(armBlock)
 		c.breakables = c.breakables[:len(c.breakables)-1]
+		c.forgetAssigned(armBlock)
 	}
 }
 
@@ -452,7 +473,7 @@ func (c *checker) checkAssign(st *lang.AssignStmt) {
 		c.checkNarrowing(sym.typ, rhs, st.RHS, st.Pos)
 		c.noteMutation(sym, st.Pos)
 		sym.assigned = true
-		if st.Op == lang.Assign && rhs.isConst {
+		if st.Op == lang.Assign && rhs.isConst && !sym.funcAssigned {
 			sym.isConst, sym.constVal = true, rhs.constVal
 		} else {
 			sym.isConst = false
@@ -514,35 +535,65 @@ func (c *checker) noteRead(sym *symbol, pos lang.Pos) {
 	}
 }
 
-// invalidateBranchConsts drops constant-value knowledge for every variable
-// assigned anywhere in a conditionally executed subtree: after `if (c) n = 4;`
-// the checker no longer knows n. Declarations inside the branch are scoped to
-// it and need no invalidation.
-func (c *checker) invalidateBranchConsts(body lang.Stmt) {
-	lang.Walk(body, func(s lang.Stmt) bool {
-		var name string
-		switch st := s.(type) {
-		case *lang.AssignStmt:
-			if id, ok := st.LHS.(*lang.Ident); ok {
-				name = id.Name
-			}
-		case *lang.IncDecStmt:
-			if id, ok := st.X.(*lang.Ident); ok {
-				name = id.Name
+// forgetAssigned drops constant-value knowledge for every variable assigned
+// anywhere in a subtree that runs conditionally or repeatedly: after
+// `if (c) n = 4;` the checker no longer knows n. Declarations inside the
+// subtree are scoped to it and need no invalidation.
+func (c *checker) forgetAssigned(s lang.Stmt) { c.eachAssigned(s, forgetConst) }
+
+func forgetConst(sym *symbol) { sym.isConst = false }
+
+// markFuncAssigned applies to the globals a function body assigns: a
+// global keeps its initial value only while no function assigns it.
+func markFuncAssigned(sym *symbol) { sym.isConst, sym.funcAssigned = false, true }
+
+// eachAssigned calls fn with the symbol, as resolved in the current scope,
+// of every variable assigned or incremented anywhere in a subtree.
+func (c *checker) eachAssigned(s lang.Stmt, fn func(*symbol)) {
+	var target lang.Expr
+	switch st := s.(type) {
+	case *lang.AssignStmt:
+		target = st.LHS
+	case *lang.IncDecStmt:
+		target = st.X
+	case *lang.BlockStmt:
+		for _, x := range st.Stmts {
+			c.eachAssigned(x, fn)
+		}
+	case *lang.ForStmt:
+		c.eachAssigned(st.Init, fn)
+		c.eachAssigned(st.Post, fn)
+		c.eachAssigned(st.Body, fn)
+	case *lang.IfStmt:
+		c.eachAssigned(st.Then, fn)
+		c.eachAssigned(st.Else, fn)
+	case *lang.SwitchStmt:
+		for _, cc := range st.Cases {
+			for _, x := range cc.Body {
+				c.eachAssigned(x, fn)
 			}
 		}
-		if name != "" {
-			if sym := c.lookup(name); sym != nil {
-				sym.isConst = false
-			}
+	}
+	if id, ok := target.(*lang.Ident); ok {
+		if sym := c.lookup(id.Name); sym != nil {
+			fn(sym)
 		}
-		return true
-	})
+	}
 }
 
 // ---- Expressions ----
 
+// checkExpr checks one expression and records its folded value, when it has
+// one, in the facts table: this fold is the program's only constant folder.
 func (c *checker) checkExpr(e lang.Expr) value {
+	v := c.checkExprValue(e)
+	if v.isConst {
+		c.facts.setConst(e, v.constVal)
+	}
+	return v
+}
+
+func (c *checker) checkExprValue(e lang.Expr) value {
 	switch ex := e.(type) {
 	case *lang.IntLit:
 		return value{typ: lang.Type{Scalar: lang.TypeInt}, isConst: true, constVal: ex.Value}
@@ -833,13 +884,20 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 	if st.Init != nil {
 		c.checkStmt(st.Init)
 	}
-
-	iv, lo, loKnown, initOK := c.analyzeInit(st.Init)
-	var ivSym *symbol
-	if iv != "" {
-		if ivSym = c.lookup(iv); ivSym != nil {
-			// The induction variable varies; forget any constant value the
-			// init assignment recorded.
+	fact := LoopFact{Label: st.Label}
+	if c.fn != nil {
+		fact.Func = c.fn.Name
+	}
+	initOK := c.analyzeInit(st.Init, &fact)
+	// The condition, post clause and body run once per iteration, so a
+	// variable the post clause or body assigns holds no constant in any of
+	// them, nor after the loop.
+	c.forgetAssigned(st.Post)
+	c.forgetAssigned(st.Body)
+	if fact.IndexVar != "" {
+		if ivSym := c.lookup(fact.IndexVar); ivSym != nil {
+			// The induction variable varies even when the post clause
+			// does not step it.
 			ivSym.isConst = false
 		}
 	}
@@ -848,13 +906,25 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 		cond := c.checkExpr(st.Cond)
 		c.requireScalar(cond, posOf(st.Cond))
 	}
-	step, down, stepOK := analyzeStep(c, st.Post, iv)
-	if st.Post != nil {
-		c.checkPost(st.Post, iv)
-	}
-	hi, hiKnown, inclusive, condOK := analyzeCond(c, st.Cond, iv, down)
 
-	canonical := initOK && stepOK && condOK
+	ls := &loopState{label: st.Label, iv: fact.IndexVar}
+	c.loops = append(c.loops, ls)
+	c.breakables = append(c.breakables, inLoop)
+	c.checkBlock(st.Body)
+	c.breakables = c.breakables[:len(c.breakables)-1]
+	// Subscript-shape facts are judged while this loop is still on the
+	// stack, so its own induction variable counts as affine.
+	fact.AffineSubscripts = c.affineSubscripts(st.Body)
+	fact.DistinctArrays = c.distinctArrays(st.Body)
+	c.loops = c.loops[:len(c.loops)-1]
+
+	// The post clause runs after the body.
+	if st.Post != nil {
+		c.checkPost(st.Post, fact.IndexVar)
+	}
+	stepOK := c.analyzeStep(st.Post, &fact)
+	condOK := c.analyzeCond(st.Cond, &fact)
+	fact.Canonical = initOK && stepOK && condOK
 	// Non-canonical loops are warnings, not errors: lowering keeps them as
 	// conservatively modelled irregular loops that are never vectorized, so
 	// the program still compiles end to end.
@@ -864,53 +934,30 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 			"non-canonical loop %s: init clause does not establish an induction variable; the loop will not be vectorized", st.Label)
 	case !stepOK:
 		c.loopDiag(diag.Warning, CodeNonCanonical, st,
-			"non-canonical loop %s: post clause does not step induction variable %q by a positive constant; the loop will not be vectorized", st.Label, iv)
+			"non-canonical loop %s: post clause does not step induction variable %q by a positive constant; the loop will not be vectorized", st.Label, fact.IndexVar)
 	case !condOK:
 		c.loopDiag(diag.Warning, CodeNonCanonical, st,
-			"non-canonical loop %s: condition does not bound induction variable %q; trip count is unknown", st.Label, iv)
+			"non-canonical loop %s: condition does not bound induction variable %q; trip count is unknown", st.Label, fact.IndexVar)
 	}
 
-	ls := &loopState{label: st.Label, iv: iv}
-	c.loops = append(c.loops, ls)
-	c.breakables = append(c.breakables, inLoop)
-	c.checkBlock(st.Body)
-	c.breakables = c.breakables[:len(c.breakables)-1]
-	// Subscript-shape facts are judged while this loop is still on the
-	// stack, so its own induction variable counts as affine.
-	affine := c.affineSubscripts(st.Body)
-	distinct := c.distinctArrays(st.Body)
-	c.loops = c.loops[:len(c.loops)-1]
-
-	fact := LoopFact{Label: st.Label, Canonical: canonical, IndexVar: iv, EarlyExit: ls.earlyExit}
-	if c.fn != nil {
-		fact.Func = c.fn.Name
-	}
+	fact.EarlyExit = ls.earlyExit
 	// A break makes the static trip formula an upper bound, not an exact
-	// count, so no trip proof is recorded for early-exit loops.
-	if canonical && loKnown && hiKnown && !ls.mutated && !ls.earlyExit {
-		// Re-derive step and bound after the body walk: an assignment inside
-		// the body to a variable the bound or step folded through has cleared
-		// its constant status (or changed its value), and the pre-body proof
-		// no longer holds. lo needs no re-check — the init clause runs once,
-		// before the body.
-		step2, down2, stepOK2 := analyzeStep(c, st.Post, iv)
-		hi2, hiKnown2, incl2, condOK2 := analyzeCond(c, st.Cond, iv, down2)
-		if stepOK2 && condOK2 && hiKnown2 &&
-			step2 == step && down2 == down && hi2 == hi && incl2 == inclusive {
-			fact.TripProven = true
-			fact.Trip = tripCount(lo, hi, step, down, inclusive)
-		}
+	// count, so no trip proof is recorded for early-exit loops. Nor for
+	// loops that never run: a proof is a positive count.
+	if trip, ok := fact.StaticTrip(); ok && trip > 0 && !ls.mutated && !ls.earlyExit {
+		fact.TripProven, fact.Trip = true, trip
 	}
-	fact.AffineSubscripts = affine
-	fact.DistinctArrays = distinct
 	c.facts.set(fact)
 
 	c.popScope()
+	c.forgetAssigned(st.Post)
+	c.forgetAssigned(st.Body)
 }
 
-// checkPost re-checks non-canonical post clauses: a canonical step (i++,
-// i += c) was already validated structurally, and checking it as an ordinary
-// statement would double-report reads of the induction variable.
+// checkPost checks a post clause. A step of the induction variable (i++,
+// i += c) is validated structurally by analyzeStep, and checking it as an
+// ordinary statement would double-report reads of the induction variable, so
+// only its step expression is checked, which also folds it.
 func (c *checker) checkPost(post lang.Stmt, iv string) {
 	switch po := post.(type) {
 	case *lang.IncDecStmt:
@@ -936,81 +983,88 @@ func (c *checker) loopDiag(sev diag.Severity, code string, st *lang.ForStmt, for
 	})
 }
 
-// analyzeInit mirrors the lowering pass's induction-variable extraction so
-// sema's canonicality verdicts and trip proofs agree with what lower builds.
-func (c *checker) analyzeInit(init lang.Stmt) (iv string, lo int64, known, ok bool) {
+// analyzeInit records the induction variable the init clause establishes
+// and its start value, reporting whether the clause has induction form.
+func (c *checker) analyzeInit(init lang.Stmt, fact *LoopFact) bool {
 	switch in := init.(type) {
 	case *lang.DeclStmt:
 		if in.Type.IsArray() {
-			return "", 0, false, false
+			return false
 		}
-		if in.Init == nil {
-			return in.Name, 0, false, true
+		fact.IndexVar = in.Name
+		if in.Init != nil {
+			fact.Start, fact.StartKnown = c.facts.Const(in.Init)
 		}
-		v, okc := c.evalConst(in.Init)
-		return in.Name, v, okc, true
+		return true
 	case *lang.AssignStmt:
-		id, okx := in.LHS.(*lang.Ident)
-		if !okx || in.Op != lang.Assign {
-			return "", 0, false, false
+		id, ok := in.LHS.(*lang.Ident)
+		if !ok || in.Op != lang.Assign {
+			return false
 		}
-		v, okc := c.evalConst(in.RHS)
-		return id.Name, v, okc, true
+		fact.IndexVar = id.Name
+		fact.Start, fact.StartKnown = c.facts.Const(in.RHS)
+		return true
 	}
-	return "", 0, false, false
+	return false
 }
 
-func analyzeStep(c *checker, post lang.Stmt, iv string) (step int64, down, ok bool) {
+// analyzeStep records the constant stride and direction of a post clause
+// that steps the induction variable, reporting whether it does.
+func (c *checker) analyzeStep(post lang.Stmt, fact *LoopFact) bool {
+	iv := fact.IndexVar
 	if iv == "" {
-		return 0, false, false
+		return false
 	}
+	var step lang.Expr
 	switch po := post.(type) {
 	case *lang.IncDecStmt:
-		if id, okx := po.X.(*lang.Ident); okx && id.Name == iv {
-			return 1, po.Dec, true
+		if id, ok := po.X.(*lang.Ident); ok && id.Name == iv {
+			fact.Step, fact.Down = 1, po.Dec
+			return true
 		}
+		return false
 	case *lang.AssignStmt:
-		id, okx := po.LHS.(*lang.Ident)
-		if !okx || id.Name != iv {
-			return 0, false, false
+		if id, ok := po.LHS.(*lang.Ident); !ok || id.Name != iv {
+			return false
 		}
 		switch po.Op {
-		case lang.PlusAssign:
-			if v, okc := c.evalConst(po.RHS); okc && v > 0 {
-				return v, false, true
-			}
-		case lang.MinusAssign:
-			if v, okc := c.evalConst(po.RHS); okc && v > 0 {
-				return v, true, true
-			}
+		case lang.PlusAssign, lang.MinusAssign:
+			step, fact.Down = po.RHS, po.Op == lang.MinusAssign
 		case lang.Assign:
-			if be, okb := po.RHS.(*lang.BinaryExpr); okb {
-				if x, okx2 := be.X.(*lang.Ident); okx2 && x.Name == iv {
-					if v, okc := c.evalConst(be.Y); okc && v > 0 {
-						switch be.Op {
-						case lang.Plus:
-							return v, false, true
-						case lang.Minus:
-							return v, true, true
-						}
-					}
-				}
+			// i = i + c / i = i - c
+			be, ok := po.RHS.(*lang.BinaryExpr)
+			if !ok || (be.Op != lang.Plus && be.Op != lang.Minus) {
+				return false
 			}
+			if x, ok := be.X.(*lang.Ident); !ok || x.Name != iv {
+				return false
+			}
+			step, fact.Down = be.Y, be.Op == lang.Minus
 		}
 	}
-	return 0, false, false
+	if v, ok := c.facts.Const(step); ok && v > 0 {
+		fact.Step = v
+		return true
+	}
+	fact.Down = false
+	return false
 }
 
-func analyzeCond(c *checker, cond lang.Expr, iv string, down bool) (hi int64, known, inclusive, ok bool) {
-	be, okb := cond.(*lang.BinaryExpr)
-	if !okb || iv == "" {
-		return 0, false, false, false
+// analyzeCond records the bound the condition compares the induction
+// variable against, reporting whether the condition bounds it by a constant
+// or a plain variable.
+func (c *checker) analyzeCond(cond lang.Expr, fact *LoopFact) bool {
+	be, ok := cond.(*lang.BinaryExpr)
+	iv := fact.IndexVar
+	if !ok || iv == "" {
+		return false
 	}
 	var bound lang.Expr
 	op := be.Op
-	if id, okx := be.X.(*lang.Ident); okx && id.Name == iv {
+	if id, ok := be.X.(*lang.Ident); ok && id.Name == iv {
 		bound = be.Y
-	} else if id, oky := be.Y.(*lang.Ident); oky && id.Name == iv {
+	} else if id, ok := be.Y.(*lang.Ident); ok && id.Name == iv {
+		// Flip the comparison: N > i  ==  i < N.
 		bound = be.X
 		switch op {
 		case lang.Gt:
@@ -1023,83 +1077,24 @@ func analyzeCond(c *checker, cond lang.Expr, iv string, down bool) (hi int64, kn
 			op = lang.Ge
 		}
 	} else {
-		return 0, false, false, false
+		return false
 	}
 	switch {
-	case !down && (op == lang.Lt || op == lang.Le):
-		inclusive = op == lang.Le
-	case down && (op == lang.Gt || op == lang.Ge):
-		inclusive = op == lang.Ge
-	case op == lang.NotEq:
-		inclusive = false
-	default:
-		return 0, false, false, false
+	case !fact.Down && (op == lang.Lt || op == lang.Le):
+		fact.Inclusive = op == lang.Le
+	case fact.Down && (op == lang.Gt || op == lang.Ge):
+		fact.Inclusive = op == lang.Ge
+	case op != lang.NotEq:
+		return false
 	}
-	if v, okc := c.evalConst(bound); okc {
-		return v, true, inclusive, true
+	if fact.Bound, fact.BoundKnown = c.facts.Const(bound); fact.BoundKnown {
+		return true
 	}
-	if _, okid := bound.(*lang.Ident); okid {
-		return 0, false, inclusive, true
+	if id, ok := bound.(*lang.Ident); ok {
+		fact.BoundVar = id.Name
+		return true
 	}
-	return 0, false, inclusive, false
-}
-
-// tripCount matches the lowering pass's formula exactly; a proof that
-// disagreed with what the IR carries would be worse than no proof.
-func tripCount(lo, hi, step int64, down, inclusive bool) int64 {
-	if step <= 0 {
-		step = 1
-	}
-	var span int64
-	if down {
-		span = lo - hi
-	} else {
-		span = hi - lo
-	}
-	if inclusive {
-		span++
-	}
-	if span <= 0 {
-		return 0
-	}
-	return (span + step - 1) / step
-}
-
-// evalConst folds an integer constant expression using the checker's current
-// knowledge of constant-valued variables.
-func (c *checker) evalConst(e lang.Expr) (int64, bool) {
-	switch ex := e.(type) {
-	case *lang.IntLit:
-		return ex.Value, true
-	case *lang.Ident:
-		if sym := c.lookup(ex.Name); sym != nil && sym.isConst {
-			return sym.constVal, true
-		}
-	case *lang.UnaryExpr:
-		v, ok := c.evalConst(ex.X)
-		if !ok {
-			return 0, false
-		}
-		switch ex.Op {
-		case lang.Minus:
-			return -v, true
-		case lang.Plus:
-			return v, true
-		case lang.Tilde:
-			return ^v, true
-		}
-	case *lang.BinaryExpr:
-		x, okx := c.evalConst(ex.X)
-		y, oky := c.evalConst(ex.Y)
-		if okx && oky {
-			return foldArithOrCompare(ex.Op, x, y)
-		}
-	case *lang.CastExpr:
-		if ex.To.IsInteger() {
-			return c.evalConst(ex.X)
-		}
-	}
-	return 0, false
+	return false
 }
 
 // ---- Per-loop fact helpers ----
@@ -1130,7 +1125,7 @@ func (c *checker) affineSubscripts(body *lang.BlockStmt) bool {
 
 // affineExpr reports whether e is const + sum(const * iv) over ivs.
 func (c *checker) affineExpr(e lang.Expr, ivs map[string]bool) bool {
-	if _, ok := c.evalConst(e); ok {
+	if _, ok := c.facts.Const(e); ok {
 		return true
 	}
 	switch ex := e.(type) {
@@ -1143,10 +1138,10 @@ func (c *checker) affineExpr(e lang.Expr, ivs map[string]bool) bool {
 		case lang.Plus, lang.Minus:
 			return c.affineExpr(ex.X, ivs) && c.affineExpr(ex.Y, ivs)
 		case lang.Star:
-			if _, ok := c.evalConst(ex.X); ok {
+			if _, ok := c.facts.Const(ex.X); ok {
 				return c.affineExpr(ex.Y, ivs)
 			}
-			if _, ok := c.evalConst(ex.Y); ok {
+			if _, ok := c.facts.Const(ex.Y); ok {
 				return c.affineExpr(ex.X, ivs)
 			}
 		}
@@ -1281,14 +1276,6 @@ func foldArith(op lang.Kind, x, y int64) (int64, bool) {
 		return x >> uint(y), true
 	}
 	return 0, false
-}
-
-func foldArithOrCompare(op lang.Kind, x, y int64) (int64, bool) {
-	switch op {
-	case lang.Lt, lang.Gt, lang.Le, lang.Ge, lang.EqEq, lang.NotEq, lang.AndAnd, lang.OrOr:
-		return foldCompare(op, x, y), true
-	}
-	return foldArith(op, x, y)
 }
 
 func posOf(e lang.Expr) lang.Pos {

@@ -157,7 +157,7 @@ void f() {
     for (int i = 0; i < 64; i++) { a[i] = i; }
 }
 `)
-		trip, ok := info.Facts.ProvenTrip("L0")
+		trip, ok := provenTrip(info.Facts, "L0")
 		if !ok || trip != 64 {
 			t.Errorf("ProvenTrip(L0) = %d, %v; want 64, true", trip, ok)
 		}
@@ -170,7 +170,7 @@ void f() {
     for (int i = 0; i < n; i++) { a[i] = i; }
 }
 `)
-		trip, ok := info.Facts.ProvenTrip("L0")
+		trip, ok := provenTrip(info.Facts, "L0")
 		if !ok || trip != 32 {
 			t.Errorf("ProvenTrip(L0) = %d, %v; want 32, true", trip, ok)
 		}
@@ -183,7 +183,7 @@ void f() {
     for (int i = 0; i < n; i++) { a[i] = i; n = n - 1; }
 }
 `)
-		if trip, ok := info.Facts.ProvenTrip("L0"); ok {
+		if trip, ok := provenTrip(info.Facts, "L0"); ok {
 			t.Errorf("ProvenTrip(L0) = %d proven despite body-mutated bound", trip)
 		}
 	})
@@ -194,7 +194,7 @@ void f() {
     for (int i = 0; i < 32; i++) { a[i] = i; i = i + 1; }
 }
 `)
-		if trip, ok := info.Facts.ProvenTrip("L0"); ok {
+		if trip, ok := provenTrip(info.Facts, "L0"); ok {
 			t.Errorf("ProvenTrip(L0) = %d proven despite mutated induction variable", trip)
 		}
 	})
@@ -205,10 +205,16 @@ void f(int n) {
     for (int i = 0; i < n; i++) { a[i] = i; }
 }
 `)
-		if trip, ok := info.Facts.ProvenTrip("L0"); ok {
+		if trip, ok := provenTrip(info.Facts, "L0"); ok {
 			t.Errorf("ProvenTrip(L0) = %d proven for symbolic bound", trip)
 		}
 	})
+}
+
+// provenTrip returns the labeled loop's proven trip count.
+func provenTrip(f *Facts, label string) (int64, bool) {
+	fact, ok := f.Loop(label)
+	return fact.Trip, ok && fact.TripProven
 }
 
 // TestFactsShape covers the remaining fact fields on a two-loop program.
@@ -245,9 +251,6 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("Check(nil) = %+v, want empty info", info)
 	}
 	var f *Facts
-	if _, ok := f.ProvenTrip("L0"); ok {
-		t.Error("nil Facts proved a trip")
-	}
 	if _, ok := f.Loop("L0"); ok {
 		t.Error("nil Facts returned a loop fact")
 	}

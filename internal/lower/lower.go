@@ -1,10 +1,12 @@
 // Package lower translates the mini-C AST into the loop-nest IR.
 //
-// The pass performs the analyses a vectorizing compiler front end would:
+// The pass performs the analyses a vectorizing compiler front end would,
+// reading integer constants and each loop's induction form (start, step,
+// bound) from semantic analysis's facts rather than deriving its own:
 //
-//   - trip-count evaluation with constant folding through global constants
-//     (loops with runtime bounds are marked TripKnown=false and get their
-//     simulated trip count from Options);
+//   - trip counts from the loop form sema recorded (loops with runtime
+//     bounds are marked TripKnown=false and get their simulated trip count
+//     from Options);
 //   - affine analysis of array subscripts, producing per-loop strides used by
 //     dependence analysis and the cache model;
 //   - reduction recognition (sum += ..., prod *= ..., min/max patterns);
@@ -20,6 +22,7 @@ import (
 
 	"neurovec/internal/ir"
 	"neurovec/internal/lang"
+	"neurovec/internal/lang/sema"
 )
 
 // Options controls lowering.
@@ -31,19 +34,12 @@ type Options struct {
 	ParamValues map[string]int64
 	// DefaultTrip is used when a runtime bound has no entry in ParamValues.
 	DefaultTrip int64
-	// Facts optionally supplies per-loop proofs from semantic analysis
-	// (sema.Facts implements this). A proven trip count is copied onto
-	// ir.Loop.ProvenTrip, where the dependence analysis may rely on it;
-	// without facts ProvenTrip stays 0 and analysis is fully conservative.
-	Facts LoopFacts
-}
-
-// LoopFacts is the hook through which frontend proofs reach lowering without
-// this package depending on the sema package.
-type LoopFacts interface {
-	// ProvenTrip returns the proven constant trip count for the loop with
-	// the given parser label, if one was established.
-	ProvenTrip(label string) (int64, bool)
+	// Facts is semantic analysis's result for the program being lowered:
+	// lowering reads every integer constant and each loop's induction form
+	// from it, and copies a proven trip count onto ir.Loop.ProvenTrip, where
+	// the dependence analysis may rely on it. When nil, Program runs
+	// sema.Check itself.
+	Facts *sema.Facts
 }
 
 // DefaultOptions returns the options used throughout the evaluation:
@@ -63,6 +59,9 @@ func (e *Error) Error() string { return fmt.Sprintf("lower %s: %s", e.Func, e.Ms
 func Program(p *lang.Program, opts Options) (*ir.Program, error) {
 	if opts.DefaultTrip <= 0 {
 		opts.DefaultTrip = 256
+	}
+	if opts.Facts == nil {
+		opts.Facts = sema.Check("", p).Facts
 	}
 	out := &ir.Program{Source: p}
 	env := newEnv(p, opts)
@@ -86,12 +85,11 @@ func MustProgram(p *lang.Program) *ir.Program {
 	return out
 }
 
-// env carries symbol and constant information during lowering.
+// env carries symbol information during lowering.
 type env struct {
 	opts    Options
 	types   map[string]lang.Type
 	structs map[string]*lang.StructDecl
-	consts  map[string]int64 // globals and locals with constant integer inits
 	// declDepth records the loop depth at which each scalar was declared:
 	// -1 for globals/params/function-scope locals, otherwise the depth of
 	// the enclosing loop. Used for reduction recognition.
@@ -108,7 +106,6 @@ func newEnv(p *lang.Program, opts Options) *env {
 		opts:      opts,
 		types:     make(map[string]lang.Type),
 		structs:   make(map[string]*lang.StructDecl),
-		consts:    make(map[string]int64),
 		declDepth: make(map[string]int),
 		loopVars:  make(map[string]string),
 	}
@@ -118,11 +115,6 @@ func newEnv(p *lang.Program, opts Options) *env {
 	for _, g := range p.Globals {
 		e.types[g.Name] = g.Type
 		e.declDepth[g.Name] = -1
-		if !g.Type.IsArray() && g.Init != nil {
-			if v, ok := e.evalConst(g.Init); ok {
-				e.consts[g.Name] = v
-			}
-		}
 	}
 	return e
 }
@@ -193,11 +185,6 @@ func (e *env) lowerStmt(s lang.Stmt, ctx *loopCtx, fn *ir.Func, parent *ir.Loop)
 		e.types[st.Name] = st.Type
 		e.declDepth[st.Name] = ctx.depth
 		if st.Init != nil {
-			if v, ok := e.evalConst(st.Init); ok && !st.Type.IsArray() {
-				e.consts[st.Name] = v
-			} else {
-				delete(e.consts, st.Name)
-			}
 			if _, err := e.lowerExpr(st.Init, ctx); err != nil {
 				return err
 			}
@@ -312,13 +299,9 @@ func (e *env) lowerFor(st *lang.ForStmt, ctx *loopCtx, fn *ir.Func, parent *ir.L
 		Pragma: st.Pragma,
 	}
 
-	iv, lo, loKnown := e.analyzeInit(st.Init)
-	var step int64
-	var down, stepOK bool
-	if iv != "" {
-		step, down, stepOK = e.analyzeStep(st.Post, iv)
-	}
-	if iv == "" || !stepOK {
+	fact, _ := e.opts.Facts.Loop(st.Label)
+	iv := fact.IndexVar
+	if iv == "" || fact.Step == 0 {
 		// Non-canonical induction (unknown init clause, or a post clause that
 		// is not a constant-stride update, e.g. i *= 2). Lower conservatively:
 		// mark the loop Irregular, simulate it with the default trip, and keep
@@ -334,7 +317,6 @@ func (e *env) lowerFor(st *lang.ForStmt, ctx *loopCtx, fn *ir.Func, parent *ir.L
 			loop.IndexVar = iv
 			e.declDepth[iv] = loop.Depth
 			e.types[iv] = lang.Type{Scalar: lang.TypeInt}
-			delete(e.consts, iv)
 		}
 		inner := &loopCtx{depth: loop.Depth, loop: loop}
 		if err := e.lowerBlock(st.Body, inner, fn, loop); err != nil {
@@ -350,37 +332,19 @@ func (e *env) lowerFor(st *lang.ForStmt, ctx *loopCtx, fn *ir.Func, parent *ir.L
 	loop.IndexVar = iv
 	e.declDepth[iv] = loop.Depth
 	e.types[iv] = lang.Type{Scalar: lang.TypeInt}
-	delete(e.consts, iv)
-	loop.Step = step
+	loop.Step = fact.Step
 
-	hi, hiKnown, inclusive, boundParam := e.analyzeCond(st.Cond, iv, down)
-
-	switch {
-	case loKnown && hiKnown:
+	if trip, ok := fact.StaticTrip(); ok {
 		loop.TripKnown = true
-		loop.Trip = tripCount(lo, hi, step, down, inclusive)
-	default:
-		loop.TripKnown = false
-		n := e.opts.DefaultTrip
-		if boundParam != "" {
-			if v, okp := e.opts.ParamValues[boundParam]; okp {
-				n = v
-			}
+		loop.Trip = trip
+	} else {
+		loop.Trip = e.opts.DefaultTrip
+		if v, ok := e.opts.ParamValues[fact.BoundVar]; ok && fact.BoundVar != "" {
+			loop.Trip = max(v, 0)
 		}
-		loop.Trip = n
 	}
-	if loop.Trip < 0 {
-		loop.Trip = 0
-	}
-	if e.opts.Facts != nil {
-		if proven, ok := e.opts.Facts.ProvenTrip(loop.Label); ok {
-			// Trust the proof only when it agrees with our own constant
-			// analysis (or when we had none): a disagreement means the fact
-			// table belongs to a different program revision.
-			if !loop.TripKnown || loop.Trip == proven {
-				loop.ProvenTrip = proven
-			}
-		}
+	if fact.TripProven {
+		loop.ProvenTrip = fact.Trip
 	}
 
 	// Enter loop scope.
@@ -409,15 +373,15 @@ func (e *env) lowerFor(st *lang.ForStmt, ctx *loopCtx, fn *ir.Func, parent *ir.L
 			if !refs || c == 0 {
 				continue
 			}
-			if loKnown {
-				a.Offset += c * lo
+			if fact.StartKnown {
+				a.Offset += c * fact.Start
 			} else {
 				// Unknown start: the constant part of the address is
 				// incomplete, which disables offset-based dependence proofs.
 				a.ExactOffset = false
 			}
-			eff := c * step
-			if down {
+			eff := c * fact.Step
+			if fact.Down {
 				eff = -eff
 			}
 			a.Strides[loop.Label] = eff
@@ -431,137 +395,6 @@ func (e *env) lowerFor(st *lang.ForStmt, ctx *loopCtx, fn *ir.Func, parent *ir.L
 		fn.Loops = append(fn.Loops, loop)
 	}
 	return nil
-}
-
-// analyzeInit extracts the induction variable and its constant start value.
-func (e *env) analyzeInit(init lang.Stmt) (iv string, lo int64, known bool) {
-	switch in := init.(type) {
-	case *lang.DeclStmt:
-		if in.Init == nil {
-			return in.Name, 0, false
-		}
-		v, ok := e.evalConst(in.Init)
-		return in.Name, v, ok
-	case *lang.AssignStmt:
-		id, ok := in.LHS.(*lang.Ident)
-		if !ok || in.Op != lang.Assign {
-			return "", 0, false
-		}
-		v, okc := e.evalConst(in.RHS)
-		return id.Name, v, okc
-	}
-	return "", 0, false
-}
-
-// analyzeStep extracts the loop step from the post clause.
-func (e *env) analyzeStep(post lang.Stmt, iv string) (step int64, down, ok bool) {
-	switch po := post.(type) {
-	case *lang.IncDecStmt:
-		if id, okx := po.X.(*lang.Ident); okx && id.Name == iv {
-			return 1, po.Dec, true
-		}
-	case *lang.AssignStmt:
-		id, okx := po.LHS.(*lang.Ident)
-		if !okx || id.Name != iv {
-			return 0, false, false
-		}
-		switch po.Op {
-		case lang.PlusAssign:
-			if v, okc := e.evalConst(po.RHS); okc && v > 0 {
-				return v, false, true
-			}
-		case lang.MinusAssign:
-			if v, okc := e.evalConst(po.RHS); okc && v > 0 {
-				return v, true, true
-			}
-		case lang.Assign:
-			// i = i + c / i = i - c
-			if be, okb := po.RHS.(*lang.BinaryExpr); okb {
-				if x, okx2 := be.X.(*lang.Ident); okx2 && x.Name == iv {
-					if v, okc := e.evalConst(be.Y); okc && v > 0 {
-						switch be.Op {
-						case lang.Plus:
-							return v, false, true
-						case lang.Minus:
-							return v, true, true
-						}
-					}
-				}
-			}
-		}
-	}
-	return 0, false, false
-}
-
-// analyzeCond extracts the loop bound. boundParam names the identifier the
-// bound reduces to when it is a single runtime variable (used to look up a
-// simulated value).
-func (e *env) analyzeCond(cond lang.Expr, iv string, down bool) (hi int64, known, inclusive bool, boundParam string) {
-	be, ok := cond.(*lang.BinaryExpr)
-	if !ok {
-		return 0, false, false, ""
-	}
-	lhsIsIV := false
-	if id, okx := be.X.(*lang.Ident); okx && id.Name == iv {
-		lhsIsIV = true
-	}
-	var bound lang.Expr
-	op := be.Op
-	if lhsIsIV {
-		bound = be.Y
-	} else if id, oky := be.Y.(*lang.Ident); oky && id.Name == iv {
-		bound = be.X
-		// Flip the comparison: N > i  ==  i < N.
-		switch op {
-		case lang.Gt:
-			op = lang.Lt
-		case lang.Ge:
-			op = lang.Le
-		case lang.Lt:
-			op = lang.Gt
-		case lang.Le:
-			op = lang.Ge
-		}
-	} else {
-		return 0, false, false, ""
-	}
-
-	switch {
-	case !down && (op == lang.Lt || op == lang.Le):
-		inclusive = op == lang.Le
-	case down && (op == lang.Gt || op == lang.Ge):
-		inclusive = op == lang.Ge
-	case op == lang.NotEq:
-		inclusive = false
-	default:
-		return 0, false, false, ""
-	}
-	if v, okc := e.evalConst(bound); okc {
-		return v, true, inclusive, ""
-	}
-	if id, okid := bound.(*lang.Ident); okid {
-		return 0, false, inclusive, id.Name
-	}
-	return 0, false, inclusive, ""
-}
-
-func tripCount(lo, hi, step int64, down, inclusive bool) int64 {
-	if step <= 0 {
-		step = 1
-	}
-	var span int64
-	if down {
-		span = lo - hi
-	} else {
-		span = hi - lo
-	}
-	if inclusive {
-		span++
-	}
-	if span <= 0 {
-		return 0
-	}
-	return (span + step - 1) / step
 }
 
 // lowerAssign handles assignments, including reduction recognition.
@@ -580,7 +413,6 @@ func (e *env) lowerAssign(st *lang.AssignStmt, ctx *loopCtx) error {
 				})
 				// The combining op executes each iteration.
 				e.emit(ctx, ir.Instr{Op: redOp, Type: t})
-				delete(e.consts, id.Name)
 				return nil
 			}
 		}
@@ -593,7 +425,7 @@ func (e *env) lowerAssign(st *lang.AssignStmt, ctx *loopCtx) error {
 
 	switch lhs := st.LHS.(type) {
 	case *lang.Ident:
-		t := e.typeOf(st.LHS)
+		t := e.typeOf(lhs)
 		if st.Op != lang.Assign {
 			e.emit(ctx, ir.Instr{Op: compoundOp(st.Op), Type: t})
 		} else {
@@ -602,7 +434,6 @@ func (e *env) lowerAssign(st *lang.AssignStmt, ctx *loopCtx) error {
 		if needsConvert(rhsType, t) {
 			e.emit(ctx, ir.Instr{Op: ir.OpConvert, Type: t, From: rhsType})
 		}
-		delete(e.consts, lhs.Name)
 		return nil
 	case *lang.IndexExpr:
 		t := e.typeOf(st.LHS)
@@ -980,7 +811,7 @@ func (e *env) affine(x lang.Expr) (coeffs map[string]int64, off int64, ok, exact
 		if label, isIV := e.loopVars[ex.Name]; isIV {
 			return map[string]int64{label: 1}, 0, true, true
 		}
-		if v, isC := e.consts[ex.Name]; isC {
+		if v, isC := e.opts.Facts.Const(ex); isC {
 			return map[string]int64{}, v, true, true
 		}
 		// Runtime scalar: unknown but loop-invariant offset.
@@ -1018,7 +849,7 @@ func (e *env) affine(x lang.Expr) (coeffs map[string]int64, off int64, ok, exact
 			return c1, o1 + sign*o2, true, e1 && e2
 		case lang.Star:
 			// One side must be a compile-time constant.
-			if v, okc := e.evalConst(ex.X); okc {
+			if v, okc := e.opts.Facts.Const(ex.X); okc {
 				c, o, okx, exactx := e.affine(ex.Y)
 				if !okx {
 					return nil, 0, false, false
@@ -1028,7 +859,7 @@ func (e *env) affine(x lang.Expr) (coeffs map[string]int64, off int64, ok, exact
 				}
 				return c, o * v, true, exactx
 			}
-			if v, okc := e.evalConst(ex.Y); okc {
+			if v, okc := e.opts.Facts.Const(ex.Y); okc {
 				c, o, okx, exactx := e.affine(ex.X)
 				if !okx {
 					return nil, 0, false, false
@@ -1041,95 +872,22 @@ func (e *env) affine(x lang.Expr) (coeffs map[string]int64, off int64, ok, exact
 			return nil, 0, false, false
 		case lang.Slash, lang.Shr:
 			// i/2 or i>>1 is not linear in i; treat as non-affine.
-			if v, okc := e.evalConst(x); okc {
+			if v, okc := e.opts.Facts.Const(x); okc {
 				return map[string]int64{}, v, true, true
 			}
 			return nil, 0, false, false
 		}
-		if v, okc := e.evalConst(x); okc {
+		if v, okc := e.opts.Facts.Const(x); okc {
 			return map[string]int64{}, v, true, true
 		}
 		return nil, 0, false, false
 	case *lang.CastExpr:
 		return e.affine(ex.X)
 	}
-	if v, okc := e.evalConst(x); okc {
+	if v, okc := e.opts.Facts.Const(x); okc {
 		return map[string]int64{}, v, true, true
 	}
 	return nil, 0, false, false
-}
-
-// evalConst folds integer constant expressions using global/local constant
-// bindings.
-func (e *env) evalConst(x lang.Expr) (int64, bool) {
-	switch ex := x.(type) {
-	case *lang.IntLit:
-		return ex.Value, true
-	case *lang.Ident:
-		if _, isIV := e.loopVars[ex.Name]; isIV {
-			return 0, false
-		}
-		v, ok := e.consts[ex.Name]
-		return v, ok
-	case *lang.UnaryExpr:
-		v, ok := e.evalConst(ex.X)
-		if !ok {
-			return 0, false
-		}
-		switch ex.Op {
-		case lang.Minus:
-			return -v, true
-		case lang.Tilde:
-			return ^v, true
-		case lang.Bang:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-		return 0, false
-	case *lang.CastExpr:
-		if ex.To.IsInteger() {
-			return e.evalConst(ex.X)
-		}
-		return 0, false
-	case *lang.BinaryExpr:
-		a, okA := e.evalConst(ex.X)
-		b, okB := e.evalConst(ex.Y)
-		if !okA || !okB {
-			return 0, false
-		}
-		switch ex.Op {
-		case lang.Plus:
-			return a + b, true
-		case lang.Minus:
-			return a - b, true
-		case lang.Star:
-			return a * b, true
-		case lang.Slash:
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		case lang.Percent:
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		case lang.Shl:
-			return a << uint(b&63), true
-		case lang.Shr:
-			return a >> uint(b&63), true
-		case lang.Amp:
-			return a & b, true
-		case lang.Pipe:
-			return a | b, true
-		case lang.Caret:
-			return a ^ b, true
-		}
-		return 0, false
-	}
-	return 0, false
 }
 
 func (e *env) typeOf(x lang.Expr) lang.ScalarType {
