@@ -73,7 +73,7 @@ func cmdEval(args []string) error {
 	var fw *core.Framework
 	switch {
 	case *load != "":
-		fw = core.New(core.DefaultConfig(), core.WithSeed(*seed))
+		fw = seededFramework(*seed)
 		if err := fw.LoadModelFile(*load); err != nil {
 			return err
 		}
@@ -87,7 +87,7 @@ func cmdEval(args []string) error {
 		logger.Info("training agent", "units", fw.NumSamples(), "iterations", *iters)
 		fw.Train(rc)
 	default:
-		fw = core.New(core.DefaultConfig(), core.WithSeed(*seed))
+		fw = seededFramework(*seed)
 	}
 
 	report, err := evalharness.New(fw).Run(context.Background(), corpus, evalharness.Options{

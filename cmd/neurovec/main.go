@@ -238,6 +238,14 @@ func cmdReport(args []string) error {
 	return nil
 }
 
+// seededFramework returns an untrained framework with the default
+// configuration and the given seed.
+func seededFramework(seed int64) *core.Framework {
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	return core.New(cfg)
+}
+
 // buildTrainer loads n generated samples into a fresh framework and maps the
 // training settings onto PPO hyperparameters the way `neurovec train` does.
 func buildTrainer(n, iters, batch int, lr float64, seed int64, space string) (*core.Framework, *rl.Config, error) {
@@ -354,7 +362,7 @@ func runPolicyCmd(cmd string, args []string) error {
 	var fw *core.Framework
 	switch {
 	case *load != "":
-		fw = core.New(core.DefaultConfig(), core.WithSeed(*seed))
+		fw = seededFramework(*seed)
 		if err := fw.LoadModelFile(*load); err != nil {
 			return err
 		}
@@ -368,7 +376,7 @@ func runPolicyCmd(cmd string, args []string) error {
 		fmt.Fprintf(os.Stderr, "training agent on %d loop units...\n", fw.NumSamples())
 		fw.Train(rc)
 	default:
-		fw = core.New(core.DefaultConfig(), core.WithSeed(*seed))
+		fw = seededFramework(*seed)
 	}
 
 	ctx := context.Background()

@@ -6,7 +6,9 @@
 // (vectorization planning) and "execution" (cycle-level simulation, standing
 // in for the paper's physical testbed). Typical use:
 //
-//	fw := core.New(core.DefaultConfig(), core.WithSeed(1))
+//	cfg := core.DefaultConfig()
+//	cfg.Seed = 1
+//	fw := core.New(cfg)
 //	fw.LoadSet(dataset.Generate(dataset.GenConfig{N: 5000, Seed: 1}))
 //	stats := fw.Train(nil)                    // PPO + end-to-end embedding
 //	resp, _ := fw.PredictLoops(ctx, src, nil) // inference on new code
@@ -145,13 +147,10 @@ func (f *Framework) getEmbedScratch() *embedScratch {
 
 func (f *Framework) putEmbedScratch(s *embedScratch) { f.embedPool.Put(s) }
 
-// New creates an empty framework from cfg with opts applied on top.
-func New(cfg Config, opts ...Option) *Framework {
+// New creates an empty framework from cfg.
+func New(cfg Config) *Framework {
 	if cfg.Arch == nil {
 		cfg = DefaultConfig()
-	}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	if cfg.Sim.Arch == nil {
 		cfg.Sim.Arch = cfg.Arch

@@ -308,13 +308,14 @@ func TestContinueTrainingKeepsConfigIterations(t *testing.T) {
 	}
 }
 
+// TestNewWithOptions checks that New propagates the configured seed to the
+// embedding and defaults the simulator's architecture.
 func TestNewWithOptions(t *testing.T) {
-	fw := New(DefaultConfig(), WithSeed(9), WithCompileBudget(5, -4))
+	cfg := DefaultConfig()
+	cfg.Seed = 9
+	fw := New(cfg)
 	if fw.Cfg.Seed != 9 || fw.Cfg.Embed.Seed != 9 {
-		t.Fatalf("WithSeed not applied: seed=%d embed seed=%d", fw.Cfg.Seed, fw.Cfg.Embed.Seed)
-	}
-	if fw.Cfg.CompileTimeoutFactor != 5 || fw.Cfg.TimeoutPenalty != -4 {
-		t.Fatalf("WithCompileBudget not applied: %+v", fw.Cfg)
+		t.Fatalf("seed not propagated: seed=%d embed seed=%d", fw.Cfg.Seed, fw.Cfg.Embed.Seed)
 	}
 	if fw.Cfg.Sim.Arch == nil {
 		t.Fatal("simulator arch not defaulted")

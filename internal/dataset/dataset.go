@@ -113,19 +113,6 @@ func Generate(cfg GenConfig) *Set {
 	return set
 }
 
-// FamilyNames lists the template families available to the generator; the
-// extended-grammar families are included after the base pool.
-func FamilyNames() []string {
-	out := make([]string, 0, len(families)+len(extendedFamilies))
-	for _, f := range families {
-		out = append(out, f.name)
-	}
-	for _, f := range extendedFamilies {
-		out = append(out, f.name)
-	}
-	return out
-}
-
 type family struct {
 	name string
 	gen  func(nm *namer, rng *rand.Rand) string

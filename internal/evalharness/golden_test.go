@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"neurovec/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden eval report")
@@ -26,7 +24,7 @@ func TestGoldenReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := core.New(core.DefaultConfig(), core.WithSeed(seed))
+	fw := modelFree(t, seed)
 	opts := Options{Policy: "random", Seed: seed, Jobs: 1}
 	report, err := New(fw).Run(context.Background(), corpus, opts)
 	if err != nil {
@@ -39,7 +37,7 @@ func TestGoldenReport(t *testing.T) {
 
 	// The acceptance contract: sharding must not move a byte.
 	opts.Jobs = 3
-	report2, err := New(core.New(core.DefaultConfig(), core.WithSeed(seed))).Run(context.Background(), corpus, opts)
+	report2, err := New(modelFree(t, seed)).Run(context.Background(), corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

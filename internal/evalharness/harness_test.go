@@ -16,7 +16,9 @@ import (
 
 func modelFree(t *testing.T, seed int64) *core.Framework {
 	t.Helper()
-	return core.New(core.DefaultConfig(), core.WithSeed(seed))
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	return core.New(cfg)
 }
 
 func runJSON(t *testing.T, h *Harness, corpus *Corpus, opts Options) []byte {

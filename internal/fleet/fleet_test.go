@@ -660,10 +660,28 @@ func TestFleetHedging(t *testing.T) {
 	defer rt.Close()
 	rt.probeOnce()
 
-	for i, src := range fixture.srcs {
-		rec, body := post(t, rt, "/v2/compile", &api.CompileRequest{Source: src}, nil)
+	// Ring positions hash the replicas' (random) addresses, so the requests
+	// that must reach the slow replica are picked by their owner: the
+	// fixture sources it owns, and a generated file it owns so that there is
+	// at least one.
+	slowOwned := func(file string) api.CompileRequest {
+		for k := 0; ; k++ {
+			req := api.CompileRequest{File: file, Source: fmt.Sprintf("float s%d[64];\nvoid f() {\n  for (int i = 0; i < 64; i++) { s%d[i] = s%d[i] * 2; }\n}\n", k, k, k)}
+			if ownerOf(rt, &req) == slow.URL {
+				return req
+			}
+		}
+	}
+	single := []api.CompileRequest{slowOwned("single.c")}
+	for _, src := range fixture.srcs {
+		if req := (api.CompileRequest{Source: src}); ownerOf(rt, &req) == slow.URL {
+			single = append(single, req)
+		}
+	}
+	for i := range single {
+		rec, body := post(t, rt, "/v2/compile", &single[i], nil)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("src %d: status %d: %s", i, rec.Code, body)
+			t.Fatalf("single %d: status %d: %s", i, rec.Code, body)
 		}
 	}
 	hedges := metricValue(t, rt, "neurovec_fleet_hedges_total")
@@ -673,19 +691,13 @@ func TestFleetHedging(t *testing.T) {
 
 	// An envelope hedges per sub-envelope: the slow replica's share gets a
 	// duplicate on the fast one, and every record still answers in order.
-	// Ring positions hash the replicas' (random) addresses, so a generated
-	// file the slow replica owns makes sure it gets a sub-envelope.
+	// A generated file the slow replica owns makes sure it gets a
+	// sub-envelope.
 	reqs := make([]api.CompileRequest, len(fixture.srcs))
 	for i, src := range fixture.srcs {
 		reqs[i] = api.CompileRequest{File: fmt.Sprintf("h%d.c", i), Source: "// envelope\n" + src}
 	}
-	for k := 0; ; k++ {
-		req := api.CompileRequest{File: "slow.c", Source: fmt.Sprintf("float s%d[64];\nvoid f() {\n  for (int i = 0; i < 64; i++) { s%d[i] = s%d[i] * 2; }\n}\n", k, k, k)}
-		if ownerOf(rt, &req) == slow.URL {
-			reqs = append(reqs, req)
-			break
-		}
-	}
+	reqs = append(reqs, slowOwned("slow.c"))
 	rec, body := post(t, rt, "/v2/compile", api.Batch{Requests: reqs}, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("envelope: status %d: %s", rec.Code, body)

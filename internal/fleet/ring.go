@@ -74,9 +74,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's distinct node addresses in sorted order.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Lookup returns up to n distinct nodes for key in preference order: the
 // key's owner first, then the next distinct nodes clockwise — the hedging
 // and failover targets. It returns nil on an empty ring.

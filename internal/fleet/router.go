@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -511,11 +510,13 @@ func (rt *Router) forwardOne(ctx context.Context, version, key string, req *api.
 // NDJSON content type streams, a JSON body with "requests" is a batch,
 // anything else a single file.
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
-	reqID := w.Header().Get("X-Request-ID")
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
-		rt.handleCompileStream(w, r, reqID)
+		// Every line is routed independently, so a replica dying mid-stream
+		// only re-routes its in-flight lines; the stream itself never breaks.
+		service.StreamNDJSON(w, r, rt.streamWidth(), rt.cfg.MaxRequestBytes, rt.compileLine)
 		return
 	}
+	reqID := w.Header().Get("X-Request-ID")
 	var env struct {
 		api.CompileRequest
 		Requests []api.CompileRequest `json:"requests,omitempty"`
@@ -790,62 +791,6 @@ func (rt *Router) forwardGroup(ctx context.Context, version string, g *batchGrou
 		}
 	}
 	return failed
-}
-
-// handleCompileStream answers an NDJSON stream: lines fan out across the
-// fleet as they arrive (bounded in flight) and responses stream back in
-// request order as files finish. Because every line is routed independently,
-// a replica dying mid-stream only re-routes its in-flight lines — the stream
-// itself never breaks.
-func (rt *Router) handleCompileStream(w http.ResponseWriter, r *http.Request, reqID string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Without full duplex, Go's HTTP/1.1 server discards the unread rest of
-	// the request body at the first flush below, and the lines after it are
-	// lost. Writers that cannot do it (test recorders) hold the whole body.
-	rc := http.NewResponseController(w)
-	rc.EnableFullDuplex()
-	// Commit the response headers before the first line: interactive
-	// streaming clients (and the failure tests) pipeline request lines
-	// against response lines, so they need the header frame immediately.
-	rc.Flush()
-
-	type slot chan *api.CompileResponse
-	queue := make(chan slot, rt.streamWidth())
-	go func() {
-		defer close(queue)
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 64*1024), int(rt.cfg.MaxRequestBytes))
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			lineCopy := append([]byte(nil), line...)
-			out := make(slot, 1)
-			queue <- out // backpressure before spawning work
-			go func() {
-				var req api.CompileRequest
-				dec := json.NewDecoder(bytes.NewReader(lineCopy))
-				dec.DisallowUnknownFields()
-				if err := dec.Decode(&req); err != nil {
-					out <- &api.CompileResponse{Version: api.Version, RequestID: reqID, Error: "bad request line: " + err.Error()}
-					return
-				}
-				out <- rt.compileLine(r.Context(), &req, reqID)
-			}()
-		}
-		if err := sc.Err(); err != nil {
-			out := make(slot, 1)
-			out <- &api.CompileResponse{Version: api.Version, RequestID: reqID, Error: "bad request stream: " + err.Error()}
-			queue <- out
-		}
-	}()
-
-	enc := json.NewEncoder(w)
-	for out := range queue {
-		enc.Encode(<-out)
-		rc.Flush()
-	}
 }
 
 // streamWidth bounds concurrently in-flight files per batch/stream request:

@@ -7,13 +7,8 @@ import "neurovec/internal/lang"
 // lowered IR carries, so downstream passes can consume them without
 // re-deriving anything from the AST.
 type LoopFact struct {
-	// Label is the parser-assigned loop label; Func the enclosing function.
+	// Label is the parser-assigned loop label.
 	Label string
-	Func  string
-	// Canonical reports that the loop has the canonical induction form the
-	// lowering pass understands: a recognisable induction variable, a
-	// constant step, and a comparison bound.
-	Canonical bool
 
 	// The loop's induction form, which lowering builds the IR loop from.
 	// IndexVar is the variable the init clause establishes (empty when it
@@ -42,17 +37,6 @@ type LoopFact struct {
 	// analysis may rely on for disjointness proofs.
 	TripProven bool
 	Trip       int64
-	// AffineSubscripts reports that every array subscript in the loop body
-	// is an affine function (constant coefficients) of enclosing induction
-	// variables.
-	AffineSubscripts bool
-	// DistinctArrays reports that every array referenced in the loop body
-	// has its own storage (a global or local declaration, not an array
-	// parameter that could alias another parameter).
-	DistinctArrays bool
-	// EarlyExit reports that the loop body contains a break bound to this
-	// loop, so the loop may execute fewer iterations than its bounds imply.
-	EarlyExit bool
 }
 
 // StaticTrip returns the trip count the loop's constant start, step and

@@ -7,12 +7,11 @@
 //
 //   - a deterministic diag.List of findings (errors reject the program under
 //     the core's strict mode; warnings and notes only annotate), and
-//   - a Facts table of per-loop proofs (constant trip counts, affine
-//     subscript form, distinct-array storage) that downstream passes — in
-//     particular the dependence analysis in internal/deps — may rely on to
-//     accept provably safe loops they would otherwise reject, together with
-//     each loop's induction form and the folded value of every integer
-//     constant expression. The lowering pass builds its IR from these, so
+//   - a Facts table of per-loop proofs (constant trip counts) that
+//     downstream passes — in particular the dependence analysis in
+//     internal/deps — may rely on to accept provably safe loops they would
+//     otherwise reject, together with each loop's induction form and the
+//     folded value of every integer constant expression. The lowering pass builds its IR from these, so
 //     the checker's fold is the program's only constant folder.
 //
 // The analysis never panics on any parseable input; FuzzSemaNoPanic holds it
@@ -885,9 +884,6 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 		c.checkStmt(st.Init)
 	}
 	fact := LoopFact{Label: st.Label}
-	if c.fn != nil {
-		fact.Func = c.fn.Name
-	}
 	initOK := c.analyzeInit(st.Init, &fact)
 	// The condition, post clause and body run once per iteration, so a
 	// variable the post clause or body assigns holds no constant in any of
@@ -912,10 +908,6 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 	c.breakables = append(c.breakables, inLoop)
 	c.checkBlock(st.Body)
 	c.breakables = c.breakables[:len(c.breakables)-1]
-	// Subscript-shape facts are judged while this loop is still on the
-	// stack, so its own induction variable counts as affine.
-	fact.AffineSubscripts = c.affineSubscripts(st.Body)
-	fact.DistinctArrays = c.distinctArrays(st.Body)
 	c.loops = c.loops[:len(c.loops)-1]
 
 	// The post clause runs after the body.
@@ -924,7 +916,6 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 	}
 	stepOK := c.analyzeStep(st.Post, &fact)
 	condOK := c.analyzeCond(st.Cond, &fact)
-	fact.Canonical = initOK && stepOK && condOK
 	// Non-canonical loops are warnings, not errors: lowering keeps them as
 	// conservatively modelled irregular loops that are never vectorized, so
 	// the program still compiles end to end.
@@ -940,7 +931,6 @@ func (c *checker) checkFor(st *lang.ForStmt) {
 			"non-canonical loop %s: condition does not bound induction variable %q; trip count is unknown", st.Label, fact.IndexVar)
 	}
 
-	fact.EarlyExit = ls.earlyExit
 	// A break makes the static trip formula an upper bound, not an exact
 	// count, so no trip proof is recorded for early-exit loops. Nor for
 	// loops that never run: a proof is a positive count.
@@ -1095,114 +1085,6 @@ func (c *checker) analyzeCond(cond lang.Expr, fact *LoopFact) bool {
 		return true
 	}
 	return false
-}
-
-// ---- Per-loop fact helpers ----
-
-// affineSubscripts reports whether every subscript in the loop body is an
-// affine expression over enclosing induction variables and constants.
-func (c *checker) affineSubscripts(body *lang.BlockStmt) bool {
-	ivs := map[string]bool{}
-	for _, ls := range c.loops {
-		ivs[ls.iv] = true
-	}
-	affine := true
-	lang.Walk(body, func(s lang.Stmt) bool {
-		eachExpr(s, func(e lang.Expr) {
-			lang.WalkExpr(e, func(sub lang.Expr) bool {
-				if ix, ok := sub.(*lang.IndexExpr); ok {
-					if !c.affineExpr(ix.Index, ivs) {
-						affine = false
-					}
-				}
-				return true
-			})
-		})
-		return true
-	})
-	return affine
-}
-
-// affineExpr reports whether e is const + sum(const * iv) over ivs.
-func (c *checker) affineExpr(e lang.Expr, ivs map[string]bool) bool {
-	if _, ok := c.facts.Const(e); ok {
-		return true
-	}
-	switch ex := e.(type) {
-	case *lang.Ident:
-		return ivs[ex.Name]
-	case *lang.UnaryExpr:
-		return ex.Op == lang.Minus && c.affineExpr(ex.X, ivs)
-	case *lang.BinaryExpr:
-		switch ex.Op {
-		case lang.Plus, lang.Minus:
-			return c.affineExpr(ex.X, ivs) && c.affineExpr(ex.Y, ivs)
-		case lang.Star:
-			if _, ok := c.facts.Const(ex.X); ok {
-				return c.affineExpr(ex.Y, ivs)
-			}
-			if _, ok := c.facts.Const(ex.Y); ok {
-				return c.affineExpr(ex.X, ivs)
-			}
-		}
-	}
-	return false
-}
-
-// distinctArrays reports whether every array referenced in the loop body has
-// its own storage (globals and locals; array parameters are pointers that
-// could alias one another).
-func (c *checker) distinctArrays(body *lang.BlockStmt) bool {
-	distinct := true
-	lang.Walk(body, func(s lang.Stmt) bool {
-		eachExpr(s, func(e lang.Expr) {
-			lang.WalkExpr(e, func(sub lang.Expr) bool {
-				if id, ok := sub.(*lang.Ident); ok {
-					if sym := c.lookup(id.Name); sym != nil && sym.typ.IsArray() && sym.kind == symParam {
-						distinct = false
-					}
-				}
-				return true
-			})
-		})
-		return true
-	})
-	return distinct
-}
-
-// eachExpr visits the top-level expressions of one statement (not nested
-// statements; lang.Walk handles those).
-func eachExpr(s lang.Stmt, fn func(lang.Expr)) {
-	switch st := s.(type) {
-	case *lang.DeclStmt:
-		if st.Init != nil {
-			fn(st.Init)
-		}
-	case *lang.AssignStmt:
-		fn(st.LHS)
-		fn(st.RHS)
-	case *lang.IncDecStmt:
-		fn(st.X)
-	case *lang.ExprStmt:
-		fn(st.X)
-	case *lang.ForStmt:
-		if st.Cond != nil {
-			fn(st.Cond)
-		}
-	case *lang.IfStmt:
-		fn(st.Cond)
-	case *lang.SwitchStmt:
-		fn(st.Tag)
-		for _, cc := range st.Cases {
-			if cc.Value != nil {
-				fn(cc.Value)
-			}
-		}
-	case *lang.ReturnStmt:
-		if st.Value != nil {
-			fn(st.Value)
-		}
-	}
 }
 
 // ---- Folding helpers ----

@@ -43,8 +43,8 @@ func TestCompileAllocCeiling(t *testing.T) {
 		cfg     Config
 		ceiling int
 	}{
-		{"uncached", Config{ModelPath: model, CacheEntries: -1, LoopCacheEntries: -1}, 346},
-		{"cached", Config{ModelPath: model}, 58},
+		{"uncached", Config{ModelPath: model, CacheEntries: -1, LoopCacheEntries: -1}, 343},
+		{"cached", Config{ModelPath: model}, 56},
 	} {
 		s := newTestServer(t, tc.cfg)
 		// AllocsPerRun's warm-up round fills the cached server's LRU.

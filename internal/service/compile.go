@@ -38,13 +38,6 @@ import (
 // so re-requests of whitespace-edited files skip the expensive work even
 // when the byte-level response cache misses.
 
-// compilePayload gives the api type the response cache's opt-out hook:
-// truncated answers depend on the requester's deadline and must not be
-// served to a later, more patient client.
-type compilePayload struct{ *api.CompileResponse }
-
-func (p compilePayload) skipCache() bool { return p.Truncated }
-
 // compileEnvelope decodes both single-request and batch bodies: a body with
 // a non-empty "requests" array is a Batch, anything else a CompileRequest.
 type compileEnvelope struct {
@@ -81,9 +74,8 @@ func CompileCacheKey(version, policyName string, req *api.CompileRequest) string
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// compileCompute runs one file through the v2 core path. It is the single
-// compute function behind all three /v2/compile request forms, which is
-// what guarantees they can never drift.
+// compileCompute runs one file through the v2 core path on the calling
+// goroutine; compileFile runs it on the worker pool.
 func (s *Server) compileCompute(ctx context.Context, m *model, req *api.CompileRequest, polName string, pol policy.Policy) (*api.CompileResponse, error) {
 	opts := []core.InferOption{core.WithPolicy(pol)}
 	if s.loops != nil {
@@ -112,10 +104,93 @@ func (s *Server) compileCompute(ctx context.Context, m *model, req *api.CompileR
 	return resp, nil
 }
 
+// compileFile answers one file of any /v2/compile form; it is the one
+// per-file path behind all three, which is what keeps them from drifting. It
+// validates req, resolves its policy, probes the response cache, runs the
+// compile on the worker pool, and stores the answer. cache is the
+// X-Neurovec-Cache value: "hit", "miss", or "bypass" for a traced request.
+//
+// On a hit resp is nil and body holds the cached bytes. Otherwise resp is
+// the fresh answer, without a request ID, and body its encoding when the
+// cache stored one (nil when the answer is traced or truncated). A failure
+// is a typed error that writeError maps onto a status.
+//
+// Traced requests bypass the cache in both directions: a cached body
+// carries no spans, and a trace describes exactly one execution. The stage
+// histograms still record (the sink rides along with the trace), and the
+// per-loop caches still apply, so a traced request on a warm server shows
+// the cheap path it actually took.
+//
+// rctx bounds the wait for a worker, and rctx shortened by the server's
+// and the request's timeouts bounds the compile itself. A deadline-aware
+// policy returns shortly after that deadline with its best-so-far answer;
+// abandoning the wait at the deadline would throw that answer away.
+func (s *Server) compileFile(rctx context.Context, m *model, req *api.CompileRequest, traced bool) (resp *api.CompileResponse, body []byte, cache string, err error) {
+	if err := req.Validate(); err != nil {
+		return nil, nil, "", &httpError{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	polName, pol, err := resolvePolicy(m, req.Policy, core.DefaultPolicy)
+	if err != nil {
+		s.metrics.Policy(polName, false)
+		return nil, nil, "", err
+	}
+	var key string
+	if !traced {
+		key = CompileCacheKey(m.version, polName, req)
+		if body, ok := s.cache.Get(key); ok {
+			s.metrics.CacheHit()
+			return nil, body, "hit", nil
+		}
+		s.metrics.CacheMiss()
+	}
+	ctx, cancel := s.computeCtx(rctx, req.TimeoutMS)
+	defer cancel()
+	var tr *obs.Trace
+	if traced {
+		tr = obs.NewTrace()
+		ctx = obs.WithRecorder(ctx, tr, s.metrics.StageSink())
+	}
+	// The job writes only variables of its own, never the results: Do
+	// returns as soon as rctx ends, and an abandoned job may still finish
+	// after compileFile has returned.
+	var fresh *api.CompileResponse
+	var cerr error
+	err = s.pool.Do(rctx, func() { fresh, cerr = s.compileCompute(ctx, m, req, polName, pol) })
+	if errors.Is(err, ErrOverloaded) {
+		s.metrics.PoolRejected()
+	}
+	s.logPanic(err)
+	if err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if traced {
+		fresh.Trace = core.TraceSpans(tr)
+		return fresh, nil, "bypass", nil
+	}
+	// A truncated answer depends on the requester's deadline and must not be
+	// served to a later, more patient client.
+	if !fresh.Truncated {
+		if b, err := json.Marshal(fresh); err == nil {
+			s.cache.Put(key, b)
+			body = b
+		}
+	}
+	return fresh, body, "miss", nil
+}
+
 // handleCompile serves POST /v2/compile, dispatching on the request form.
+// The single form answers with the cached or freshly encoded bytes, which
+// carry no request ID unless the request is traced.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
-		s.handleCompileStream(w, r)
+		m := s.model.Load()
+		StreamNDJSON(w, r, s.pool.Workers()*2, s.cfg.MaxRequestBytes,
+			func(ctx context.Context, req *api.CompileRequest, reqID string) *api.CompileResponse {
+				return s.compileItem(ctx, m, req, reqID)
+			})
 		return
 	}
 	var env compileEnvelope
@@ -128,63 +203,22 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.handleCompileBatch(w, r, m, &env)
 		return
 	}
-	req := env.CompileRequest
-	if err := req.Validate(); err != nil {
-		writeError(w, r, &httpError{status: http.StatusBadRequest, msg: err.Error()})
-		return
-	}
-	polName, pol, err := resolvePolicy(m, req.Policy, core.DefaultPolicy)
+	traced := env.Trace || r.URL.Query().Get("trace") == "1"
+	resp, body, cache, err := s.compileFile(r.Context(), m, &env.CompileRequest, traced)
 	if err != nil {
-		s.metrics.Policy(polName, false)
 		writeError(w, r, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	if req.Trace || r.URL.Query().Get("trace") == "1" {
-		s.serveTracedCompile(ctx, w, r, m, &req, polName, pol)
-		return
-	}
-	key := CompileCacheKey(m.version, polName, &req)
-	s.serveCached(ctx, w, r, key, func(ctx context.Context) (any, error) {
-		resp, err := s.compileCompute(ctx, m, &req, polName, pol)
-		if err != nil {
-			return nil, err
+	if body == nil {
+		if traced {
+			resp.RequestID = w.Header().Get("X-Request-ID")
 		}
-		return compilePayload{resp}, nil
-	})
-}
-
-// serveTracedCompile answers one traced compile request. Traced responses
-// bypass the response cache in both directions: a cached body carries no
-// spans, and a trace describes exactly one execution — serving it to another
-// request would be a lie. The stage histograms still record (the sink rides
-// along with the trace), and the per-loop caches still apply, so a traced
-// request on a warm server shows the cheap path it actually took.
-func (s *Server) serveTracedCompile(ctx context.Context, w http.ResponseWriter, r *http.Request, m *model, req *api.CompileRequest, polName string, pol policy.Policy) {
-	tr := obs.NewTrace()
-	ctx = obs.WithRecorder(ctx, tr, s.metrics.StageSink())
-	var resp *api.CompileResponse
-	var cerr error
-	err := s.pool.Do(r.Context(), func() { resp, cerr = s.compileCompute(ctx, m, req, polName, pol) })
-	if errors.Is(err, ErrOverloaded) {
-		s.metrics.PoolRejected()
+		if body, err = json.Marshal(resp); err != nil {
+			writeError(w, nil, err)
+			return
+		}
 	}
-	if err == nil {
-		err = cerr
-	}
-	if err != nil {
-		writeError(w, r, classify(err))
-		return
-	}
-	resp.RequestID = w.Header().Get("X-Request-ID")
-	resp.Trace = core.TraceSpans(tr)
-	body, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, nil, err)
-		return
-	}
-	w.Header().Set("X-Neurovec-Cache", "bypass")
+	w.Header().Set("X-Neurovec-Cache", cache)
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -222,16 +256,44 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request, m *m
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleCompileStream answers an NDJSON stream: requests are dispatched to
-// the pool as lines arrive (bounded in flight, so a huge batch cannot buffer
-// unboundedly) and responses stream back in request order as files finish.
-func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
-	m := s.model.Load()
-	// Every line of the stream shares the request's X-Request-ID — the one
-	// instrument() stamped on the response headers, which prefers a sane
-	// inbound header over generating a fresh ID. Echoing it per line (rather
-	// than regenerating, or only on the header the client may never surface)
-	// gives batch clients the same correlation key on every response record.
+// compileItem answers one batched or streamed file with its response
+// record. A failure becomes the record's Error field — a batch always yields
+// one response per request — and reqID is stamped on every record after the
+// cache interaction, so cached bytes stay request-neutral while every
+// client-visible record carries the key.
+func (s *Server) compileItem(ctx context.Context, m *model, req *api.CompileRequest, reqID string) *api.CompileResponse {
+	resp, body, _, err := s.compileFile(ctx, m, req, req.Trace)
+	if err == nil && resp == nil {
+		resp = new(api.CompileResponse)
+		err = json.Unmarshal(body, resp)
+	}
+	if err != nil {
+		resp = &api.CompileResponse{Version: api.Version, File: req.File, Error: err.Error()}
+		// A strict-mode semantic rejection keeps its diagnostics: batch and
+		// NDJSON clients get the same machine-readable findings the single
+		// form carries in its 422 error body.
+		var serr *core.SemanticError
+		if errors.As(err, &serr) {
+			resp.Diagnostics = serr.Diags
+		}
+	}
+	resp.RequestID = reqID
+	return resp
+}
+
+// StreamNDJSON answers an NDJSON /v2/compile stream, one request per line.
+// Lines are handed to compile as they arrive, at most width files in flight
+// so a huge stream cannot buffer unboundedly, and the answers stream back
+// one line each, in request order, as files finish. A line that is not a
+// CompileRequest, or a stream that breaks (a line longer than maxLine),
+// becomes an error record. compile receives the request's context and the
+// X-Request-ID already stamped on w's headers, which every line shares.
+// Exported because the fleet router streams through it too: one
+// implementation, two tiers.
+func StreamNDJSON(w http.ResponseWriter, r *http.Request, width int, maxLine int64, compile func(ctx context.Context, req *api.CompileRequest, reqID string) *api.CompileResponse) {
+	// Echoing the request's ID on every line, rather than only on the header
+	// a client may never surface, gives stream clients the same correlation
+	// key on every response record.
 	reqID := w.Header().Get("X-Request-ID")
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Response lines go out while request lines are still arriving. Without
@@ -240,14 +302,17 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 	// cannot do it (test recorders) hold the whole body already.
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex()
+	// Commit the response headers before the first line: interactive
+	// streaming clients pipeline request lines against response lines, so
+	// they need the header frame immediately.
+	rc.Flush()
 
 	type slot chan *api.CompileResponse
-	queue := make(chan slot, s.pool.Workers()*2)
+	queue := make(chan slot, width)
 	go func() {
 		defer close(queue)
 		sc := bufio.NewScanner(r.Body)
-		maxLine := int(s.cfg.MaxRequestBytes)
-		sc.Buffer(make([]byte, 64*1024), maxLine)
+		sc.Buffer(make([]byte, 64*1024), int(maxLine))
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
 			if len(line) == 0 {
@@ -264,7 +329,7 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 					out <- &api.CompileResponse{Version: api.Version, RequestID: reqID, Error: "bad request line: " + err.Error()}
 					return
 				}
-				out <- s.compileItem(r.Context(), m, &req, reqID)
+				out <- compile(r.Context(), &req, reqID)
 			}()
 		}
 		if err := sc.Err(); err != nil {
@@ -279,78 +344,4 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(<-out) // Encode appends the NDJSON newline
 		rc.Flush()
 	}
-}
-
-// compileItem compiles one batched file. Failures become the response's
-// Error field — a batch always yields one response per request — and cached
-// non-truncated responses are served and stored per file. reqID is echoed on
-// every response after the cache interaction, so cached bytes stay
-// request-neutral while every client-visible record carries the key.
-func (s *Server) compileItem(rctx context.Context, m *model, req *api.CompileRequest, reqID string) *api.CompileResponse {
-	fail := func(err error) *api.CompileResponse {
-		resp := &api.CompileResponse{Version: api.Version, File: req.File, RequestID: reqID, Error: err.Error()}
-		// A strict-mode semantic rejection keeps its diagnostics: batch and
-		// NDJSON clients get the same machine-readable findings the single
-		// form carries in its 422 error body.
-		var serr *core.SemanticError
-		if errors.As(err, &serr) {
-			resp.Diagnostics = serr.Diags
-		}
-		return resp
-	}
-	if err := req.Validate(); err != nil {
-		return fail(err)
-	}
-	polName, pol, err := resolvePolicy(m, req.Policy, core.DefaultPolicy)
-	if err != nil {
-		s.metrics.Policy(polName, false)
-		return fail(err)
-	}
-	key := CompileCacheKey(m.version, polName, req)
-	// Traced items bypass the cache entirely (neither hit nor store): a
-	// cached body carries no spans and a trace describes one execution.
-	if !req.Trace {
-		if body, ok := s.cache.Get(key); ok {
-			var resp api.CompileResponse
-			if json.Unmarshal(body, &resp) == nil {
-				s.metrics.CacheHit()
-				resp.RequestID = reqID
-				return &resp
-			}
-		}
-		s.metrics.CacheMiss()
-	}
-	ctx, cancel := s.computeCtx(rctx, req.TimeoutMS)
-	defer cancel()
-	var tr *obs.Trace
-	if req.Trace {
-		tr = obs.NewTrace()
-		ctx = obs.WithRecorder(ctx, tr, s.metrics.StageSink())
-	}
-	var resp *api.CompileResponse
-	var cerr error
-	err = s.pool.Do(rctx, func() { resp, cerr = s.compileCompute(ctx, m, req, polName, pol) })
-	if errors.Is(err, ErrOverloaded) {
-		s.metrics.PoolRejected()
-	}
-	if err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if tr != nil {
-		resp.Trace = core.TraceSpans(tr)
-		resp.RequestID = reqID
-		return resp
-	}
-	if !resp.Truncated {
-		// Cache before stamping the request ID: the stored bytes must stay
-		// request-neutral so a later hit can carry its own ID.
-		if body, err := json.Marshal(resp); err == nil {
-			s.cache.Put(key, body)
-		}
-	}
-	resp.RequestID = reqID
-	return resp
 }

@@ -2,11 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
 	"testing"
 
+	"neurovec/internal/api"
+	obslog "neurovec/internal/obs/log"
 	"neurovec/internal/policy"
 )
 
@@ -119,5 +122,58 @@ func TestServerSurvivesConcurrentPanics(t *testing.T) {
 	}
 	if rec, _ := do(t, s, "POST", "/v2/compile", map[string]any{"source": fixture.srcs[0]}); rec.Code != http.StatusOK {
 		t.Fatalf("server unhealthy after concurrent panics: %d", rec.Code)
+	}
+}
+
+// TestPanicLoggedOnEveryForm holds every /v2/compile form to the same
+// panic handling as the single one: a panicking batch item, NDJSON line or
+// traced request answers with an error naming the panic, logs the panic
+// with its stack once, and counts once on neurovec_pool_panics_total.
+func TestPanicLoggedOnEveryForm(t *testing.T) {
+	testFixture(t)
+	line, err := json.Marshal(api.CompileRequest{Source: fixture.srcs[0], Policy: "panic-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := json.Marshal(api.CompileRequest{Source: fixture.srcs[0], Policy: "panic-test", Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, contentType, body string
+		status                  int
+	}{
+		{"batch", "", `{"requests":[` + string(line) + `]}`, http.StatusOK},
+		{"ndjson", "application/x-ndjson", string(line) + "\n", http.StatusOK},
+		{"traced", "", string(traced), http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs strings.Builder
+			s := newTestServer(t, Config{
+				ModelPath: fixture.model1,
+				Logger:    obslog.New(&logs, obslog.LevelError, obslog.FormatJSON),
+			})
+			rec := postCompile(t, s, tc.body, tc.contentType)
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d (body %s)", rec.Code, tc.status, rec.Body)
+			}
+			if !strings.Contains(rec.Body.String(), "panicked") {
+				t.Errorf("answer does not name the panic: %s", rec.Body)
+			}
+			out := logs.String()
+			if n := strings.Count(out, "request panicked (recovered)"); n != 1 {
+				t.Fatalf("panic logged %d times, want 1:\n%s", n, out)
+			}
+			if !strings.Contains(out, `"stack":"goroutine `) || !strings.Contains(out, "panicServePolicy") {
+				t.Errorf("panic log line carries no stack through the panicking policy:\n%s", out)
+			}
+			var metrics strings.Builder
+			if _, err := s.Metrics().WriteTo(&metrics); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(metrics.String(), "neurovec_pool_panics_total 1\n") {
+				t.Error("panic not counted once on neurovec_pool_panics_total")
+			}
+		})
 	}
 }
