@@ -13,10 +13,12 @@ var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
 
 // checkGolden compares a table — its rendering plus every cell at full
 // precision — with testdata/<name>.golden. Figures 1 and 2 run entirely on
-// loaded units, so a drift here means the unit front end changed.
+// loaded units, so a drift there means the unit front end changed. Figures
+// 7, 8 and 9 also train the agent and run the Polly analogue, so a drift
+// there can come from training, the comparators or Polly's transforms.
 // Regenerate with:
 //
-//	go test ./internal/experiments -run 'TestFig[12]' -update
+//	go test ./internal/experiments -run 'TestFig[12789]' -update
 func checkGolden(t *testing.T, name string, tab *Table) {
 	t.Helper()
 	var b strings.Builder
@@ -152,6 +154,7 @@ func TestFig7Ordering(t *testing.T) {
 	if p10 <= b10 {
 		t.Errorf("bench10: polly (%.3f) should beat brute force (%.3f) via fusion", p10, b10)
 	}
+	checkGolden(t, "fig7", tab)
 }
 
 func TestFig8PollyAndRL(t *testing.T) {
@@ -189,6 +192,7 @@ func TestFig8PollyAndRL(t *testing.T) {
 	if pollyWins == 0 || rlWins == 0 {
 		t.Errorf("wins split polly=%d RL=%d, want both non-zero (paper: 3/3)", pollyWins, rlWins)
 	}
+	checkGolden(t, "fig8", tab)
 }
 
 func TestFig9SmallUniformGains(t *testing.T) {
@@ -208,6 +212,7 @@ func TestFig9SmallUniformGains(t *testing.T) {
 	if rlG < tab.GeoMean("polly")*0.95 {
 		t.Errorf("RL (%.3f) below Polly (%.3f) on MiBench", rlG, tab.GeoMean("polly"))
 	}
+	checkGolden(t, "fig9", tab)
 }
 
 func TestTrainingEfficiencyTable(t *testing.T) {
