@@ -130,16 +130,6 @@ func BenchmarkAblationCompilePenalty(b *testing.B) {
 	b.ReportMetric(rate, "timeout-rate(with-penalty)")
 }
 
-// BenchmarkAblationPolly isolates tiling vs fusion (DESIGN.md ablation).
-func BenchmarkAblationPolly(b *testing.B) {
-	var gemmTiling float64
-	for i := 0; i < b.N; i++ {
-		tab := experiments.AblationPolly(experiments.QuickOptions())
-		gemmTiling, _ = tab.Get("gemm", "tiling-only")
-	}
-	b.ReportMetric(gemmTiling, "gemm-tiling-speedup")
-}
-
 // BenchmarkAblationJointAgent reproduces the Section 3.3 design decision:
 // one joint (VF, IF) agent vs two independent single-factor agents.
 func BenchmarkAblationJointAgent(b *testing.B) {

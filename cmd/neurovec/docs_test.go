@@ -5,16 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"neurovec/internal/policy"
 )
 
 // The documentation checks pin the repo's markdown to reality: every
 // relative link must resolve, every repo path named in backticks must
 // exist, every `neurovec <cmd>` in a code fence must be a real subcommand,
 // every flag the training guide shows for `neurovec train` must exist in
-// the command's flag set, and every `METHOD /path` must be a registered
-// route. CI runs these as its doc-check step.
+// the command's flag set, every `METHOD /path` must be a registered route,
+// and every `rl|costmodel|…` list must name exactly the registered policies.
+// CI runs these as its doc-check step.
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -266,5 +270,36 @@ func TestDocsRoutesAreReal(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDocsPolicyListsAreRegistered checks every pipe list that names a
+// registered policy (`rl|costmodel|…`) in the docs and in main.go's usage
+// text against policy.List(), so a registry change cannot leave a stale or
+// missing name behind.
+func TestDocsPolicyListsAreRegistered(t *testing.T) {
+	want := policy.List()
+	listRe := regexp.MustCompile(`\b[a-z][a-z0-9_-]*(?:\|[a-z][a-z0-9_-]*)+\b`)
+	files := append(docFiles(t), filepath.Join(repoRoot(t), "cmd", "neurovec", "main.go"))
+	checked := 0
+	for _, f := range files {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, list := range listRe.FindAllString(string(body), -1) {
+			names := strings.Split(list, "|")
+			if !slices.ContainsFunc(names, func(n string) bool { return slices.Contains(want, n) }) {
+				continue // not a policy list (loop_id|label, text|json, ...)
+			}
+			checked++
+			slices.Sort(names)
+			if !slices.Equal(names, want) {
+				t.Errorf("%s: policy list %q, want the registered %s", filepath.Base(f), list, strings.Join(want, "|"))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("found no policy list in the docs or the usage text")
 	}
 }

@@ -15,9 +15,9 @@
 //	check    run semantic analysis over C files or corpora and print
 //	         machine-readable diagnostics
 //
-// Every decision method of the paper's comparison is selectable with the
-// shared -policy flag (annotate, brute, and sweep all take it): rl (the
-// trained agent, the default), costmodel, brute, random, polly, and nns.
+// Every per-loop decision method of the paper's comparison is selectable
+// with the shared -policy flag (annotate, brute, and sweep all take it): rl
+// (the trained agent, the default), costmodel, brute, random, and nns.
 // Model-free policies need no training or checkpoint; rl and nns train
 // in-process unless -load supplies a snapshot. -timeout bounds inference:
 // deadline-aware policies (brute) return their best answer so far.
@@ -131,7 +131,7 @@ commands:
             -checkpoint-every K, -resume model.gob, -eval-every K);
             deterministic at a fixed -seed for any -jobs
   annotate  inject a policy's vectorization pragmas into a C file
-            (-policy rl|costmodel|brute|random|polly|nns, -load model.gob,
+            (-policy rl|costmodel|brute|random|nns, -load model.gob,
             -timeout 2s, -pin <loop_id|label>=VFxIF, -json for the full
             per-loop v2 response)
   serve     serve inference over HTTP/JSON from a snapshot (-model model.gob,
@@ -314,7 +314,7 @@ func (p *pinFlags) Set(s string) error {
 
 // policyNeedsModel reports whether the policy decides from trained state, so
 // the runner must load a checkpoint or train in-process first. Everything
-// else (costmodel, brute, random, polly) runs model-free.
+// else (costmodel, brute, random) runs model-free.
 func policyNeedsModel(name string) bool { return name == "rl" || name == "nns" }
 
 func runPolicyCmd(cmd string, args []string) error {

@@ -150,7 +150,7 @@ func TestBackwardGradientCheck(t *testing.T) {
 	}
 	v, st := forward(m, ctxs)
 	for _, p := range m.Params() {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 	m.Backward(st, ctxs, v)
 
@@ -210,7 +210,7 @@ func TestAttentionFavoursInformativeContext(t *testing.T) {
 		dv[i] = v[i] - target[i]
 	}
 	for _, p := range m.Params() {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 	m.Backward(st, ctxs, dv)
 	// Gradients must be finite.

@@ -14,9 +14,9 @@
 //	resp, _ := fw.PredictLoops(ctx, src, nil) // inference on new code
 //	fmt.Print(resp.Annotated)                 // the source with pragmas injected
 //
-// Inference is policy-parameterized: every decision method of the paper's
-// comparison (trained agent, baseline cost model, brute force, random,
-// Polly, NNS over the learned embedding) is served through the pluggable
+// Inference is policy-parameterized: every per-loop decision method of the
+// paper's comparison (trained agent, baseline cost model, brute force,
+// random, NNS over the learned embedding) is served through the pluggable
 // interface of package neurovec/internal/policy, selected per call:
 //
 //	resp, err := fw.PredictLoops(ctx, src, nil, core.WithPolicyName("brute"))

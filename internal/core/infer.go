@@ -46,7 +46,7 @@ import (
 //
 // Inference is policy-parameterized: the decision for each loop comes from a
 // policy.Policy — the trained agent by default, or any registered method
-// (costmodel, brute, random, polly, nns) selected with WithPolicy /
+// (costmodel, brute, random, nns) selected with WithPolicy /
 // WithPolicyName. The context is threaded into every Decide call so
 // deadline-aware policies (brute force) can return their best answer so far
 // instead of blowing the caller's latency budget.

@@ -5,12 +5,9 @@ import (
 	"math"
 
 	"neurovec/internal/core"
-	"neurovec/internal/costmodel"
 	"neurovec/internal/dataset"
 	"neurovec/internal/features"
-	"neurovec/internal/polly"
 	"neurovec/internal/ranker"
-	"neurovec/internal/sim"
 )
 
 // AblationEmbedding compares the paper's learned code2vec embedding against
@@ -100,47 +97,6 @@ func AblationCompilePenalty(o Options) *Table {
 	return t
 }
 
-// AblationPolly isolates the two transforms of the Polly analogue on the
-// suites where each matters: tiling on the PolyBench gemm, fusion on the
-// bandwidth-bound fusible pair.
-func AblationPolly(o Options) *Table {
-	t := &Table{
-		Title:   "Ablation: Polly transforms (speedup over baseline)",
-		Columns: []string{"tiling-only", "fusion-only", "both"},
-	}
-	cases := []dataset.Benchmark{
-		pickBenchmark(dataset.PolyBench(), "gemm"),
-		pickBenchmark(dataset.EvalBenchmarks(), "bench10_fusible"),
-	}
-	fw := core.New(core.DefaultConfig())
-	arch, simCfg := fw.Cfg.Arch, fw.Cfg.Sim
-	for _, b := range cases {
-		start := fw.NumSamples()
-		if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
-			panic(err)
-		}
-		irp, base := fw.Units()[start].Prog, fw.BaselineCycles(start)
-		vals := map[string]float64{}
-		for _, v := range []struct {
-			label          string
-			tiling, fusion bool
-		}{
-			{"tiling-only", true, false},
-			{"fusion-only", false, true},
-			{"both", true, true},
-		} {
-			po := polly.DefaultOptions(arch)
-			po.EnableTiling = v.tiling
-			po.EnableFusion = v.fusion
-			res := polly.Optimize(irp, po)
-			cycles := sim.Program(res.Program, costmodel.Plans(res.Program, arch), simCfg).Cycles
-			vals[v.label] = base / cycles
-		}
-		t.Add(b.Name, vals)
-	}
-	return t
-}
-
 // NeuralCostModel evaluates the Section 5 learned cost model (package
 // ranker) against the baseline and the RL agent on the twelve held-out
 // benchmarks.
@@ -190,15 +146,6 @@ func NeuralCostModel(o Options) *Table {
 		t.Notes = append(t.Notes, fmt.Sprintf("geomean %-18s %.3fx", c, t.GeoMean(c)))
 	}
 	return t
-}
-
-func pickBenchmark(bs []dataset.Benchmark, name string) dataset.Benchmark {
-	for _, b := range bs {
-		if b.Name == name {
-			return b
-		}
-	}
-	panic("benchmark not found: " + name)
 }
 
 func finalMean(series []float64, k int) float64 {

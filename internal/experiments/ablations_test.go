@@ -44,35 +44,6 @@ func TestAblationCompilePenalty(t *testing.T) {
 	}
 }
 
-func TestAblationPolly(t *testing.T) {
-	tab := AblationPolly(QuickOptions())
-	// gemm is a tiling case: tiling-only must carry the win; fusion-only
-	// must be neutral.
-	tg, _ := tab.Get("gemm", "tiling-only")
-	fg, _ := tab.Get("gemm", "fusion-only")
-	if tg <= 1.1 {
-		t.Errorf("gemm tiling-only = %.3fx, want a clear locality win", tg)
-	}
-	if fg < 0.99 || fg > 1.01 {
-		t.Errorf("gemm fusion-only = %.3fx, want ~1.0 (nothing to fuse)", fg)
-	}
-	// The fusible pair is the reverse.
-	tf, _ := tab.Get("bench10_fusible", "tiling-only")
-	ff, _ := tab.Get("bench10_fusible", "fusion-only")
-	if ff <= 1.05 {
-		t.Errorf("bench10 fusion-only = %.3fx, want a bandwidth win", ff)
-	}
-	if tf < 0.99 || tf > 1.01 {
-		t.Errorf("bench10 tiling-only = %.3fx, want ~1.0 (1-D, untileable)", tf)
-	}
-	// "both" matches the stronger transform in each case.
-	bg, _ := tab.Get("gemm", "both")
-	bf, _ := tab.Get("bench10_fusible", "both")
-	if bg < tg*0.99 || bf < ff*0.99 {
-		t.Errorf("combined transforms lost performance: gemm %.3f vs %.3f, bench10 %.3f vs %.3f", bg, tg, bf, ff)
-	}
-}
-
 func TestAblationJointAgent(t *testing.T) {
 	curves := AblationJointAgent(QuickOptions())
 	joint := curves.Final("joint", 4)

@@ -433,7 +433,7 @@ func mustPredict(fw *core.Framework, i int) (int, int) {
 // when agent != nil the transformed innermost loops take the agent's
 // decisions (the combined Polly + deep RL configuration).
 func pollyCycles(irp *ir.Program, agent *rl.Agent, fw *core.Framework, start, end int) float64 {
-	res := polly.Optimize(irp, polly.DefaultOptions(fw.Cfg.Arch))
+	res := polly.Optimize(irp, fw.Cfg.Arch)
 	plans := costmodel.Plans(res.Program, fw.Cfg.Arch)
 	if agent != nil {
 		// Innermost point loops keep their original labels, so unit

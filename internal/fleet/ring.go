@@ -98,15 +98,6 @@ func (r *Ring) Lookup(key string, n int) []string {
 	return out
 }
 
-// Owner returns the single node for key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	nodes := r.Lookup(key, 1)
-	if len(nodes) == 0 {
-		return ""
-	}
-	return nodes[0]
-}
-
 // hash64 maps a string onto the ring circle. SHA-256 (truncated) rather than
 // a fast non-cryptographic hash: ring placement is off the request hot path
 // (keys hash once per request, vnodes once per membership change), and the

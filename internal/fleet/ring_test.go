@@ -34,7 +34,7 @@ func TestRingDistributionUniformity(t *testing.T) {
 	keys := syntheticLoopIDs(1000)
 	counts := map[string]int{}
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[owner(r, k)]++
 	}
 	if len(counts) != len(ringNodes) {
 		t.Fatalf("keys landed on %d of %d nodes: %v", len(counts), len(ringNodes), counts)
@@ -55,23 +55,23 @@ func TestRingMinimalMovement(t *testing.T) {
 	keys := syntheticLoopIDs(1000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k] = full.Owner(k)
+		before[k] = owner(full, k)
 	}
 
 	ejected := ringNodes[1]
 	reduced := NewRing([]string{ringNodes[0], ringNodes[2]}, 0)
 	moved := 0
 	for _, k := range keys {
-		owner := reduced.Owner(k)
+		now := owner(reduced, k)
 		if before[k] == ejected {
 			moved++
-			if owner == ejected {
+			if now == ejected {
 				t.Fatalf("key %q still routes to ejected node", k)
 			}
 			continue
 		}
-		if owner != before[k] {
-			t.Errorf("key %q moved from %s to %s though its node stayed up", k, before[k], owner)
+		if now != before[k] {
+			t.Errorf("key %q moved from %s to %s though its node stayed up", k, before[k], now)
 		}
 	}
 	if moved == 0 {
@@ -80,7 +80,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 	restored := NewRing(ringNodes, 0)
 	for _, k := range keys {
-		if got := restored.Owner(k); got != before[k] {
+		if got := owner(restored, k); got != before[k] {
 			t.Errorf("after re-admission key %q routes to %s, originally %s", k, got, before[k])
 		}
 	}
@@ -94,8 +94,8 @@ func TestRingDeterminism(t *testing.T) {
 	a := NewRing(ringNodes, 0)
 	b := NewRing([]string{ringNodes[2], ringNodes[0], ringNodes[1], ringNodes[0]}, 0)
 	for _, k := range syntheticLoopIDs(1000) {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("key %q: owner %s vs %s across insertion orders", k, a.Owner(k), b.Owner(k))
+		if owner(a, k) != owner(b, k) {
+			t.Fatalf("key %q: owner %s vs %s across insertion orders", k, owner(a, k), owner(b, k))
 		}
 	}
 }
@@ -110,8 +110,8 @@ func TestRingLookupDistinctSuccessors(t *testing.T) {
 		if len(got) != len(ringNodes) {
 			t.Fatalf("Lookup(%q, 5) returned %d nodes, want %d", k, len(got), len(ringNodes))
 		}
-		if got[0] != r.Owner(k) {
-			t.Fatalf("Lookup first entry %s != Owner %s", got[0], r.Owner(k))
+		if got[0] != owner(r, k) {
+			t.Fatalf("Lookup first entry %s != Owner %s", got[0], owner(r, k))
 		}
 		seen := map[string]bool{}
 		for _, n := range got {
@@ -131,7 +131,16 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.Lookup("key", 2); got != nil {
 		t.Errorf("empty ring Lookup = %v, want nil", got)
 	}
-	if got := r.Owner("key"); got != "" {
+	if got := owner(r, "key"); got != "" {
 		t.Errorf("empty ring Owner = %q, want empty", got)
 	}
+}
+
+// owner returns the single node for key ("" on an empty ring).
+func owner(r *Ring, key string) string {
+	nodes := r.Lookup(key, 1)
+	if len(nodes) == 0 {
+		return ""
+	}
+	return nodes[0]
 }

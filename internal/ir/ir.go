@@ -255,10 +255,7 @@ func (l *Loop) TotalIterations(desc *Loop) int64 {
 	return 0
 }
 
-// OpCount returns the number of body compute instructions.
-func (l *Loop) OpCount() int { return len(l.Body) }
-
-// LoadCount and StoreCount count the memory accesses by kind.
+// LoadCount counts load accesses in the immediate body.
 func (l *Loop) LoadCount() int {
 	n := 0
 	for _, a := range l.Accesses {
@@ -268,9 +265,6 @@ func (l *Loop) LoadCount() int {
 	}
 	return n
 }
-
-// StoreCount counts store accesses in the immediate body.
-func (l *Loop) StoreCount() int { return len(l.Accesses) - l.LoadCount() }
 
 // String renders an indented dump of the loop nest, used in tests and the
 // CLI's debug output.
@@ -310,15 +304,6 @@ type Func struct {
 	// charges them once per function invocation. This is what makes the
 	// MiBench regime (loops are a minor fraction of runtime) representable.
 	ScalarOps int
-}
-
-// AllLoops returns every loop in the function, outer loops before inner.
-func (f *Func) AllLoops() []*Loop {
-	var out []*Loop
-	for _, l := range f.Loops {
-		l.Walk(func(x *Loop) { out = append(out, x) })
-	}
-	return out
 }
 
 // InnermostLoops returns every innermost loop in the function.

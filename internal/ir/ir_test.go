@@ -97,8 +97,9 @@ func TestCounts(t *testing.T) {
 		{Kind: Load, Array: "b", Affine: true},
 		{Kind: Store, Array: "c", Affine: true},
 	}
-	if l.OpCount() != 2 || l.LoadCount() != 2 || l.StoreCount() != 1 {
-		t.Fatalf("counts = %d/%d/%d", l.OpCount(), l.LoadCount(), l.StoreCount())
+	ops, loads := len(l.Body), l.LoadCount()
+	if stores := len(l.Accesses) - loads; ops != 2 || loads != 2 || stores != 1 {
+		t.Fatalf("counts = %d/%d/%d", ops, loads, stores)
 	}
 }
 
@@ -158,8 +159,12 @@ func TestProgramHelpers(t *testing.T) {
 	if p.FindLoop("LZ") != nil {
 		t.Error("FindLoop should miss")
 	}
-	if got := f.AllLoops(); len(got) != 2 {
-		t.Errorf("AllLoops = %d", len(got))
+	var all []*Loop
+	for _, l := range f.Loops {
+		l.Walk(func(x *Loop) { all = append(all, x) })
+	}
+	if len(all) != 2 {
+		t.Errorf("loops walked = %d, want 2", len(all))
 	}
 }
 

@@ -141,8 +141,8 @@ void f() {
 }
 `)
 	l := p.Func("f").Loops[0]
-	if l.LoadCount() != 1 || l.StoreCount() != 1 {
-		t.Fatalf("compound store loads/stores = %d/%d, want 1/1", l.LoadCount(), l.StoreCount())
+	if l.LoadCount() != 1 || storeCount(l) != 1 {
+		t.Fatalf("compound store loads/stores = %d/%d, want 1/1", l.LoadCount(), storeCount(l))
 	}
 	hasMul := false
 	for _, in := range l.Body {
@@ -198,8 +198,8 @@ void f() {
 	if !l.HasIf {
 		t.Fatal("HasIf not set")
 	}
-	if l.StoreCount() != 2 {
-		t.Fatalf("stores = %d, want 2 (both branches)", l.StoreCount())
+	if storeCount(l) != 2 {
+		t.Fatalf("stores = %d, want 2 (both branches)", storeCount(l))
 	}
 	for _, a := range l.Accesses {
 		if a.Kind == ir.Store && !a.Predicated {

@@ -120,15 +120,6 @@ func (a *Arch) RegsPerVector(vf int, t lang.ScalarType) int {
 	return n
 }
 
-// LanesPerLine returns how many elements of type t fit in one cache line.
-func (a *Arch) LanesPerLine(t lang.ScalarType) int64 {
-	n := a.LineBytes / int64(t.Size())
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // OpLatency returns the dependent-use latency in cycles for an operation on
 // the given element type. Values follow Agner-Fog-style tables for a Skylake
 // class core, coarsened.

@@ -89,10 +89,10 @@ func TestLatencyTablesSane(t *testing.T) {
 
 func TestLanesPerLine(t *testing.T) {
 	a := IntelAVX2()
-	if got := a.LanesPerLine(lang.TypeInt); got != 16 {
+	if got := a.LineBytes / int64(lang.TypeInt.Size()); got != 16 {
 		t.Errorf("int lanes per 64B line = %d, want 16", got)
 	}
-	if got := a.LanesPerLine(lang.TypeDouble); got != 8 {
+	if got := a.LineBytes / int64(lang.TypeDouble.Size()); got != 8 {
 		t.Errorf("double lanes per line = %d, want 8", got)
 	}
 }

@@ -63,13 +63,6 @@ func NewParamInit(name string, n int, fn func(i int) float64) *Param {
 	return p
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
-
 // Len returns the number of elements.
 func (p *Param) Len() int { return len(p.W) }
 

@@ -40,8 +40,8 @@ func TestDenseGradientCheck(t *testing.T) {
 	for i := range y {
 		dy[i] = y[i] - target[i]
 	}
-	d.W.ZeroGrad()
-	d.B.ZeroGrad()
+	clear(d.W.G)
+	clear(d.B.G)
 	dx := d.Backward(make([]float64, d.In), x, dy)
 
 	for i := 0; i < d.W.Len(); i++ {
@@ -88,7 +88,7 @@ func TestMLPGradientCheck(t *testing.T) {
 	y := m.ApplyScratch(s, x)
 	dy := append([]float64(nil), y...)
 	for _, p := range m.Params() {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 	dx := m.Backward(s, x, dy)
 	for _, p := range m.Params() {

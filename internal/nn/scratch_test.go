@@ -118,8 +118,8 @@ func TestBackwardZeroGradientFastPath(t *testing.T) {
 	d := NewDense("t", 3, 4, rng)
 	x := []float64{0.5, -1, 2}
 	dy := []float64{0, 2, 0, -3} // rows 0 and 2 take the fast path
-	d.W.ZeroGrad()
-	d.B.ZeroGrad()
+	clear(d.W.G)
+	clear(d.B.G)
 	dx := []float64{7, 7, 7} // Backward must overwrite, not accumulate into, dx
 	d.Backward(dx, x, dy)
 	for o := 0; o < 4; o++ {

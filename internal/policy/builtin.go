@@ -9,18 +9,16 @@ import (
 
 	"neurovec/internal/costmodel"
 	"neurovec/internal/machine"
-	"neurovec/internal/polly"
 	"neurovec/internal/search"
 )
 
-// The six decision methods of the paper's comparison, registered under the
-// names the service and CLI expose.
+// The per-loop decision methods of the paper's comparison, registered under
+// the names the service and CLI expose.
 func init() {
 	Register("rl", newRL)
 	Register("costmodel", newCostModel)
 	Register("brute", newBrute)
 	Register("random", newRandom)
-	Register("polly", newPolly)
 	Register("nns", newNNS)
 }
 
@@ -154,38 +152,6 @@ func (p *randomPolicy) Decide(ctx context.Context, req *Request) (*Decision, err
 	}
 	vf, ifc := search.Random(arch.VFs(), arch.IFs(), rng)
 	return &Decision{VF: vf, IF: ifc}, nil
-}
-
-// ---- polly: the polyhedral-optimizer comparator ----
-
-type pollyPolicy struct{ h Host }
-
-func newPolly(h Host) (Policy, error) { return &pollyPolicy{h: h}, nil }
-
-func (p *pollyPolicy) Name() string { return "polly" }
-
-// Decide runs the Polly analogue (fusion + tiling) over a copy of the
-// program and reports the baseline cost model's choice for the transformed
-// loop — what -polly with default vectorization would do. Point loops keep
-// their labels through tiling; a loop fused away falls back to its original
-// shape.
-func (p *pollyPolicy) Decide(ctx context.Context, req *Request) (*Decision, error) {
-	arch, err := reqArch(req, p.h)
-	if err != nil {
-		return nil, fmt.Errorf("polly: %w", err)
-	}
-	if req.Loop == nil {
-		return nil, errors.New("polly: request carries no loop")
-	}
-	loop := req.Loop
-	if req.Prog != nil {
-		res := polly.Optimize(req.Prog, polly.DefaultOptions(arch))
-		if l := res.Program.FindLoop(loop.Label); l != nil && l.Innermost() {
-			loop = l
-		}
-	}
-	c := costmodel.Choose(loop, arch)
-	return &Decision{VF: c.VF, IF: c.IF}, nil
 }
 
 // ---- nns: nearest-neighbor search over the learned embedding ----

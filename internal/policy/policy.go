@@ -1,9 +1,9 @@
 // Package policy is the unified decision-making API of the NeuroVectorizer
 // reproduction. The paper is fundamentally a *comparison* of vectorization
 // decision methods — a baseline cost model, random search, exhaustive brute
-// force, the Polly polyhedral optimizer, nearest-neighbor search over the
-// learned embedding, and the deep-RL agent — and this package puts every one
-// of them behind a single context-aware interface:
+// force, nearest-neighbor search over the learned embedding, and the deep-RL
+// agent — and this package puts every one of them behind a single
+// context-aware interface:
 //
 //	type Policy interface {
 //	    Name() string
@@ -22,6 +22,10 @@
 // checks the deadline between candidate evaluations and returns the best
 // pair found so far (Truncated reports the early exit), so a serving layer
 // can bound worst-case latency without losing the request.
+//
+// The paper's other comparator, Polly, is not a policy: its fusion and
+// tiling rewrite the program, which no per-loop (VF, IF) decision can
+// express. Figures 7 and 8 simulate it directly (package polly).
 //
 // # Writing a policy
 //

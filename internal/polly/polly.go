@@ -33,41 +33,18 @@ type Result struct {
 	Fused [][2]string
 }
 
-// Options controls the optimizer.
-type Options struct {
-	Arch *machine.Arch
-	// MinTileTrip is the smallest trip count worth tiling over.
-	MinTileTrip int64
-	// EnableTiling and EnableFusion select the transforms (both on by
-	// default via DefaultOptions); the ablation benchmarks toggle them.
-	EnableTiling bool
-	EnableFusion bool
-}
-
-// DefaultOptions enables both transforms on the default machine model.
-func DefaultOptions(arch *machine.Arch) Options {
-	return Options{Arch: arch, MinTileTrip: 64, EnableTiling: true, EnableFusion: true}
-}
+// minTileTrip is the smallest trip count worth tiling over.
+const minTileTrip = 64
 
 // Optimize runs fusion then tiling over a deep copy of the program.
-func Optimize(p *ir.Program, opts Options) *Result {
-	if opts.Arch == nil {
-		opts.Arch = machine.IntelAVX2()
-	}
-	if opts.MinTileTrip <= 0 {
-		opts.MinTileTrip = 64
-	}
+func Optimize(p *ir.Program, arch *machine.Arch) *Result {
 	out := &Result{Program: cloneProgram(p)}
 	for _, f := range out.Program.Funcs {
-		if opts.EnableFusion {
-			fuseAdjacent(f, out)
-		}
-		if opts.EnableTiling {
-			for i, root := range f.Loops {
-				if tiled, ok := tileNest(root, opts); ok {
-					f.Loops[i] = tiled
-					out.Tiled = append(out.Tiled, root.Label)
-				}
+		fuseAdjacent(f, out)
+		for i, root := range f.Loops {
+			if tiled, ok := tileNest(root, arch); ok {
+				f.Loops[i] = tiled
+				out.Tiled = append(out.Tiled, root.Label)
 			}
 		}
 	}
@@ -146,7 +123,7 @@ func fuse(a, b *ir.Loop) {
 // tileNest strip-mines every loop of an affine nest into a (block, point)
 // pair, producing the loop order [blocks..., points...]. Returns the new
 // root and whether tiling was applied.
-func tileNest(root *ir.Loop, opts Options) (*ir.Loop, bool) {
+func tileNest(root *ir.Loop, arch *machine.Arch) (*ir.Loop, bool) {
 	chain := nestChain(root)
 	if len(chain) < 2 {
 		return root, false
@@ -155,7 +132,7 @@ func tileNest(root *ir.Loop, opts Options) (*ir.Loop, bool) {
 		if !l.TripKnown || l.Step != 1 || l.HasCall {
 			return root, false
 		}
-		if l.Trip < opts.MinTileTrip {
+		if l.Trip < minTileTrip {
 			return root, false
 		}
 		for _, a := range l.Accesses {
@@ -174,7 +151,7 @@ func tileNest(root *ir.Loop, opts Options) (*ir.Loop, bool) {
 	// vector products stream well untiled, and blocking them only adds loop
 	// overhead; real Polly's profitability heuristics are similarly
 	// locality-driven.
-	if innerFootprint(chain) <= opts.Arch.L1Bytes {
+	if innerFootprint(chain) <= arch.L1Bytes {
 		return root, false
 	}
 	inner := chain[len(chain)-1]
@@ -189,7 +166,7 @@ func tileNest(root *ir.Loop, opts Options) (*ir.Loop, bool) {
 		return root, false
 	}
 
-	tile := tileSize(chain, opts.Arch)
+	tile := tileSize(chain, arch)
 	if tile <= 1 {
 		return root, false
 	}

@@ -1,9 +1,6 @@
 package search
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Tree is a CART classification tree trained with Gini impurity. Classes
 // are joint action indices (vfIdx*len(IFs)+ifIdx); the caller decodes.
@@ -194,18 +191,4 @@ func giniCounts(counts []int, n int) float64 {
 		s = 0
 	}
 	return s
-}
-
-// Accuracy is a convenience for evaluating a tree on labelled data.
-func (t *Tree) Accuracy(x [][]float64, y []int) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	ok := 0
-	for i := range x {
-		if t.Predict(x[i]) == y[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(x))
 }

@@ -12,7 +12,7 @@
 //     instead of building an unbounded backlog.
 //   - Decisions come from pluggable policies (package
 //     neurovec/internal/policy): rl (the trained agent, the default),
-//     costmodel, brute, random, polly, and nns, selected per request by the
+//     costmodel, brute, random, and nns, selected per request by the
 //     "policy" field. GET /v1/policies lists them with availability.
 //   - Responses are cached in an LRU keyed by endpoint, model version,
 //     policy, source hash and runtime parameters. A repeated request is a

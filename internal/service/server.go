@@ -962,9 +962,6 @@ func (s *Server) SetDraining(v bool) {
 	}
 }
 
-// Draining reports whether the drain bit is set.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ReadyzResponse is the GET /readyz response body (status 200 when ready,
 // 503 while draining or stopping). Fleet routers parse it to learn the
 // replica's serving version; the fields are stable API.

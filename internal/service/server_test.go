@@ -431,7 +431,7 @@ func TestAnnotatePolicySelection(t *testing.T) {
 	s := newTestServer(t, Config{ModelPath: fixture.model1})
 	src := fixture.srcs[0]
 
-	for _, polName := range []string{"rl", "costmodel", "brute", "random", "polly"} {
+	for _, polName := range []string{"rl", "costmodel", "brute", "random"} {
 		rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: polName})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("policy %s: status %d: %s", polName, rec.Code, body)
@@ -458,7 +458,7 @@ func TestAnnotatePolicySelection(t *testing.T) {
 
 	// Per-policy metrics recorded one computed decision each.
 	_, mbody := do(t, s, "GET", "/metrics", nil)
-	for _, polName := range []string{"rl", "costmodel", "brute", "random", "polly"} {
+	for _, polName := range []string{"rl", "costmodel", "brute", "random"} {
 		want := fmt.Sprintf("neurovec_policy_requests_total{policy=%q,outcome=\"ok\"} 1", polName)
 		if !strings.Contains(string(mbody), want) {
 			t.Fatalf("metrics missing %s:\n%s", want, mbody)
@@ -471,10 +471,13 @@ func TestAnnotatePolicyErrors(t *testing.T) {
 	s := newTestServer(t, Config{ModelPath: fixture.model1})
 	src := fixture.srcs[0]
 
-	// Unknown policy: client error.
-	rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: "quantum"})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown policy: status %d (%s), want 400", rec.Code, body)
+	// Unknown policy: client error. polly is a figure-only comparator, not
+	// a servable policy.
+	for _, name := range []string{"quantum", "polly"} {
+		rec, body := do(t, s, "POST", "/v2/compile", api.CompileRequest{Source: src, Policy: name})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("unknown policy %s: status %d (%s), want 400", name, rec.Code, body)
+		}
 	}
 	// nns needs a labelled corpus the checkpoint-only server cannot supply:
 	// conflict with serving state.
@@ -502,7 +505,7 @@ func TestPoliciesEndpoint(t *testing.T) {
 	for _, p := range resp.Policies {
 		status[p.Name] = p
 	}
-	for _, name := range []string{"rl", "costmodel", "brute", "random", "polly"} {
+	for _, name := range []string{"rl", "costmodel", "brute", "random"} {
 		if !status[name].Available {
 			t.Fatalf("policy %s unavailable on a loaded checkpoint: %+v", name, status[name])
 		}
@@ -756,8 +759,8 @@ func TestReadyz(t *testing.T) {
 	}
 
 	s.SetDraining(true)
-	if !s.Draining() {
-		t.Fatal("Draining() false after SetDraining(true)")
+	if !s.draining.Load() {
+		t.Fatal("drain bit clear after SetDraining(true)")
 	}
 	rec, body = do(t, s, "GET", "/readyz", nil)
 	if rec.Code != http.StatusServiceUnavailable {

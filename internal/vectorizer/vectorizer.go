@@ -95,23 +95,6 @@ func New(l *ir.Loop, arch *machine.Arch, vf, ifc int) *Plan {
 	return p
 }
 
-// FromPragma builds a plan from the loop's source pragma; clauses absent
-// from the pragma default to 1 (as clang does for vectorize_width(1)).
-// Returns nil if the loop carries no pragma.
-func FromPragma(l *ir.Loop, arch *machine.Arch) *Plan {
-	if l.Pragma == nil {
-		return nil
-	}
-	vf, ifc := l.Pragma.VF, l.Pragma.IF
-	if vf == 0 {
-		vf = 1
-	}
-	if ifc == 0 {
-		ifc = 1
-	}
-	return New(l, arch, vf, ifc)
-}
-
 // ScalarPlan returns the do-nothing plan (VF=1, IF=1).
 func ScalarPlan(l *ir.Loop) *Plan {
 	return &Plan{Loop: l, RequestedVF: 1, RequestedIF: 1, VF: 1, IF: 1, MaxLegalVF: 1}

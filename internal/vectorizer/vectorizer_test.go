@@ -94,17 +94,19 @@ void f() {
     }
 }
 `)
-	arch := machine.IntelAVX2()
-	p := FromPragma(l, arch)
-	if p == nil || p.VF != 8 || p.IF != 2 {
+	if l.Pragma == nil {
+		t.Fatal("pragma not lowered onto the loop")
+	}
+	p := New(l, machine.IntelAVX2(), l.Pragma.VF, l.Pragma.IF)
+	if p.VF != 8 || p.IF != 2 {
 		t.Fatalf("plan = %+v", p)
 	}
 }
 
 func TestFromPragmaNilWithoutPragma(t *testing.T) {
 	l := loopFor(t, freeSrc)
-	if p := FromPragma(l, machine.IntelAVX2()); p != nil {
-		t.Fatalf("expected nil plan, got %+v", p)
+	if l.Pragma != nil {
+		t.Fatalf("loop without a pragma carries %+v", l.Pragma)
 	}
 }
 
