@@ -107,7 +107,10 @@ func BenchmarkFig9MiBench(b *testing.B) {
 }
 
 // BenchmarkAblationEmbedding compares RL trained on the learned code2vec
-// embedding vs the hand-crafted feature vector (DESIGN.md ablation).
+// embedding vs the hand-crafted feature vector of the prior work the paper
+// criticises, with the same agent and data: the claim under test is that
+// the embedding learned end to end with the RL loss replaces hand-crafted
+// features.
 func BenchmarkAblationEmbedding(b *testing.B) {
 	var c2v, feat float64
 	for i := 0; i < b.N; i++ {
@@ -120,7 +123,8 @@ func BenchmarkAblationEmbedding(b *testing.B) {
 }
 
 // BenchmarkAblationCompilePenalty exercises the Section 3.4 timeout rule
-// on/off (DESIGN.md ablation).
+// on/off: with the -9 compile-timeout penalty the agent learns to avoid
+// factors whose compile time blows up, and without it it picks them.
 func BenchmarkAblationCompilePenalty(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {

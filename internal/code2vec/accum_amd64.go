@@ -3,6 +3,8 @@ package code2vec
 func init() {
 	if hasAVX() {
 		accum = accumAVX
+		tanhInPlace = tanhAVX
+		axpy = axpyAVX
 	}
 }
 
@@ -67,6 +69,41 @@ func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k
 //
 //go:noescape
 func accum4x8(a0, a1, a2, a3, xx, w []float64, stride, k0 int)
+
+// tanhAVX is tanhGo with the blocks of four that tanhBlocks accepts
+// computed by the AVX kernel. tanhBlocks copies math.tanh's branch for
+// 0 < |x| < 0.625 operation for operation, VMULPD/VADDPD/VDIVPD for
+// MULSD/ADDSD/DIVSD, so it returns math.Tanh's bits; a block it refuses,
+// with a ±0, a NaN or a lane that takes math.tanh's Exp or saturation
+// branch, and the len(x) % 4 tail go through math.Tanh.
+func tanhAVX(x []float64) {
+	for len(x) > 0 {
+		x = x[tanhBlocks(x):]
+		n := min(len(x), 4)
+		tanhGo(x[:n])
+		x = x[n:]
+	}
+}
+
+// tanhBlocks applies math.tanh's rational branch to x four elements at a
+// time, from x[0] up to the first block of four with a lane outside
+// 0 < |x| < 0.625 or the last whole block, and returns how many elements
+// it replaced. Implemented in accum_amd64.s; it needs AVX.
+//
+//go:noescape
+func tanhBlocks(x []float64) int
+
+// axpyAVX is axpyGo through the AVX kernel axpy4.
+func axpyAVX(a float64, x, y []float64) {
+	axpy4(a, x, y[:len(x)])
+}
+
+// axpy4 performs y[k] += a*x[k] for k < len(x), as axpyGo rounds it. It
+// reads y without bounds checks. Implemented in accum_amd64.s; it needs
+// AVX.
+//
+//go:noescape
+func axpy4(a float64, x, y []float64)
 
 // cpuid executes CPUID with EAX=leaf and ECX=sub. Implemented in
 // accum_amd64.s.

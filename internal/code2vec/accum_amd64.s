@@ -187,3 +187,120 @@ term:
 
 done:
 	RET
+
+// Constants of tanhBlocks: the sign-clearing mask, the bound of math.tanh's
+// rational branch, and its coefficients tanhP[0..2] and tanhQ[0..2], as
+// written in Go's math/tanh.go.
+DATA tanhdata<>+0(SB)/8, $0x7fffffffffffffff
+DATA tanhdata<>+8(SB)/8, $0.625
+DATA tanhdata<>+16(SB)/8, $-9.64399179425052238628e-1
+DATA tanhdata<>+24(SB)/8, $-9.92877231001918586564e1
+DATA tanhdata<>+32(SB)/8, $-1.61468768441708447952e3
+DATA tanhdata<>+40(SB)/8, $1.12811678491632931402e2
+DATA tanhdata<>+48(SB)/8, $2.23548839060100448583e3
+DATA tanhdata<>+56(SB)/8, $4.84406305325125486048e3
+GLOBL tanhdata<>(SB), RODATA|NOPTR, $64
+
+// func tanhBlocks(x []float64) int
+//
+// Blocks of four from x[0]: a block whose lanes all satisfy 0 < |x| < 0.625
+// (so no ±0 and no NaN) is replaced by
+//
+//	s = x*x
+//	x + ((x*s)*((P0*s+P1)*s+P2)) / (((s+Q0)*s+Q1)*s+Q2)
+//
+// one VEX operation per Go operation of math.tanh's rational branch, in its
+// order. The first block with any other lane stops the sweep, unchanged;
+// the result is the number of elements replaced. Y5-Y13 hold the
+// constants, broadcast; Y0-Y4 are the working set. BP, R14, R15 and Y15
+// are left alone.
+TEXT ·tanhBlocks(SB), NOSPLIT, $0-32
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	XORQ         AX, AX
+	SHRQ         $2, CX
+	JZ           tanhdone
+	VBROADCASTSD tanhdata<>+0(SB), Y5
+	VBROADCASTSD tanhdata<>+8(SB), Y6
+	VXORPD       Y7, Y7, Y7
+	VBROADCASTSD tanhdata<>+16(SB), Y8
+	VBROADCASTSD tanhdata<>+24(SB), Y9
+	VBROADCASTSD tanhdata<>+32(SB), Y10
+	VBROADCASTSD tanhdata<>+40(SB), Y11
+	VBROADCASTSD tanhdata<>+48(SB), Y12
+	VBROADCASTSD tanhdata<>+56(SB), Y13
+
+tanhblock:
+	VMOVUPD   (SI)(AX*8), Y0
+	VANDPD    Y5, Y0, Y1
+	VCMPPD    $0x11, Y6, Y1, Y2 // |x| < 0.625, ordered: false on NaN
+	VCMPPD    $0x11, Y1, Y7, Y3 // 0 < |x|
+	VANDPD    Y3, Y2, Y2
+	VMOVMSKPD Y2, DX
+	CMPQ      DX, $15
+	JNE       tanhstop
+	VMULPD    Y0, Y0, Y1        // s
+	VMULPD    Y8, Y1, Y2
+	VADDPD    Y9, Y2, Y2
+	VMULPD    Y1, Y2, Y2
+	VADDPD    Y10, Y2, Y2       // (P0*s+P1)*s+P2
+	VADDPD    Y11, Y1, Y3
+	VMULPD    Y1, Y3, Y3
+	VADDPD    Y12, Y3, Y3
+	VMULPD    Y1, Y3, Y3
+	VADDPD    Y13, Y3, Y3       // ((s+Q0)*s+Q1)*s+Q2
+	VMULPD    Y1, Y0, Y4
+	VMULPD    Y2, Y4, Y4
+	VDIVPD    Y3, Y4, Y4
+	VADDPD    Y4, Y0, Y0
+	VMOVUPD   Y0, (SI)(AX*8)
+	ADDQ      $4, AX
+	DECQ      CX
+	JNZ       tanhblock
+
+tanhstop:
+	VZEROUPPER
+
+tanhdone:
+	MOVQ AX, ret+24(FP)
+	RET
+
+// func axpy4(a float64, x, y []float64)
+//
+// y[k] += a*x[k] for k < len(x): four at a time with VMULPD then VADDPD,
+// then a tail of len(x) % 4 with VMULSD then VADDSD. The caller makes sure
+// len(y) >= len(x).
+TEXT ·axpy4(SB), NOSPLIT, $0-56
+	VBROADCASTSD a+0(FP), Y0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DI
+	MOVQ         CX, BX
+	SHRQ         $2, BX
+	JZ           axpytail
+
+axpyblock:
+	VMULPD  (SI), Y0, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    BX
+	JNZ     axpyblock
+
+axpytail:
+	ANDQ $3, CX
+	JZ   axpydone
+
+axpyone:
+	VMULSD (SI), X0, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    axpyone
+
+axpydone:
+	VZEROUPPER
+	RET

@@ -75,3 +75,162 @@ func TestAccumAVXMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// tanhInputs are the values where math.tanh changes branch or is special:
+// ±0, subnormals, both sides of ±0.625 (the rational branch's bound) and
+// of ±22, values near and past the saturation bound of about 44.01, ±Inf
+// and NaN.
+func tanhInputs() []float64 {
+	var xs []float64
+	for _, v := range []float64{
+		0, math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), 0x1p-1022,
+		math.Nextafter(0.625, 0), 0.625, math.Nextafter(0.625, 1),
+		0.3, 1, 21.9, 22, math.Nextafter(22, 23), 30, 44.0148, 44.1, 1e300, math.MaxFloat64,
+		math.Inf(1),
+	} {
+		xs = append(xs, v, -v)
+	}
+	return append(xs, math.NaN())
+}
+
+// smallTanhInput draws from edgeFloat until the draw is nonzero with
+// |x| < 0.625, where math.tanh takes its rational branch.
+func smallTanhInput(rng *rand.Rand) float64 {
+	for {
+		if v := edgeFloat(rng); v != 0 && math.Abs(v) < 0.625 {
+			return v
+		}
+	}
+}
+
+// TestTanhKernelMatchesMathTanh pins the AVX tanh that tanhInPlace runs on
+// amd64 CPUs with AVX to math.Tanh, bit for bit: on the special and branch
+// boundary values of tanhInputs, on random edgeFloat values, over lengths 0
+// to 9 and 340, in blocks of four that hold only rational-branch values
+// and in blocks that mix branches. It also requires tanhBlocks itself to
+// take every whole block of rational-branch values and to stop, unchanged,
+// at the first block it refuses, so a kernel that always fell back to
+// math.Tanh would fail.
+func TestTanhKernelMatchesMathTanh(t *testing.T) {
+	if !hasAVX() {
+		t.Skip("CPU lacks AVX: tanhInPlace runs the pure-Go loop")
+	}
+	if reflect.ValueOf(tanhInPlace).Pointer() != reflect.ValueOf(tanhAVX).Pointer() {
+		t.Fatal("tanhInPlace does not run the AVX kernel on a CPU with AVX")
+	}
+	check := func(name string, x []float64) {
+		t.Helper()
+		got := append([]float64(nil), x...)
+		tanhAVX(got)
+		for i, v := range x {
+			if want := math.Tanh(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s (len %d): tanh(%v)[%d] = %v (%#x), math.Tanh %v (%#x)",
+					name, len(x), v, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+	special := tanhInputs()
+	for _, v := range special {
+		check("special", []float64{v})
+		// v in each lane of a block whose other lanes are rational-branch values.
+		for lane := 0; lane < 4; lane++ {
+			x := []float64{0.1, -0.2, 0x1p-30, -0.5}
+			x[lane] = v
+			check("mixed block", x)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 340} {
+		for trial := 0; trial < 20; trial++ {
+			small := make([]float64, n)
+			mixed := make([]float64, n)
+			for i := range small {
+				small[i] = smallTanhInput(rng)
+				switch rng.Intn(4) {
+				case 0:
+					mixed[i] = special[rng.Intn(len(special))]
+				case 1:
+					mixed[i] = edgeFloat(rng)
+				default:
+					mixed[i] = smallTanhInput(rng)
+				}
+			}
+			check("rational branch", small)
+			check("mixed", mixed)
+
+			got := append([]float64(nil), small...)
+			if k := tanhBlocks(got); k != n&^3 {
+				t.Fatalf("tanhBlocks took %d of %d rational-branch values, want %d", k, n, n&^3)
+			}
+			for i := n &^ 3; i < n; i++ {
+				if math.Float64bits(got[i]) != math.Float64bits(small[i]) {
+					t.Fatalf("tanhBlocks changed tail element %d of %d", i, n)
+				}
+			}
+			edgeRow := make([]float64, n)
+			for i := range edgeRow {
+				edgeRow[i] = edgeFloat(rng)
+			}
+			check("edgeFloat", edgeRow)
+		}
+	}
+
+	// A refused block stops the sweep: the blocks before it are replaced,
+	// it and every block after it are left as they were.
+	for _, v := range special {
+		if v != 0 && math.Abs(v) < 0.625 {
+			continue
+		}
+		x := make([]float64, 12)
+		for i := range x {
+			x[i] = smallTanhInput(rng)
+		}
+		x[5] = v
+		got := append([]float64(nil), x...)
+		if k := tanhBlocks(got); k != 4 {
+			t.Fatalf("tanhBlocks with %v in the second block took %d values, want 4", v, k)
+		}
+		for i := 4; i < len(x); i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(x[i]) {
+				t.Fatalf("tanhBlocks with %v in the second block changed element %d", v, i)
+			}
+		}
+	}
+}
+
+// TestAxpyMatchesScalar pins the AVX axpy that axpy runs on amd64 CPUs with
+// AVX to axpyGo, bit for bit, on edgeFloat inputs over lengths 0 to 9, 96
+// (Backward's 3·EmbedDim) and 340 (OutDim), and requires it to leave the
+// rest of a longer y alone.
+func TestAxpyMatchesScalar(t *testing.T) {
+	if !hasAVX() {
+		t.Skip("CPU lacks AVX: axpy runs the pure-Go loop")
+	}
+	if reflect.ValueOf(axpy).Pointer() != reflect.ValueOf(axpyAVX).Pointer() {
+		t.Fatal("axpy does not run the AVX kernel on a CPU with AVX")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 96, 340} {
+		for trial := 0; trial < 20; trial++ {
+			a := edgeFloat(rng)
+			x := make([]float64, n)
+			y := make([]float64, n+3)
+			for i := range x {
+				x[i] = edgeFloat(rng)
+			}
+			for i := range y {
+				y[i] = edgeFloat(rng)
+			}
+			want := append([]float64(nil), y...)
+			axpyGo(a, x, want)
+			got := append([]float64(nil), y...)
+			axpyAVX(a, x, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d a=%v: y[%d] = %v (%#x), scalar %v (%#x)",
+						n, a, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

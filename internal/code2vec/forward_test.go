@@ -54,6 +54,136 @@ func referenceForward(m *Model, ctxs []Context) (vec []float64, h [][]float64, a
 	return vec, h, alpha
 }
 
+// referenceBackward is Backward as the plain scalar loops: one serial dot
+// per context for dAlpha, and one loop over k per output that updates W's
+// gradient and the input gradient together. It reads what ForwardInto left
+// in s, and pins the arithmetic Backward must reproduce.
+func referenceBackward(m *Model, s *Scratch, ctxs []Context, dvec []float64) {
+	if len(ctxs) == 0 {
+		return
+	}
+	d := m.Cfg.EmbedDim
+	out := m.Cfg.OutDim
+	n := len(ctxs)
+	alpha := s.alpha[:n]
+	dAlpha := make([]float64, n)
+	c := make([]float64, 3*d)
+	dc := make([]float64, 3*d)
+	for i, t := range s.triple {
+		h := s.h[t*out : (t+1)*out]
+		v := 0.0
+		for o := 0; o < out; o++ {
+			v += h[o] * dvec[o]
+		}
+		dAlpha[i] = v
+	}
+	dot := 0.0
+	for i := 0; i < n; i++ {
+		dot += alpha[i] * dAlpha[i]
+	}
+	for i, cx := range ctxs {
+		h := s.h[s.triple[i]*out : (s.triple[i]+1)*out]
+		dScore := alpha[i] * (dAlpha[i] - dot)
+		for o := 0; o < out; o++ {
+			m.Attn.G[o] += dScore * h[o]
+		}
+		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
+		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
+		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
+		clear(dc)
+		for o := 0; o < out; o++ {
+			dh := alpha[i]*dvec[o] + dScore*m.Attn.W[o]
+			dpre := dh * (1 - h[o]*h[o])
+			if dpre == 0 {
+				continue
+			}
+			row := m.W.W[o*3*d : (o+1)*3*d]
+			grow := m.W.G[o*3*d : (o+1)*3*d]
+			m.B.G[o] += dpre
+			for k := 0; k < 3*d; k++ {
+				grow[k] += dpre * c[k]
+				dc[k] += dpre * row[k]
+			}
+		}
+		lg := m.Tok.G[int(cx.Left)*d : (int(cx.Left)+1)*d]
+		pg := m.Path.G[int(cx.Path)*d : (int(cx.Path)+1)*d]
+		rg := m.Tok.G[int(cx.Right)*d : (int(cx.Right)+1)*d]
+		for k := 0; k < d; k++ {
+			lg[k] += dc[k]
+			pg[k] += dc[d+k]
+			rg[k] += dc[2*d+k]
+		}
+	}
+}
+
+// TestBackwardMatchesScalar pins Backward to referenceBackward bit for bit:
+// Tok.G, Path.G, W.G, B.G and Attn.G after every bag, accumulated over the
+// bags as a training batch accumulates them. It runs at the production
+// shape on every corpus loop bag under testModel, whose random bias sends
+// some projections through math.tanh's Exp branch, and at two toy shapes
+// whose odd widths leave tails in every four-wide loop. It runs with axpy
+// as installed at init and as the pure-Go axpyGo.
+func TestBackwardMatchesScalar(t *testing.T) {
+	cfg := DefaultConfig()
+	checkBackward(t, cfg, loopBags(t, cfg, corpusSources()))
+	for _, toy := range toyConfigs {
+		checkBackward(t, toy, toyBags())
+	}
+}
+
+// checkBackward runs referenceBackward on one testModel, and Backward with
+// the installed and with the pure-Go axpy on two identical ones, over bags,
+// each after ForwardInto, with a random dLoss/dv, and compares every
+// gradient after every bag.
+func checkBackward(t *testing.T, cfg Config, bags [][]Context) {
+	t.Helper()
+	installed := axpy
+	defer func() { axpy = installed }()
+	kernels := []struct {
+		name string
+		fn   func(a float64, x, y []float64)
+		m    *Model
+	}{
+		{"installed", installed, testModel(cfg)},
+		{"pure Go", axpyGo, testModel(cfg)},
+	}
+	ref := testModel(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var s Scratch
+	dvec := make([]float64, cfg.OutDim)
+	saturated := 0
+	for b, bag := range bags {
+		for o := range dvec {
+			dvec[o] = rng.NormFloat64()
+		}
+		ref.ForwardInto(make([]float64, cfg.OutDim), bag, &s)
+		for _, tr := range s.triple {
+			for _, v := range s.h[tr*cfg.OutDim:][:cfg.OutDim] {
+				if math.Abs(v) >= math.Tanh(0.625) {
+					saturated++
+				}
+			}
+		}
+		referenceBackward(ref, &s, bag, dvec)
+		refParams := ref.Params()
+		for _, k := range kernels {
+			axpy = k.fn
+			k.m.Backward(&s, bag, dvec)
+			for j, p := range k.m.Params() {
+				for i, g := range p.G {
+					if want := refParams[j].G[i]; math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("%s axpy, %d/%d bag %d (n=%d): %s.G[%d] = %v, scalar %v",
+							k.name, cfg.OutDim, cfg.EmbedDim, b, len(bag), p.Name, i, g, want)
+					}
+				}
+			}
+		}
+	}
+	if cfg.OutDim == DefaultConfig().OutDim && saturated == 0 {
+		t.Fatal("no projection took math.tanh's Exp branch")
+	}
+}
+
 // testModel is NewModel with a random bias, so that where the kernel adds
 // B[o] into each sum shows in the bits (NewModel starts B at zero).
 func testModel(cfg Config) *Model {
@@ -129,25 +259,30 @@ func checkBag(t *testing.T, m *Model, name string, ctxs []Context, s *Scratch) {
 }
 
 // TestForwardIntoMatchesReference pins the prefix-trie, register-blocked
-// kernel to the plain per-context loop bit for bit, at the production shape
-// on every loop bag of the shipped suites and 200 extended-grammar samples,
-// and on hand-built bags that exercise the kernel's edge cases. It runs once
-// with the kernel accum installed at init (AVX on amd64 CPUs that have it)
-// and once with the pure-Go accumGo, so an amd64 machine checks both.
+// forward to the plain per-context loop bit for bit, at the production
+// shape on every loop bag of the shipped suites and 200 extended-grammar
+// samples, and on hand-built bags that exercise the kernels' edge cases. It
+// runs with every combination of the projection kernel accum and the tanh
+// kernel tanhInPlace: as installed at init (AVX on amd64 CPUs that have it)
+// and as the pure-Go accumGo and tanhGo, so an amd64 machine checks every
+// mix.
 func TestForwardIntoMatchesReference(t *testing.T) {
 	cfg := DefaultConfig()
 	bags := loopBags(t, cfg, corpusSources())
-	installed := accum
-	defer func() { accum = installed }()
+	accumInstalled, tanhInstalled := accum, tanhInPlace
+	defer func() { accum, tanhInPlace = accumInstalled, tanhInstalled }()
 	for _, k := range []struct {
-		name string
-		fn   func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, quad []float64)
+		name  string
+		accum func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, quad []float64)
+		tanh  func([]float64)
 	}{
-		{"installed", installed},
-		{"pure Go", accumGo},
+		{"installed", accumInstalled, tanhInstalled},
+		{"pure Go", accumGo, tanhGo},
+		{"installed accum, pure-Go tanh", accumInstalled, tanhGo},
+		{"pure-Go accum, installed tanh", accumGo, tanhInstalled},
 	} {
 		t.Run(k.name, func(t *testing.T) {
-			accum = k.fn
+			accum, tanhInPlace = k.accum, k.tanh
 			checkForwardIntoReference(t, cfg, bags)
 		})
 	}
@@ -204,25 +339,37 @@ func checkForwardIntoReference(t *testing.T, cfg Config, bags [][]Context) {
 		checkBag(t, m, c.name, c.ctxs, &s)
 	}
 
-	// Toy shapes: an odd EmbedDim with an OutDim below the AVX kernel's
-	// eight-output block and no multiple of the scalar kernel's four, and
-	// one above the block and no multiple of it, so block and tail both run.
-	// Bags of up to 10 contexts fill blocks of four rows with every tail.
-	for _, toy := range []Config{
-		{TokenVocab: 64, PathVocab: 64, EmbedDim: 5, OutDim: 7, Seed: 3},
-		{TokenVocab: 64, PathVocab: 64, EmbedDim: 3, OutDim: 13, Seed: 4},
-	} {
+	for _, toy := range toyConfigs {
 		tm := testModel(toy)
 		var ts Scratch
-		var bag []Context
-		for i := 0; i < 11; i++ {
+		for _, bag := range toyBags() {
 			checkBag(t, tm, "toy", bag, &ts)
-			bag = append(bag, Context{Left: uint32(i % 4), Path: uint32(7 * i % 64), Right: uint32(3 * i % 64)})
-		}
-		for _, c := range trieBags() {
-			checkBag(t, tm, "toy "+c.name, c.ctxs, &ts)
 		}
 	}
+}
+
+// toyConfigs are two toy shapes: an odd EmbedDim with an OutDim below the
+// AVX kernel's eight-output block and no multiple of the four-wide scalar
+// loops, and one above the block and no multiple of it, so every block and
+// tail runs.
+var toyConfigs = []Config{
+	{TokenVocab: 64, PathVocab: 64, EmbedDim: 5, OutDim: 7, Seed: 3},
+	{TokenVocab: 64, PathVocab: 64, EmbedDim: 3, OutDim: 13, Seed: 4},
+}
+
+// toyBags are bags of 0 to 10 contexts, which fill blocks of four rows
+// with every tail, then the trieBags; all their IDs fit a vocabulary of 64.
+func toyBags() [][]Context {
+	var bags [][]Context
+	var bag []Context
+	for i := 0; i < 11; i++ {
+		bags = append(bags, bag)
+		bag = append(bag, Context{Left: uint32(i % 4), Path: uint32(7 * i % 64), Right: uint32(3 * i % 64)})
+	}
+	for _, c := range trieBags() {
+		bags = append(bags, c.ctxs)
+	}
+	return bags
 }
 
 // trieBags are hand-built bags that share prefixes at every level of
@@ -288,5 +435,24 @@ func BenchmarkForwardInto(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		m.ForwardInto(dst, ctxs, &s)
+	}
+}
+
+// BenchmarkBackward times one production-shape Backward over the same bag,
+// after the ForwardInto that fills its Scratch.
+func BenchmarkBackward(b *testing.B) {
+	cfg := DefaultConfig()
+	m := NewModel(cfg)
+	ctxs := ExtractContexts(lang.MustParse(matmulSrc).Funcs[0].Loops()[0], cfg)
+	var s Scratch
+	m.ForwardInto(make([]float64, cfg.OutDim), ctxs, &s)
+	rng := rand.New(rand.NewSource(1))
+	dvec := make([]float64, cfg.OutDim)
+	for o := range dvec {
+		dvec[o] = rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		m.Backward(&s, ctxs, dvec)
 	}
 }

@@ -88,10 +88,12 @@ func growF(buf []float64, n int) []float64 {
 // summed once per distinct left, the path terms once per distinct
 // (Left, Path) pair continuing from its left's sums, and the right terms
 // once per distinct triple continuing from its pair's sums. Every pass runs
-// through accum, which keeps every sum's order, and tanh and the attention
-// score are computed once per distinct triple; the softmax and the weighted
-// sum then run over the contexts in order. The result is bit-identical to
-// the plain per-context loop.
+// through accum, which keeps every sum's order. tanh and the attention
+// score are computed once per distinct triple: tanhInPlace squashes the
+// triples' rows, which lie contiguous in h, in one call, and scoreRows sums
+// four triples' scores at a time, each in o order. The softmax and the
+// weighted sum, one axpy per context, then run over the contexts in order.
+// The result is bit-identical to the plain per-context loop.
 func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64 {
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
@@ -174,27 +176,70 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	}
 	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.quad)
 
-	for t := range rights {
-		ht := h[t*out : (t+1)*out]
-		sc := 0.0
-		for o, v := range ht {
-			ht[o] = math.Tanh(v)
-			sc += m.Attn.W[o] * ht[o]
-		}
-		s.scores[t] = sc
-	}
+	tanhInPlace(h[:len(rights)*out])
+	scoreRows(s.scores[:len(rights)], h, m.Attn.W)
 	for i := n - 1; i >= 0; i-- { // a context's triple is numbered at most i
 		s.scores[i] = s.scores[s.triple[i]]
 	}
 	nn.SoftmaxTo(s.alpha, s.scores)
 	for i, t := range s.triple {
-		a := s.alpha[i]
-		ht := h[t*out : (t+1)*out]
-		for o := 0; o < out; o++ {
-			dst[o] += a * ht[o]
-		}
+		axpy(s.alpha[i], h[t*out:(t+1)*out], dst)
 	}
 	return dst
+}
+
+// scoreRows sets dst[r] = Σ_o w[o]·h[r*len(w)+o], summed in o order from
+// zero, for every row r < len(dst): the attention scores in ForwardInto,
+// the dots h·dvec in Backward. It sweeps four rows at a time, so four
+// independent sums are in flight, each rounded as the one-row loop rounds
+// it; a tail takes len(dst) % 4.
+func scoreRows(dst, h, w []float64) {
+	out := len(w)
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		h0 := h[r*out:][:out]
+		h1 := h[(r+1)*out:][:out]
+		h2 := h[(r+2)*out:][:out]
+		h3 := h[(r+3)*out:][:out]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for o, a := range w {
+			s0 += a * h0[o]
+			s1 += a * h1[o]
+			s2 += a * h2[o]
+			s3 += a * h3[o]
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(dst); r++ {
+		hr := h[r*out:][:out]
+		s0 := 0.0
+		for o, a := range w {
+			s0 += a * hr[o]
+		}
+		dst[r] = s0
+	}
+}
+
+// tanhInPlace sets x[i] = math.Tanh(x[i]) for every i. It is tanhGo,
+// unless accum_amd64.go installs the AVX kernel on a CPU that has it.
+var tanhInPlace = tanhGo
+
+func tanhGo(x []float64) {
+	for i, v := range x {
+		x[i] = math.Tanh(v)
+	}
+}
+
+// axpy performs y[k] += a*x[k] for every k < len(x), each product rounded
+// and then added, as the scalar loop rounds them. It is axpyGo, unless
+// accum_amd64.go installs the AVX kernel on a CPU that has it.
+var axpy = axpyGo
+
+func axpyGo(a float64, x, y []float64) {
+	y = y[:len(x)]
+	for k, v := range x {
+		y[k] += a * v
+	}
 }
 
 // accum adds one EmbedDim-wide column window of W, times embedding rows,
@@ -302,6 +347,11 @@ func accum1(acc, x, w []float64, stride, k0 int) {
 // projections and attention weights from s and each context's input rows
 // from Tok and Path, which an optimizer step must not change in between.
 // Nothing is allocated once s has grown to the bag.
+//
+// Its arithmetic is the plain scalar loops', bit for bit: dAlpha's dots go
+// through scoreRows, each summed in o order, and every update of Attn.G,
+// W.G and the input gradient is an axpy, whose elements are independent
+// chains.
 func (m *Model) Backward(s *Scratch, ctxs []Context, dvec []float64) {
 	if len(ctxs) == 0 {
 		return
@@ -318,16 +368,18 @@ func (m *Model) Backward(s *Scratch, ctxs []Context, dvec []float64) {
 	// dAlpha_i = h_i . dvec ; dScore via softmax Jacobian;
 	// dh_i = alpha_i dvec + dScore_i * attn. One buffer holds dAlpha, the
 	// per-context input c and its gradient dc, which is cleared for each
-	// context. Contexts with the same triple share one row of projections.
+	// context. Contexts with the same triple share one row of projections,
+	// so dAlpha is summed once per distinct triple, as ForwardInto sums the
+	// scores, and then copied out to the contexts.
 	s.grad = growF(s.grad, n+6*d)
 	dAlpha, c, dc := s.grad[:n], s.grad[n:n+3*d], s.grad[n+3*d:]
-	for i, t := range s.triple {
-		h := s.h[t*out : (t+1)*out]
-		v := 0.0
-		for o := 0; o < out; o++ {
-			v += h[o] * dvec[o]
-		}
-		dAlpha[i] = v
+	triples := 0
+	for _, t := range s.triple {
+		triples = max(triples, t+1)
+	}
+	scoreRows(dAlpha[:triples], s.h, dvec[:out])
+	for i := n - 1; i >= 0; i-- { // a context's triple is numbered at most i
+		dAlpha[i] = dAlpha[s.triple[i]]
 	}
 	dot := 0.0
 	for i := 0; i < n; i++ {
@@ -336,10 +388,7 @@ func (m *Model) Backward(s *Scratch, ctxs []Context, dvec []float64) {
 	for i, cx := range ctxs {
 		h := s.h[s.triple[i]*out : (s.triple[i]+1)*out]
 		dScore := alpha[i] * (dAlpha[i] - dot)
-		// Attention vector gradient.
-		for o := 0; o < out; o++ {
-			m.Attn.G[o] += dScore * h[o]
-		}
+		axpy(dScore, h, m.Attn.G) // attention vector gradient
 		// Through h_i (tanh) into W, b and the context input
 		// c = [Tok[Left] | Path[Path] | Tok[Right]], gathered from the
 		// tables.
@@ -356,10 +405,8 @@ func (m *Model) Backward(s *Scratch, ctxs []Context, dvec []float64) {
 			row := m.W.W[o*3*d : (o+1)*3*d]
 			grow := m.W.G[o*3*d : (o+1)*3*d]
 			m.B.G[o] += dpre
-			for k := 0; k < 3*d; k++ {
-				grow[k] += dpre * c[k]
-				dc[k] += dpre * row[k]
-			}
+			axpy(dpre, c, grow)
+			axpy(dpre, row, dc)
 		}
 		// Scatter into the embedding tables.
 		lg := m.Tok.G[int(cx.Left)*d : (int(cx.Left)+1)*d]
