@@ -23,6 +23,7 @@ func TestAblationEmbedding(t *testing.T) {
 	if c2v < feat-0.1 {
 		t.Errorf("code2vec (%.3f) clearly below hand-crafted features (%.3f)", c2v, feat)
 	}
+	checkGolden(t, "ablation_embedding", curves)
 }
 
 func TestAblationCompilePenalty(t *testing.T) {
@@ -42,6 +43,7 @@ func TestAblationCompilePenalty(t *testing.T) {
 	if onRate > 0.25 {
 		t.Errorf("timeout rate with penalty = %.2f, agent failed to learn the budget", onRate)
 	}
+	checkGolden(t, "ablation_compile_penalty", tab)
 }
 
 func TestAblationJointAgent(t *testing.T) {
@@ -57,6 +59,7 @@ func TestAblationJointAgent(t *testing.T) {
 	if joint < indep-0.08 {
 		t.Errorf("joint agent (%.3f) clearly below independent agents (%.3f); paper found the opposite", joint, indep)
 	}
+	checkGolden(t, "ablation_joint_agent", curves)
 }
 
 func TestNeuralCostModel(t *testing.T) {
@@ -74,4 +77,5 @@ func TestNeuralCostModel(t *testing.T) {
 	if rk > brute*1.001 {
 		t.Errorf("learned cost model (%.3f) beats brute force (%.3f) — impossible", rk, brute)
 	}
+	checkGolden(t, "neural_cost_model", tab)
 }

@@ -5,30 +5,51 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
 
-// checkGolden compares a table — its rendering plus every cell at full
-// precision — with testdata/<name>.golden. Figures 1 and 2 run entirely on
-// loaded units, so a drift there means the unit front end changed. Figures
-// 7, 8 and 9 also train the agent and run the Polly analogue, so a drift
-// there can come from training, the comparators or Polly's transforms.
+// checkGolden compares a figure with testdata/<name>.golden. A *Table is
+// pinned by its rendering plus every cell at full precision; a *Curves by
+// its rendering plus each label's reward, loss and step series at full
+// precision. Figures 1 and 2 run entirely on loaded units, so a drift there
+// means the unit front end changed. Every other golden also trains an agent
+// (Figures 7, 8 and 9 also run the Polly analogue), so a drift there can
+// come from training, the comparators or Polly's transforms. Figure 5 is
+// not pinned: it trains nine agents and has no test of its own.
 // Regenerate with:
 //
-//	go test ./internal/experiments -run 'TestFig[12789]' -update
-func checkGolden(t *testing.T, name string, tab *Table) {
+//	go test ./internal/experiments -run 'TestFig|TestTrainingEfficiency|TestAblation|TestNeuralCostModel' -update
+func checkGolden(t *testing.T, name string, fig any) {
 	t.Helper()
 	var b strings.Builder
-	b.WriteString(tab.String())
-	for _, row := range tab.Rows() {
-		for _, col := range tab.Columns {
-			if v, ok := tab.Get(row, col); ok {
-				fmt.Fprintf(&b, "%s\t%s\t%v\n", row, col, v)
+	switch fig := fig.(type) {
+	case *Table:
+		b.WriteString(fig.String())
+		for _, row := range fig.Rows() {
+			for _, col := range fig.Columns {
+				if v, ok := fig.Get(row, col); ok {
+					fmt.Fprintf(&b, "%s\t%s\t%v\n", row, col, v)
+				}
 			}
 		}
+	case *Curves:
+		b.WriteString(fig.String())
+		labels := make([]string, 0, len(fig.RewardMean))
+		for l := range fig.RewardMean {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		for _, l := range labels {
+			fmt.Fprintf(&b, "%s\treward\t%v\n", l, fig.RewardMean[l])
+			fmt.Fprintf(&b, "%s\tloss\t%v\n", l, fig.Loss[l])
+			fmt.Fprintf(&b, "%s\tsteps\t%v\n", l, fig.Steps[l])
+		}
+	default:
+		t.Fatalf("checkGolden: unsupported figure type %T", fig)
 	}
 	path := filepath.Join("testdata", name+".golden")
 	if *updateGolden {
@@ -112,6 +133,7 @@ func TestFig6DiscreteBest(t *testing.T) {
 			t.Errorf("missing curve for %s", label)
 		}
 	}
+	checkGolden(t, "fig6", curves)
 }
 
 func TestFig7Ordering(t *testing.T) {
@@ -222,6 +244,7 @@ func TestTrainingEfficiencyTable(t *testing.T) {
 	if brute != ppo*35 {
 		t.Fatalf("brute = %v, want 35x PPO's %v", brute, ppo)
 	}
+	checkGolden(t, "eff", tab)
 }
 
 func TestTableCSV(t *testing.T) {
