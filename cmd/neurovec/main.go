@@ -70,6 +70,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 
 	"neurovec/internal/api"
 	"neurovec/internal/core"
@@ -125,7 +126,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: neurovec <command> [flags]
 
 commands:
-  report    regenerate the paper's figures (-fig 1|2|5|6|7|8|9|all, -full)
+  report    regenerate the paper's figures (-fig 1|2|5|6|7|8|9|eff|all, -full)
   train     parallel PPO training over a corpus (-corpus polybench,mibench,
             figure7,generated, -dir ./kernels, -jobs N, -out model.gob,
             -checkpoint-every K, -resume model.gob, -eval-every K);
@@ -180,6 +181,9 @@ func cmdReport(args []string) error {
 		return err
 	}
 	o := options(*full, *seed)
+	// Figures 7, 8 and 9 decide with one trained framework; train it only
+	// if one of them is asked for.
+	trained := sync.OnceValue(func() *core.Framework { return experiments.Train(o) })
 
 	writeCSV := func(name string, to func(w io.Writer) error) error {
 		if *csvDir == "" {
@@ -209,11 +213,11 @@ func cmdReport(args []string) error {
 		case "6":
 			curves = experiments.Fig6(o)
 		case "7":
-			tab = experiments.Fig7(o)
+			tab = experiments.Fig7(trained(), o)
 		case "8":
-			tab = experiments.Fig8(o)
+			tab = experiments.Fig8(trained(), o)
 		case "9":
-			tab = experiments.Fig9(o)
+			tab = experiments.Fig9(trained(), o)
 		case "eff":
 			tab = experiments.TrainingEfficiency(o)
 		default:

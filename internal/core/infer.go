@@ -188,6 +188,11 @@ type Compiled struct {
 	diags      diag.List
 }
 
+// Program returns the lowered IR of the compiled source, for comparators
+// that transform or simulate the whole program (the Polly analogue of
+// Figs. 7 and 8). Callers must not modify it.
+func (c *Compiled) Program() *ir.Program { return c.irp }
+
 // Compile runs the front half of PredictLoops once — parse, semantic
 // analysis, loop extraction, lowering, and the baseline simulation — so
 // that several policies can be decided over one compile with Decide. Of the

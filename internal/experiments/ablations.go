@@ -101,7 +101,7 @@ func AblationCompilePenalty(o Options) *Table {
 // ranker) against the baseline and the RL agent on the twelve held-out
 // benchmarks.
 func NeuralCostModel(o Options) *Table {
-	fw, _ := trainedFramework(o)
+	fw := Train(o)
 
 	// Train the ranker end to end on the same units.
 	rc := ranker.DefaultConfig(fw.Cfg.Arch.VFs(), fw.Cfg.Arch.IFs())
@@ -146,6 +146,17 @@ func NeuralCostModel(o Options) *Table {
 		t.Notes = append(t.Notes, fmt.Sprintf("geomean %-18s %.3fx", c, t.GeoMean(c)))
 	}
 	return t
+}
+
+// mustPredict is the ablations' view of Framework.Predict over loaded
+// units: every ablation trains its agent before querying it, so ErrNoAgent
+// here is a bug.
+func mustPredict(fw *core.Framework, i int) (int, int) {
+	vf, ifc, err := fw.Predict(i)
+	if err != nil {
+		panic(err)
+	}
+	return vf, ifc
 }
 
 func finalMean(series []float64, k int) float64 {

@@ -1,16 +1,27 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"neurovec/internal/core"
+	"neurovec/internal/dataset"
+	"neurovec/internal/evalharness"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
+
+// trained is the quick-mode framework Figures 7, 8 and 9 share, trained on
+// first use.
+var trained = sync.OnceValue(func() *core.Framework { return Train(QuickOptions()) })
 
 // checkGolden compares a figure with testdata/<name>.golden. A *Table is
 // pinned by its rendering plus every cell at full precision; a *Curves by
@@ -137,7 +148,7 @@ func TestFig6DiscreteBest(t *testing.T) {
 }
 
 func TestFig7Ordering(t *testing.T) {
-	tab := Fig7(QuickOptions())
+	tab := Fig7(trained(), QuickOptions())
 	if len(tab.Rows()) != 12 {
 		t.Fatalf("rows = %d, want 12 benchmarks", len(tab.Rows()))
 	}
@@ -180,7 +191,7 @@ func TestFig7Ordering(t *testing.T) {
 }
 
 func TestFig8PollyAndRL(t *testing.T) {
-	tab := Fig8(QuickOptions())
+	tab := Fig8(trained(), QuickOptions())
 	if len(tab.Rows()) != 6 {
 		t.Fatalf("rows = %d, want 6 PolyBench kernels", len(tab.Rows()))
 	}
@@ -218,7 +229,7 @@ func TestFig8PollyAndRL(t *testing.T) {
 }
 
 func TestFig9SmallUniformGains(t *testing.T) {
-	tab := Fig9(QuickOptions())
+	tab := Fig9(trained(), QuickOptions())
 	if len(tab.Rows()) != 6 {
 		t.Fatalf("rows = %d, want 6 MiBench programs", len(tab.Rows()))
 	}
@@ -235,6 +246,47 @@ func TestFig9SmallUniformGains(t *testing.T) {
 		t.Errorf("RL (%.3f) below Polly (%.3f) on MiBench", rlG, tab.GeoMean("polly"))
 	}
 	checkGolden(t, "fig9", tab)
+}
+
+// TestFigsMatchEval holds the figures to the evaluator neurovec eval runs:
+// on the same trained framework, each file's RL speedup is its figure's RL
+// cell, and on Figure 7 the oracle's speedup is the brute cell, bit for bit.
+func TestFigsMatchEval(t *testing.T) {
+	fw := trained()
+	o := QuickOptions()
+	h := evalharness.New(fw)
+	for _, fig := range []struct {
+		tab    *Table
+		suite  []dataset.Benchmark
+		oracle bool
+	}{
+		{Fig7(fw, o), dataset.EvalBenchmarks(), true},
+		{Fig8(fw, o), dataset.PolyBench(), false},
+		{Fig9(fw, o), dataset.MiBench(), false},
+	} {
+		rep, err := h.Run(context.Background(), evalharness.FromBenchmarks("fig", fig.suite), evalharness.Options{Policy: "rl", Seed: o.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Files) != len(fig.tab.Rows()) {
+			t.Fatalf("%s: eval scored %d files, the figure has %d rows", fig.tab.Title, len(rep.Files), len(fig.tab.Rows()))
+		}
+		for _, f := range rep.Files {
+			if f.Error != "" {
+				t.Fatalf("%s: eval failed: %s", f.Name, f.Error)
+			}
+			cell, ok := fig.tab.Get(f.Name, "RL")
+			if !ok || math.Float64bits(f.Speedup) != math.Float64bits(cell) {
+				t.Errorf("%s: eval speedup %v, figure RL cell %v", f.Name, f.Speedup, cell)
+			}
+			if !fig.oracle {
+				continue
+			}
+			if cell, ok := fig.tab.Get(f.Name, "brute"); !ok || math.Float64bits(f.OracleSpeedup) != math.Float64bits(cell) {
+				t.Errorf("%s: eval oracle speedup %v, figure brute cell %v", f.Name, f.OracleSpeedup, cell)
+			}
+		}
+	}
 }
 
 func TestTrainingEfficiencyTable(t *testing.T) {

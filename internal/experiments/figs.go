@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"neurovec/internal/api"
 	"neurovec/internal/core"
 	"neurovec/internal/costmodel"
 	"neurovec/internal/dataset"
 	"neurovec/internal/ir"
+	"neurovec/internal/policy"
 	"neurovec/internal/polly"
 	"neurovec/internal/rl"
 	"neurovec/internal/search"
@@ -222,97 +225,192 @@ func Fig6(o Options) *Curves {
 
 func archOf() archLike { return core.DefaultConfig().Arch }
 
-// ---- Figure 7: the main comparison ----
+// ---- Figures 7, 8 and 9: the held-out comparisons ----
 
-// Fig7 trains the full framework and evaluates the twelve held-out
-// benchmarks under every method: baseline, random search, Polly, NNS,
-// decision tree, RL, and brute-force search. Values are performance
-// normalized to the baseline (higher is better).
-func Fig7(o Options) *Table {
-	fw, sup := trainedFramework(o)
-	return evaluateBenchmarks(fw, sup, dataset.EvalBenchmarks(), o, evalAll)
-}
-
-// Fig8 evaluates the PolyBench analogues: baseline, Polly, RL, and the
-// combined Polly+RL configuration the paper projects to 2.92x.
-func Fig8(o Options) *Table {
-	fw, sup := trainedFramework(o)
-	return evaluateBenchmarks(fw, sup, dataset.PolyBench(), o, evalPolyFocus)
-}
-
-// Fig9 evaluates the MiBench analogues: whole programs where loops are a
-// minor fraction of runtime.
-func Fig9(o Options) *Table {
-	fw, sup := trainedFramework(o)
-	return evaluateBenchmarks(fw, sup, dataset.MiBench(), o, evalMiFocus)
-}
-
-type evalMode int
-
-const (
-	evalAll evalMode = iota
-	evalPolyFocus
-	evalMiFocus
-)
-
-// trainedFramework builds the framework, loads the training corpus, trains
-// PPO, and returns it with the trained agent plus the labelled data for the
-// supervised methods.
-func trainedFramework(o Options) (*core.Framework, *supervised) {
+// Train builds the framework Figures 7, 8 and 9 decide with: the code
+// embedding and PPO agent trained on 80% of the generated corpus (the
+// paper keeps 20% out for testing). The figures only read it, so one
+// training serves all three.
+func Train(o Options) *core.Framework {
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.Seed
 	o.embedScale(&cfg)
 	fw := core.New(cfg)
 	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples(), Seed: o.Seed})
-	train, _ := set.Split(0.2) // paper keeps out 20% for testing
+	train, _ := set.Split(0.2)
 	if err := fw.LoadSet(train); err != nil {
 		panic(err)
 	}
 	rc := o.rlConfig(cfg.Arch)
 	fw.Train(&rc)
-	return fw, buildSupervised(fw, o)
+	return fw
 }
 
-// supervised holds the NNS index and decision tree built on the learned
-// embedding with brute-force labels (Section 3.5).
-type supervised struct {
-	nns  *search.NNS
-	tree *search.Tree
-	vfs  []int
-	ifs  []int
+// Fig7 evaluates the twelve held-out benchmarks under every method: random
+// search, Polly, NNS, decision tree, RL, and brute-force search. Values are
+// performance normalized to the baseline (higher is better).
+func Fig7(fw *core.Framework, o Options) *Table {
+	t := &Table{
+		Title:   "Figure 7: twelve benchmarks, performance normalized to baseline",
+		Columns: []string{"random", "polly", "NNS", "tree", "RL", "brute"},
+	}
+	// Random search draws every loop's factors from one stream, so the
+	// column is a single random trial over the whole figure.
+	rng := rand.New(rand.NewSource(o.Seed + 1000))
+	random := policy.Func("random", func(_ context.Context, req *policy.Request) (*policy.Decision, error) {
+		vf, ifc := search.Random(req.Arch.VFs(), req.Arch.IFs(), rng)
+		return &policy.Decision{VF: vf, IF: ifc}, nil
+	})
+	tree := treePolicy(fw, o)
+	nns, brute := mustPolicy(fw, "nns"), mustPolicy(fw, "brute")
+	for _, b := range dataset.EvalBenchmarks() {
+		r := runBenchmark(fw, b)
+		t.Add(b.Name, map[string]float64{
+			"random": r.decide(random),
+			"polly":  r.perf(pollyCycles(fw, r.c.Program(), nil)),
+			"NNS":    r.decide(nns),
+			"tree":   r.decide(tree),
+			"RL":     r.perf(r.rl.PredictedCycles),
+			"brute":  r.decide(brute),
+		})
+	}
+	return t.withGeoMeans()
 }
 
-func buildSupervised(fw *core.Framework, o Options) *supervised {
+// Fig8 evaluates the PolyBench analogues: Polly, RL, and the combined
+// Polly+RL configuration the paper projects to 2.92x.
+func Fig8(fw *core.Framework, o Options) *Table {
+	t := &Table{
+		Title:   "Figure 8: PolyBench, performance normalized to baseline",
+		Columns: []string{"polly", "RL", "polly+RL"},
+	}
+	for _, b := range dataset.PolyBench() {
+		r := runBenchmark(fw, b)
+		t.Add(b.Name, map[string]float64{
+			"polly":    r.perf(pollyCycles(fw, r.c.Program(), nil)),
+			"RL":       r.perf(r.rl.PredictedCycles),
+			"polly+RL": r.perf(pollyCycles(fw, r.c.Program(), r.rl.Loops)),
+		})
+	}
+	return t.withGeoMeans()
+}
+
+// Fig9 evaluates the MiBench analogues: whole programs where loops are a
+// minor fraction of runtime.
+func Fig9(fw *core.Framework, o Options) *Table {
+	t := &Table{
+		Title:   "Figure 9: MiBench, performance normalized to baseline",
+		Columns: []string{"polly", "RL"},
+	}
+	for _, b := range dataset.MiBench() {
+		r := runBenchmark(fw, b)
+		t.Add(b.Name, map[string]float64{
+			"polly": r.perf(pollyCycles(fw, r.c.Program(), nil)),
+			"RL":    r.perf(r.rl.PredictedCycles),
+		})
+	}
+	return t.withGeoMeans()
+}
+
+// benchmarkRun is one benchmark compiled once, as /v2/compile and neurovec
+// eval compile it, and decided by the trained agent. A figure's other
+// columns decide the same compile.
+type benchmarkRun struct {
+	fw *core.Framework
+	c  *core.Compiled
+	rl *api.CompileResponse
+	// scalar is the benchmark's fixed non-loop work in cycles, which
+	// dilutes loop-level wins (the MiBench regime).
+	scalar float64
+}
+
+func runBenchmark(fw *core.Framework, b dataset.Benchmark) *benchmarkRun {
+	c, err := fw.Compile(context.Background(), b.Source, b.ParamValues, core.WithSourceName(b.Name))
+	if err != nil {
+		panic(err)
+	}
+	r := &benchmarkRun{fw: fw, c: c}
+	r.rl = r.response(mustPolicy(fw, "rl"))
+	r.scalar = b.ScalarWorkFactor * r.rl.BaselineCycles
+	return r
+}
+
+func (r *benchmarkRun) response(p policy.Policy) *api.CompileResponse {
+	resp, err := r.fw.Decide(context.Background(), r.c, core.WithPolicy(p))
+	if err != nil {
+		panic(err)
+	}
+	return resp
+}
+
+// decide returns the benchmark's performance under p's per-loop decisions.
+func (r *benchmarkRun) decide(p policy.Policy) float64 {
+	return r.perf(r.response(p).PredictedCycles)
+}
+
+// perf normalizes program cycles to the baseline's, with the scalar work
+// added to both.
+func (r *benchmarkRun) perf(cycles float64) float64 {
+	return (r.rl.BaselineCycles + r.scalar) / (cycles + r.scalar)
+}
+
+// pollyCycles runs the Polly analogue's fusion and tiling over the program
+// and simulates the result. Its loops take the baseline cost model's
+// factors, except that transformed innermost point loops, which keep their
+// original labels, take decisions' factors for their label: with the
+// agent's decisions that is the combined Polly + deep RL configuration.
+func pollyCycles(fw *core.Framework, irp *ir.Program, decisions []api.Decision) float64 {
+	res := polly.Optimize(irp, fw.Cfg.Arch)
+	plans := costmodel.Plans(res.Program, fw.Cfg.Arch)
+	for _, d := range decisions {
+		if l := res.Program.FindLoop(d.Label); l != nil && l.Innermost() {
+			plans[l.Label] = vectorizer.New(l, fw.Cfg.Arch, d.VF, d.IF)
+		}
+	}
+	return sim.Program(res.Program, plans, fw.Cfg.Sim).Cycles
+}
+
+// withGeoMeans notes every column's geometric mean below the table.
+func (t *Table) withGeoMeans() *Table {
+	for _, c := range t.Columns {
+		t.Notes = append(t.Notes, fmt.Sprintf("geomean %-8s %.3fx", c, t.GeoMean(c)))
+	}
+	return t
+}
+
+// mustPolicy resolves a registered policy; every figure trains its agent
+// before deciding, so a failure here is a bug.
+func mustPolicy(fw *core.Framework, name string) policy.Policy {
+	p, err := fw.Policy(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// treePolicy fits Section 3.5's decision tree on the learned embedding of
+// the framework's training units, labelled by brute-force search, and
+// decides with it. Quick mode labels at most 320 units, because the
+// labelling is the expensive part.
+func treePolicy(fw *core.Framework, o Options) policy.Policy {
 	vfs, ifs := fw.Cfg.Arch.VFs(), fw.Cfg.Arch.IFs()
-	s := &supervised{nns: &search.NNS{}, vfs: vfs, ifs: ifs}
 	n := fw.NumSamples()
-	labelBudget := n
-	if o.Quick && labelBudget > 320 {
-		labelBudget = 320 // brute-force labelling is the expensive part
+	step := 1
+	if o.Quick && n > 320 {
+		step = n / 320
 	}
 	var xs [][]float64
 	var ys []int
-	step := n / labelBudget
-	if step < 1 {
-		step = 1
-	}
 	for i := 0; i < n; i += step {
 		vf, ifc := fw.BruteForceLabel(i)
-		emb := fw.Embedding(i)
-		s.nns.Add(emb, vf, ifc)
-		xs = append(xs, emb)
-		ys = append(ys, jointClass(vfs, ifs, vf, ifc))
+		xs = append(xs, fw.Embedding(i))
+		ys = append(ys, indexOf(vfs, vf)*len(ifs)+indexOf(ifs, ifc))
 	}
-	s.tree = search.TrainTree(xs, ys, len(vfs)*len(ifs), search.DefaultTreeConfig())
-	return s
-}
-
-func jointClass(vfs, ifs []int, vf, ifc int) int {
-	return indexOf(vfs, vf)*len(ifs) + indexOf(ifs, ifc)
-}
-
-func declass(vfs, ifs []int, k int) (int, int) {
-	return vfs[k/len(ifs)], ifs[k%len(ifs)]
+	tree := search.TrainTree(xs, ys, len(vfs)*len(ifs), search.DefaultTreeConfig())
+	return policy.Func("tree", func(_ context.Context, req *policy.Request) (*policy.Decision, error) {
+		k := tree.Predict(req.Embed())
+		return &policy.Decision{VF: vfs[k/len(ifs)], IF: ifs[k%len(ifs)]}, nil
+	})
 }
 
 func indexOf(a []int, v int) int {
@@ -322,131 +420,6 @@ func indexOf(a []int, v int) int {
 		}
 	}
 	return 0
-}
-
-// evaluateBenchmarks measures each benchmark under the methods selected by
-// mode, reporting performance normalized to the baseline. The supervised
-// models must have been built over the framework's training units before
-// any benchmark units were loaded.
-func evaluateBenchmarks(fw *core.Framework, sup *supervised, bs []dataset.Benchmark, o Options, mode evalMode) *Table {
-	cfg := fw.Cfg
-	rng := rand.New(rand.NewSource(o.Seed + 1000))
-
-	var cols []string
-	switch mode {
-	case evalAll:
-		cols = []string{"random", "polly", "NNS", "tree", "RL", "brute"}
-	case evalPolyFocus:
-		cols = []string{"polly", "RL", "polly+RL"}
-	case evalMiFocus:
-		cols = []string{"polly", "RL"}
-	}
-	title := map[evalMode]string{
-		evalAll:       "Figure 7: twelve benchmarks, performance normalized to baseline",
-		evalPolyFocus: "Figure 8: PolyBench, performance normalized to baseline",
-		evalMiFocus:   "Figure 9: MiBench, performance normalized to baseline",
-	}[mode]
-	t := &Table{Title: title, Columns: cols}
-
-	for _, b := range bs {
-		// Register the benchmark's loops as units for embedding/prediction;
-		// the units carry the program's IR and baseline.
-		start := fw.NumSamples()
-		if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
-			panic(err)
-		}
-		end := fw.NumSamples()
-		irp := fw.Units()[start].Prog
-		basePlans := costmodel.Plans(irp, cfg.Arch)
-
-		baseCycles := fw.BaselineCycles(start)
-		scalar := b.ScalarWorkFactor * baseCycles
-		baseTotal := baseCycles + scalar
-
-		perf := func(cycles float64) float64 { return baseTotal / (cycles + scalar) }
-
-		decide := func(how func(i int, loop *ir.Loop) (int, int)) float64 {
-			plans := map[string]*vectorizer.Plan{}
-			for i := start; i < end; i++ {
-				u := fw.Units()[i]
-				vf, ifc := how(i, u.Loop)
-				plans[u.Loop.Label] = vectorizer.New(u.Loop, cfg.Arch, vf, ifc)
-			}
-			// Loops without decisions fall back to baseline.
-			for label, p := range basePlans {
-				if _, ok := plans[label]; !ok {
-					plans[label] = p
-				}
-			}
-			return sim.Program(irp, plans, cfg.Sim).Cycles
-		}
-
-		vals := map[string]float64{}
-		for _, col := range cols {
-			switch col {
-			case "random":
-				vals[col] = perf(decide(func(int, *ir.Loop) (int, int) {
-					return search.Random(cfg.Arch.VFs(), cfg.Arch.IFs(), rng)
-				}))
-			case "polly":
-				vals[col] = perf(pollyCycles(irp, nil, fw, start, end))
-			case "polly+RL":
-				vals[col] = perf(pollyCycles(irp, fw.Agent(), fw, start, end))
-			case "NNS":
-				vals[col] = perf(decide(func(i int, _ *ir.Loop) (int, int) {
-					return sup.nns.Predict(fw.Embedding(i))
-				}))
-			case "tree":
-				vals[col] = perf(decide(func(i int, _ *ir.Loop) (int, int) {
-					return declass(sup.vfs, sup.ifs, sup.tree.Predict(fw.Embedding(i)))
-				}))
-			case "RL":
-				vals[col] = perf(decide(func(i int, _ *ir.Loop) (int, int) {
-					return mustPredict(fw, i)
-				}))
-			case "brute":
-				vals[col] = perf(decide(func(i int, _ *ir.Loop) (int, int) {
-					return fw.BruteForceLabel(i)
-				}))
-			}
-		}
-		t.Add(b.Name, vals)
-	}
-
-	for _, c := range cols {
-		t.Notes = append(t.Notes, fmt.Sprintf("geomean %-8s %.3fx", c, t.GeoMean(c)))
-	}
-	return t
-}
-
-// mustPredict is the experiment harness's view of Framework.Predict: every
-// table trains its agent before querying it, so ErrNoAgent here is a bug.
-func mustPredict(fw *core.Framework, i int) (int, int) {
-	vf, ifc, err := fw.Predict(i)
-	if err != nil {
-		panic(err)
-	}
-	return vf, ifc
-}
-
-// pollyCycles runs the Polly analogue over the program and simulates it;
-// when agent != nil the transformed innermost loops take the agent's
-// decisions (the combined Polly + deep RL configuration).
-func pollyCycles(irp *ir.Program, agent *rl.Agent, fw *core.Framework, start, end int) float64 {
-	res := polly.Optimize(irp, fw.Cfg.Arch)
-	plans := costmodel.Plans(res.Program, fw.Cfg.Arch)
-	if agent != nil {
-		// Innermost point loops keep their original labels, so unit
-		// predictions map directly.
-		for i := start; i < end; i++ {
-			u := fw.Units()[i]
-			if l := res.Program.FindLoop(u.Loop.Label); l != nil && l.Innermost() {
-				vf, ifc := agent.Predict(i)
-				plans[l.Label] = vectorizer.New(l, fw.Cfg.Arch, vf, ifc)
-			}
-		}
-	}
-	return sim.Program(res.Program, plans, fw.Cfg.Sim).Cycles
 }
 
 // TrainingEfficiency reports the sample-efficiency comparison from the

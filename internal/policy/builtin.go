@@ -134,22 +134,18 @@ func (p *randomPolicy) Decide(ctx context.Context, req *Request) (*Decision, err
 	if err != nil {
 		return nil, fmt.Errorf("random: %w", err)
 	}
-	rng := req.Rand
-	if rng == nil {
-		// Deterministic per (host seed, program, loop): repeated requests —
-		// and therefore cached responses — agree on the "random" answer,
-		// but distinct programs draw distinct actions. The source text must
-		// be in the seed: loop labels restart at L0 per parse, so hashing
-		// the label alone would hand every program's first loop the same
-		// "random" pick.
-		var seed int64
-		if p.h != nil {
-			seed = p.h.Seed()
-		}
-		hash := fnv.New64a()
-		fmt.Fprint(hash, req.Source, "\x00", req.Name)
-		rng = rand.New(rand.NewSource(seed ^ int64(hash.Sum64())))
+	// Deterministic per (host seed, program, loop): repeated requests — and
+	// therefore cached responses — agree on the "random" answer, but
+	// distinct programs draw distinct actions. The source text must be in
+	// the seed: loop labels restart at L0 per parse, so hashing the label
+	// alone would hand every program's first loop the same "random" pick.
+	var seed int64
+	if p.h != nil {
+		seed = p.h.Seed()
 	}
+	hash := fnv.New64a()
+	fmt.Fprint(hash, req.Source, "\x00", req.Name)
+	rng := rand.New(rand.NewSource(seed ^ int64(hash.Sum64())))
 	vf, ifc := search.Random(arch.VFs(), arch.IFs(), rng)
 	return &Decision{VF: vf, IF: ifc}, nil
 }

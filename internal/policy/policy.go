@@ -45,7 +45,6 @@ package policy
 import (
 	"context"
 	"errors"
-	"math/rand"
 
 	"neurovec/internal/ir"
 	"neurovec/internal/machine"
@@ -79,10 +78,6 @@ type Request struct {
 	// injected at Loop and the baseline decision everywhere else — the
 	// objective search policies minimise. Calls must not overlap.
 	Evaluate func(vf, ifc int) float64
-	// Rand, when set, seeds stochastic policies; otherwise they derive a
-	// deterministic source from the host seed and the request name so that
-	// repeated requests (and cached responses) agree.
-	Rand *rand.Rand
 }
 
 // Decision is a policy's answer for one loop.
