@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section on the simulated substrate. Each FigN function returns
 // a printable artifact; the bench harness (bench_test.go) and the CLI's
-// "report" command drive them. EXPERIMENTS.md records paper-vs-measured
-// values.
+// "report" command drive them. Figures 7, 8 and 9 share one framework built
+// by Train and decide through core.Compile and Decide, as /v2/compile and
+// neurovec eval do.
 package experiments
 
 import (
