@@ -29,8 +29,7 @@ var trained = sync.OnceValue(func() *core.Framework { return Train(QuickOptions(
 // precision. Figures 1 and 2 run entirely on loaded units, so a drift there
 // means the unit front end changed. Every other golden also trains an agent
 // (Figures 7, 8 and 9 also run the Polly analogue), so a drift there can
-// come from training, the comparators or Polly's transforms. Figure 5 is
-// not pinned: it trains nine agents and has no test of its own.
+// come from training, the comparators or Polly's transforms.
 // Regenerate with:
 //
 //	go test ./internal/experiments -run 'TestFig|TestTrainingEfficiency|TestAblation|TestNeuralCostModel' -update
@@ -129,6 +128,20 @@ func TestFig2AllAtLeastBaseline(t *testing.T) {
 		t.Errorf("mean brute/baseline = %.3fx, want a visible gap (paper: up to 1.5x)", m)
 	}
 	checkGolden(t, "fig2", tab)
+}
+
+func TestFig5HyperparamSweep(t *testing.T) {
+	curves := Fig5(QuickOptions())
+	for _, label := range []string{
+		"lr=0.005", "lr=0.0005", "lr=5e-05",
+		"net=16x16", "net=32x32", "net=64x64",
+		"batch=64", "batch=128", "batch=256",
+	} {
+		if len(curves.RewardMean[label]) == 0 {
+			t.Errorf("missing curve for %s", label)
+		}
+	}
+	checkGolden(t, "fig5", curves)
 }
 
 func TestFig6DiscreteBest(t *testing.T) {
