@@ -1,9 +1,11 @@
 // Package neurovec_test hosts the benchmark harness: one testing.B
 // benchmark per table/figure of the paper's evaluation section. Each bench
 // regenerates its artifact end to end (training included where the figure
-// requires it, except that Figures 7, 8 and 9 train their framework once
-// before the timer starts and time the evaluation alone) and reports the
-// headline quantities as custom metrics, so
+// requires it, except that what several figures share is trained before
+// the timer starts: Figures 7, 8 and 9 time their evaluation alone, and
+// Figures 5 and 6 and the embedding and joint-agent ablations time every
+// training but the Reference one) and reports the headline quantities as
+// custom metrics, so
 //
 //	go test -bench=. -benchmem
 //
@@ -53,8 +55,10 @@ func BenchmarkFig2SuiteBrute(b *testing.B) {
 // across learning rates, network architectures and batch sizes.
 func BenchmarkFig5HyperparamSweep(b *testing.B) {
 	var final float64
+	ref := experiments.Reference(experiments.QuickOptions())
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		curves := experiments.Fig5(experiments.QuickOptions())
+		curves := experiments.Fig5(ref, experiments.QuickOptions())
 		final = curves.Final("lr=0.0005", 4)
 	}
 	b.ReportMetric(final, "final-reward(lr=5e-4)")
@@ -64,8 +68,10 @@ func BenchmarkFig5HyperparamSweep(b *testing.B) {
 // action-space definitions.
 func BenchmarkFig6ActionSpaces(b *testing.B) {
 	var discrete float64
+	ref := experiments.Reference(experiments.QuickOptions())
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		curves := experiments.Fig6(experiments.QuickOptions())
+		curves := experiments.Fig6(ref, experiments.QuickOptions())
 		discrete = curves.Final("discrete", 4)
 	}
 	b.ReportMetric(discrete, "final-reward(discrete)")
@@ -121,8 +127,10 @@ func BenchmarkFig9MiBench(b *testing.B) {
 // features.
 func BenchmarkAblationEmbedding(b *testing.B) {
 	var c2v, feat float64
+	ref := experiments.Reference(experiments.QuickOptions())
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		curves := experiments.AblationEmbedding(experiments.QuickOptions())
+		curves := experiments.AblationEmbedding(ref, experiments.QuickOptions())
 		c2v = curves.Final("code2vec (end-to-end)", 4)
 		feat = curves.Final("hand-crafted features", 4)
 	}
@@ -146,25 +154,15 @@ func BenchmarkAblationCompilePenalty(b *testing.B) {
 // one joint (VF, IF) agent vs two independent single-factor agents.
 func BenchmarkAblationJointAgent(b *testing.B) {
 	var joint, indep float64
+	ref := experiments.Reference(experiments.QuickOptions())
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		curves := experiments.AblationJointAgent(experiments.QuickOptions())
+		curves := experiments.AblationJointAgent(ref, experiments.QuickOptions())
 		joint = curves.Final("joint", 4)
 		indep = curves.Final("independent", 4)
 	}
 	b.ReportMetric(joint, "final-reward(joint)")
 	b.ReportMetric(indep, "final-reward(independent)")
-}
-
-// BenchmarkNeuralCostModel regenerates the Section 5 learned-cost-model
-// extension: the end-to-end regression network scored against RL and brute
-// force on the twelve benchmarks.
-func BenchmarkNeuralCostModel(b *testing.B) {
-	var rk float64
-	for i := 0; i < b.N; i++ {
-		tab := experiments.NeuralCostModel(experiments.QuickOptions())
-		rk = tab.GeoMean("neural-cost-model")
-	}
-	b.ReportMetric(rk, "cost-model/baseline")
 }
 
 // BenchmarkRewardEvaluation measures the cost of one environment step (one

@@ -17,7 +17,8 @@ import (
 // exist, every `neurovec <cmd>` in a code fence must be a real subcommand,
 // every flag the training guide shows for `neurovec train` must exist in
 // the command's flag set, every `METHOD /path` must be a registered route,
-// and every `rl|costmodel|…` list must name exactly the registered policies.
+// every `rl|costmodel|…` list must name exactly the registered policies,
+// and every `-fig` list must name exactly the `neurovec report` figures.
 // CI runs these as its doc-check step.
 
 func repoRoot(t *testing.T) string {
@@ -301,5 +302,50 @@ func TestDocsPolicyListsAreRegistered(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("found no policy list in the docs or the usage text")
+	}
+}
+
+// TestDocsFigureListsAreReportNames checks every `-fig` argument of a
+// `report` command in the docs, in main.go and in the usage text against the names `neurovec report`
+// accepts: a list of several names must be all of them in order (a trailing
+// all aside), and a single name must be one of them or all.
+func TestDocsFigureListsAreReportNames(t *testing.T) {
+	var want []string
+	for _, f := range figures {
+		want = append(want, f.name)
+	}
+	var usageText strings.Builder
+	usage(&usageText)
+	texts := map[string]string{"usage": usageText.String()}
+	for _, f := range append(docFiles(t), filepath.Join(repoRoot(t), "cmd", "neurovec", "main.go")) {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[filepath.Base(f)] = string(body)
+	}
+	// A -fig argument follows `report` on its line, or opens a parenthesis.
+	figRe := regexp.MustCompile(`(?:report[^\n]*?|\()-fig ([a-z0-9]+(?:[,|][a-z0-9]+)*)`)
+	lists := 0
+	for name, text := range texts {
+		for _, m := range figRe.FindAllStringSubmatch(text, -1) {
+			names := strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == '|' })
+			if len(names) == 1 {
+				if names[0] != "all" && !slices.Contains(want, names[0]) {
+					t.Errorf("%s: -fig %s is not a report figure (%s)", name, names[0], strings.Join(want, ","))
+				}
+				continue
+			}
+			lists++
+			if names[len(names)-1] == "all" {
+				names = names[:len(names)-1]
+			}
+			if !slices.Equal(names, want) {
+				t.Errorf("%s: figure list %q, want the report figures %s", name, m[1], strings.Join(want, ","))
+			}
+		}
+	}
+	if lists < 2 {
+		t.Errorf("found %d figure lists, want at least the usage text's and the README's", lists)
 	}
 }

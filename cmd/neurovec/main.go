@@ -68,6 +68,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,7 +85,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	var err error
@@ -110,10 +111,10 @@ func main() {
 	case "check":
 		err = cmdCheck(os.Args[2:])
 	case "-h", "--help", "help":
-		usage()
+		usage(os.Stderr)
 	default:
 		fmt.Fprintf(os.Stderr, "neurovec: unknown command %q\n", os.Args[1])
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -122,11 +123,12 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage: neurovec <command> [flags]
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage: neurovec <command> [flags]
 
 commands:
-  report    regenerate the paper's figures (-fig 1|2|5|6|7|8|9|eff|all, -full)
+  report    regenerate the paper's figures and ablations
+            (-fig %s|all, -full)
   train     parallel PPO training over a corpus (-corpus polybench,mibench,
             figure7,generated, -dir ./kernels, -jobs N, -out model.gob,
             -checkpoint-every K, -resume model.gob, -eval-every K);
@@ -159,7 +161,7 @@ commands:
             print diagnostics (-json for the v2 wire format, -corpus
             polybench,mibench,figure7,tsvc,generated, -strict to fail on
             warnings); exits 1 when errors are found
-`)
+`, figureNames("|"))
 }
 
 func options(full bool, seed int64) experiments.Options {
@@ -171,75 +173,106 @@ func options(full bool, seed int64) experiments.Options {
 	return o
 }
 
+// artifact is what a figure regenerates: an experiments.Table or
+// experiments.Curves.
+type artifact interface {
+	String() string
+	WriteCSV(w io.Writer) error
+}
+
+// figure is one name `neurovec report -fig` accepts.
+type figure struct {
+	name string
+	run  func(e *reportEnv) artifact
+}
+
+// reportEnv is what one report shares between figures: Figures 7, 8 and 9
+// decide with one trained framework, and Figures 5 and 6 and the embedding
+// and joint-agent ablations read one Reference training. Each is trained on
+// first use, so only if a figure that reads it is asked for.
+type reportEnv struct {
+	o         experiments.Options
+	trained   func() *core.Framework
+	reference func() *rl.Stats
+}
+
+// figures is every name `neurovec report -fig` accepts, in the order
+// `-fig all` runs them. The name lookup, the unknown-figure error, the usage
+// text and the flag help all read it.
+var figures = []figure{
+	{"1", func(e *reportEnv) artifact { return experiments.Fig1(e.o) }},
+	{"2", func(e *reportEnv) artifact { return experiments.Fig2(e.o) }},
+	{"5", func(e *reportEnv) artifact { return experiments.Fig5(e.reference(), e.o) }},
+	{"6", func(e *reportEnv) artifact { return experiments.Fig6(e.reference(), e.o) }},
+	{"7", func(e *reportEnv) artifact { return experiments.Fig7(e.trained(), e.o) }},
+	{"8", func(e *reportEnv) artifact { return experiments.Fig8(e.trained(), e.o) }},
+	{"9", func(e *reportEnv) artifact { return experiments.Fig9(e.trained(), e.o) }},
+	{"eff", func(e *reportEnv) artifact { return experiments.TrainingEfficiency(e.o) }},
+	{"embed", func(e *reportEnv) artifact { return experiments.AblationEmbedding(e.reference(), e.o) }},
+	{"joint", func(e *reportEnv) artifact { return experiments.AblationJointAgent(e.reference(), e.o) }},
+	{"penalty", func(e *reportEnv) artifact { return experiments.AblationCompilePenalty(e.o) }},
+}
+
+// figureNames returns the names of figures joined by sep.
+func figureNames(sep string) string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return strings.Join(names, sep)
+}
+
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: 1, 2, 5, 6, 7, 8, 9, eff, or all")
+	fig := fs.String("fig", "all", "figures to regenerate, comma-separated: "+figureNames(", ")+", or all")
 	full := fs.Bool("full", false, "full-size experiments (slower, paper-scale)")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	csvDir := fs.String("csv", "", "also write figN.csv artifacts into this directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := options(*full, *seed)
-	// Figures 7, 8 and 9 decide with one trained framework; train it only
-	// if one of them is asked for.
-	trained := sync.OnceValue(func() *core.Framework { return experiments.Train(o) })
-
-	writeCSV := func(name string, to func(w io.Writer) error) error {
-		if *csvDir == "" {
-			return nil
-		}
-		f, err := os.Create(fmt.Sprintf("%s/fig%s.csv", *csvDir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := to(f); err != nil {
-			return err
-		}
-		return f.Close()
-	}
-
-	run := func(name string) error {
-		var tab *experiments.Table
-		var curves *experiments.Curves
-		switch name {
-		case "1":
-			tab = experiments.Fig1(o)
-		case "2":
-			tab = experiments.Fig2(o)
-		case "5":
-			curves = experiments.Fig5(o)
-		case "6":
-			curves = experiments.Fig6(o)
-		case "7":
-			tab = experiments.Fig7(trained(), o)
-		case "8":
-			tab = experiments.Fig8(trained(), o)
-		case "9":
-			tab = experiments.Fig9(trained(), o)
-		case "eff":
-			tab = experiments.TrainingEfficiency(o)
-		default:
-			return fmt.Errorf("report: unknown figure %q", name)
-		}
-		if tab != nil {
-			fmt.Println(tab)
-			return writeCSV(name, tab.WriteCSV)
-		}
-		fmt.Println(curves)
-		return writeCSV(name, curves.WriteCSV)
-	}
-	figs := []string{"1", "2", "5", "6", "7", "8", "9", "eff"}
+	todo := figures
 	if *fig != "all" {
-		figs = strings.Split(*fig, ",")
+		todo = nil
+		for _, name := range strings.Split(*fig, ",") {
+			i := slices.IndexFunc(figures, func(f figure) bool { return f.name == strings.TrimSpace(name) })
+			if i < 0 {
+				return fmt.Errorf("report: unknown figure %q (want %s or all)", name, figureNames("|"))
+			}
+			todo = append(todo, figures[i])
+		}
 	}
-	for _, f := range figs {
-		if err := run(strings.TrimSpace(f)); err != nil {
+	o := options(*full, *seed)
+	e := &reportEnv{
+		o:         o,
+		trained:   sync.OnceValue(func() *core.Framework { return experiments.Train(o) }),
+		reference: sync.OnceValue(func() *rl.Stats { return experiments.Reference(o) }),
+	}
+	for _, f := range todo {
+		a := f.run(e)
+		fmt.Println(a)
+		if err := writeCSV(*csvDir, f.name, a); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeCSV writes a figure's artifact to dir/fig<name>.csv; an empty dir
+// writes nothing.
+func writeCSV(dir, name string, a artifact) error {
+	if dir == "" {
+		return nil
+	}
+	f, err := os.Create(fmt.Sprintf("%s/fig%s.csv", dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := a.WriteCSV(f); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // seededFramework returns an untrained framework with the default

@@ -133,12 +133,28 @@ func TestCmdExplain(t *testing.T) {
 }
 
 func TestCmdReportSingleFigure(t *testing.T) {
-	out, err := captureStdout(t, func() error { return cmdReport([]string{"-fig", "1"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Figure 1") {
-		t.Fatalf("report output missing table:\n%s", out)
+	for _, tc := range []struct {
+		fig, want, err string
+	}{
+		{fig: "1", want: "Figure 1"},
+		{fig: "eff", want: "Training efficiency"},
+		{fig: "ncm", err: `unknown figure "ncm"`},
+		// Names are checked before any figure runs.
+		{fig: "1,ncm", err: `unknown figure "ncm"`},
+	} {
+		out, err := captureStdout(t, func() error { return cmdReport([]string{"-fig", tc.fig}) })
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) || out != "" {
+				t.Errorf("-fig %s: err %v and output %q, want error %q and no output", tc.fig, err, out, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("-fig %s: %v", tc.fig, err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("-fig %s: report output missing %q:\n%s", tc.fig, tc.want, out)
+		}
 	}
 }
 

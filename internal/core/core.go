@@ -94,7 +94,6 @@ type Unit struct {
 	baselinePlans   map[string]*vectorizer.Plan
 	baselineCycles  float64
 	baselineCompile float64
-	scalarCycles    float64 // lazily cached by NormTime
 }
 
 // Framework is the end-to-end system.
@@ -350,21 +349,6 @@ func (f *Framework) CompileBlowup(sample, vf, ifc int) float64 {
 	return compile / u.baselineCompile
 }
 
-// NormTime returns the simulated time under (vf, ifc) normalized to the
-// unit's scalar (VF=1, IF=1) time — the regression target of the Section 5
-// learned cost model (package ranker).
-func (f *Framework) NormTime(sample, vf, ifc int) float64 {
-	u := f.units[sample]
-	if u.scalarCycles == 0 {
-		u.scalarCycles, _ = f.measure(u, 1, 1)
-	}
-	if u.scalarCycles <= 0 {
-		return 1
-	}
-	c, _ := f.measure(u, vf, ifc)
-	return c / u.scalarCycles
-}
-
 // ---- Embedder adapter ----
 
 // embedAdapter exposes the code2vec model as an rl.Embedder over units.
@@ -501,7 +485,8 @@ func (f *Framework) ContinueTraining(iterations int) (*rl.Stats, error) {
 }
 
 // CodeEmbedder exposes the framework's code2vec model as an rl.Embedder,
-// for use with external learners such as the ranker.
+// for agents trained outside the framework, such as the two single-factor
+// agents of the joint-agent ablation (experiments.AblationJointAgent).
 func (f *Framework) CodeEmbedder() rl.Embedder { return &embedAdapter{fw: f} }
 
 // UnitLoops returns the primary innermost loop of every unit, in order —

@@ -65,8 +65,8 @@ type inferOpts struct {
 }
 
 // WithPolicy uses a concrete policy instance for this call — the hook for
-// policies that are not in the registry (e.g. a trained ranker model's
-// Policy()).
+// policies that are not in the registry (e.g. the random and decision-tree
+// policy.Funcs local to experiments.Fig7).
 func WithPolicy(p policy.Policy) InferOption {
 	return func(o *inferOpts) { o.pol = p }
 }

@@ -1,45 +1,29 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"neurovec/internal/core"
 	"neurovec/internal/dataset"
 	"neurovec/internal/features"
-	"neurovec/internal/ranker"
+	"neurovec/internal/rl"
 )
 
 // AblationEmbedding compares the paper's learned code2vec embedding against
 // the hand-engineered feature vector of the prior work it criticises
-// (Stock et al.): same agent, same data, different observations.
-func AblationEmbedding(o Options) *Curves {
+// (Stock et al.): same agent, same data, different observations. The
+// code2vec curves are ref, the Reference curves.
+func AblationEmbedding(ref *rl.Stats, o Options) *Curves {
 	curves := NewCurves("Ablation: learned embedding vs hand-crafted features")
-	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 2, Seed: o.Seed})
-
-	// code2vec, end to end.
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed
-	o.embedScale(&cfg)
-	fw := core.New(cfg)
-	if err := fw.LoadSet(set); err != nil {
-		panic(err)
-	}
-	rc := o.rlConfig(cfg.Arch)
-	stats := fw.Train(&rc)
-	curves.RewardMean["code2vec (end-to-end)"] = stats.RewardMean
-	curves.Loss["code2vec (end-to-end)"] = stats.Loss
+	curves.RewardMean["code2vec (end-to-end)"] = ref.RewardMean
+	curves.Loss["code2vec (end-to-end)"] = ref.Loss
 
 	// Hand-crafted features, frozen.
-	fw2 := core.New(cfg)
-	if err := fw2.LoadSet(set); err != nil {
-		panic(err)
-	}
-	emb := &features.Embedder{Loops: fw2.UnitLoops()}
-	rc2 := o.rlConfig(cfg.Arch)
-	stats2 := fw2.TrainWithEmbedder(emb, &rc2)
-	curves.RewardMean["hand-crafted features"] = stats2.RewardMean
-	curves.Loss["hand-crafted features"] = stats2.Loss
+	fw := o.framework(core.DefaultConfig(), o.referenceSet())
+	rc := o.rlConfig(fw.Cfg.Arch)
+	stats := fw.TrainWithEmbedder(&features.Embedder{Loops: fw.UnitLoops()}, &rc)
+	curves.RewardMean["hand-crafted features"] = stats.RewardMean
+	curves.Loss["hand-crafted features"] = stats.Loss
 	return curves
 }
 
@@ -48,15 +32,18 @@ func AblationEmbedding(o Options) *Curves {
 // without it (an infinite compile budget) the agent freely picks
 // configurations with pathological compile times. The table reports the
 // final reward and the mean compile-time blow-up of the greedy policy.
+//
+// In quick mode the two rows are identical at full precision. The penalty
+// can fire there: 12 of the corpus's 4655 (unit, VF, IF) triples exceed the
+// 10x budget, the largest at 45.9x. But no quick rollout samples one of
+// them, so the penalty never changes a reward. At full size 153 of 58310
+// triples exceed it.
 func AblationCompilePenalty(o Options) *Table {
 	t := &Table{
 		Title:   "Ablation: compile-time timeout penalty (Section 3.4)",
 		Columns: []string{"final-reward", "mean-compile-blowup", "timeout-rate"},
 	}
-	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 3, Seed: o.Seed, Families: []string{
-		// Big-bodied families where extreme factors blow the compile budget.
-		"complex_mult", "bitwise", "convert_unroll", "saxpy", "reduction",
-	}})
+	set := o.penaltySet()
 	for _, variant := range []struct {
 		label   string
 		factor  float64
@@ -66,14 +53,9 @@ func AblationCompilePenalty(o Options) *Table {
 		{"penalty off", math.Inf(1), 0},
 	} {
 		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
 		cfg.CompileTimeoutFactor = variant.factor
 		cfg.TimeoutPenalty = variant.penalty
-		o.embedScale(&cfg)
-		fw := core.New(cfg)
-		if err := fw.LoadSet(set); err != nil {
-			panic(err)
-		}
+		fw := o.framework(cfg, set)
 		rc := o.rlConfig(cfg.Arch)
 		stats := fw.Train(&rc)
 
@@ -97,59 +79,16 @@ func AblationCompilePenalty(o Options) *Table {
 	return t
 }
 
-// NeuralCostModel evaluates the Section 5 learned cost model (package
-// ranker) against the baseline and the RL agent on the twelve held-out
-// benchmarks.
-func NeuralCostModel(o Options) *Table {
-	fw := Train(o)
-
-	// Train the ranker end to end on the same units.
-	rc := ranker.DefaultConfig(fw.Cfg.Arch.VFs(), fw.Cfg.Arch.IFs())
-	rc.Seed = o.Seed
-	if o.Quick {
-		rc.Steps = 15000
-		rc.Hidden = []int{48, 48}
-		rc.LR = 1e-3
-	} else {
-		rc.Steps = 120000
-	}
-	model := ranker.New(fw.CodeEmbedder(), rc)
-	model.Train(fw)
-
-	t := &Table{
-		Title:   "Section 5 extension: learned neural cost model vs RL agent",
-		Columns: []string{"RL", "neural-cost-model", "brute"},
-	}
-	for _, b := range dataset.EvalBenchmarks() {
-		start := fw.NumSamples()
-		if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil {
-			panic(err)
-		}
-		end := fw.NumSamples()
-		base, rlC, rkC, brC := 0.0, 0.0, 0.0, 0.0
-		for i := start; i < end; i++ {
-			base += fw.BaselineCycles(i)
-			vf, ifc := mustPredict(fw, i)
-			rlC += fw.Cycles(i, vf, ifc)
-			vf, ifc = model.Best(i)
-			rkC += fw.Cycles(i, vf, ifc)
-			vf, ifc = fw.BruteForceLabel(i)
-			brC += fw.Cycles(i, vf, ifc)
-		}
-		t.Add(b.Name, map[string]float64{
-			"RL":                base / rlC,
-			"neural-cost-model": base / rkC,
-			"brute":             base / brC,
-		})
-	}
-	for _, c := range t.Columns {
-		t.Notes = append(t.Notes, fmt.Sprintf("geomean %-18s %.3fx", c, t.GeoMean(c)))
-	}
-	return t
+// penaltySet is the compile-penalty ablation's corpus.
+func (o Options) penaltySet() *dataset.Set {
+	return dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 3, Seed: o.Seed, Families: []string{
+		// Big-bodied families where extreme factors blow the compile budget.
+		"complex_mult", "bitwise", "convert_unroll", "saxpy", "reduction",
+	}})
 }
 
-// mustPredict is the ablations' view of Framework.Predict over loaded
-// units: every ablation trains its agent before querying it, so ErrNoAgent
+// mustPredict is the compile-penalty ablation's view of Framework.Predict
+// over loaded units: it trains its agent before querying it, so ErrNoAgent
 // here is a bug.
 func mustPredict(fw *core.Framework, i int) (int, int) {
 	vf, ifc, err := fw.Predict(i)
@@ -157,18 +96,4 @@ func mustPredict(fw *core.Framework, i int) (int, int) {
 		panic(err)
 	}
 	return vf, ifc
-}
-
-func finalMean(series []float64, k int) float64 {
-	if len(series) == 0 {
-		return math.NaN()
-	}
-	if k > len(series) {
-		k = len(series)
-	}
-	s := 0.0
-	for _, v := range series[len(series)-k:] {
-		s += v
-	}
-	return s / float64(k)
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"testing"
+
+	"neurovec/internal/core"
 )
 
 func TestAblationEmbedding(t *testing.T) {
-	curves := AblationEmbedding(QuickOptions())
+	curves := AblationEmbedding(reference(), QuickOptions())
 	c2v := curves.Final("code2vec (end-to-end)", 4)
 	feat := curves.Final("hand-crafted features", 4)
 	t.Logf("final reward: code2vec=%.3f features=%.3f", c2v, feat)
@@ -26,8 +28,27 @@ func TestAblationEmbedding(t *testing.T) {
 	checkGolden(t, "ablation_embedding", curves)
 }
 
+// TestAblationCompilePenalty checks the Section 3.4 ablation. In quick mode
+// its two rows are identical, so the "penalty reduces blow-up" check passes
+// on equality: no quick rollout samples one of the corpus's 12 over-budget
+// (unit, VF, IF) triples. The test checks that the corpus holds one, so the
+// ablation can differ.
 func TestAblationCompilePenalty(t *testing.T) {
-	tab := AblationCompilePenalty(QuickOptions())
+	o := QuickOptions()
+	fw := o.framework(core.DefaultConfig(), o.penaltySet())
+	overBudget := false
+	for i := 0; i < fw.NumSamples() && !overBudget; i++ {
+		for _, vf := range fw.Cfg.Arch.VFs() {
+			for _, ifc := range fw.Cfg.Arch.IFs() {
+				overBudget = overBudget || fw.CompileBlowup(i, vf, ifc) > 10
+			}
+		}
+	}
+	if !overBudget {
+		t.Error("no (unit, VF, IF) triple of the quick corpus exceeds the 10x compile budget; the ablation cannot differ")
+	}
+
+	tab := AblationCompilePenalty(o)
 	onBlow, _ := tab.Get("penalty=-9 (paper)", "mean-compile-blowup")
 	offBlow, _ := tab.Get("penalty off", "mean-compile-blowup")
 	onRate, _ := tab.Get("penalty=-9 (paper)", "timeout-rate")
@@ -47,7 +68,7 @@ func TestAblationCompilePenalty(t *testing.T) {
 }
 
 func TestAblationJointAgent(t *testing.T) {
-	curves := AblationJointAgent(QuickOptions())
+	curves := AblationJointAgent(reference(), QuickOptions())
 	joint := curves.Final("joint", 4)
 	indep := curves.Final("independent", 4)
 	t.Logf("final reward: joint=%.3f independent=%.3f", joint, indep)
@@ -60,22 +81,4 @@ func TestAblationJointAgent(t *testing.T) {
 		t.Errorf("joint agent (%.3f) clearly below independent agents (%.3f); paper found the opposite", joint, indep)
 	}
 	checkGolden(t, "ablation_joint_agent", curves)
-}
-
-func TestNeuralCostModel(t *testing.T) {
-	tab := NeuralCostModel(QuickOptions())
-	if len(tab.Rows()) != 12 {
-		t.Fatalf("rows = %d", len(tab.Rows()))
-	}
-	rk := tab.GeoMean("neural-cost-model")
-	rlG := tab.GeoMean("RL")
-	brute := tab.GeoMean("brute")
-	t.Logf("geomeans: RL=%.3f neural-cost-model=%.3f brute=%.3f", rlG, rk, brute)
-	if rk <= 0.9 {
-		t.Errorf("learned cost model geomean = %.3fx, should be at least near baseline", rk)
-	}
-	if rk > brute*1.001 {
-		t.Errorf("learned cost model (%.3f) beats brute force (%.3f) — impossible", rk, brute)
-	}
-	checkGolden(t, "neural_cost_model", tab)
 }

@@ -15,6 +15,7 @@ import (
 	"neurovec/internal/core"
 	"neurovec/internal/dataset"
 	"neurovec/internal/evalharness"
+	"neurovec/internal/rl"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
@@ -22,6 +23,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
 // trained is the quick-mode framework Figures 7, 8 and 9 share, trained on
 // first use.
 var trained = sync.OnceValue(func() *core.Framework { return Train(QuickOptions()) })
+
+// reference is the quick-mode Reference training Figures 5 and 6 and the
+// embedding and joint-agent ablations share, trained on first use.
+var reference = sync.OnceValue(func() *rl.Stats { return Reference(QuickOptions()) })
 
 // checkGolden compares a figure with testdata/<name>.golden. A *Table is
 // pinned by its rendering plus every cell at full precision; a *Curves by
@@ -32,7 +37,7 @@ var trained = sync.OnceValue(func() *core.Framework { return Train(QuickOptions(
 // come from training, the comparators or Polly's transforms.
 // Regenerate with:
 //
-//	go test ./internal/experiments -run 'TestFig|TestTrainingEfficiency|TestAblation|TestNeuralCostModel' -update
+//	go test ./internal/experiments -run 'TestFig|TestTrainingEfficiency|TestAblation' -update
 func checkGolden(t *testing.T, name string, fig any) {
 	t.Helper()
 	var b strings.Builder
@@ -131,7 +136,7 @@ func TestFig2AllAtLeastBaseline(t *testing.T) {
 }
 
 func TestFig5HyperparamSweep(t *testing.T) {
-	curves := Fig5(QuickOptions())
+	curves := Fig5(reference(), QuickOptions())
 	for _, label := range []string{
 		"lr=0.005", "lr=0.0005", "lr=5e-05",
 		"net=16x16", "net=32x32", "net=64x64",
@@ -145,7 +150,7 @@ func TestFig5HyperparamSweep(t *testing.T) {
 }
 
 func TestFig6DiscreteBest(t *testing.T) {
-	curves := Fig6(QuickOptions())
+	curves := Fig6(reference(), QuickOptions())
 	d := curves.Final("discrete", 4)
 	c1 := curves.Final("continuous-1", 4)
 	c2 := curves.Final("continuous-2", 4)

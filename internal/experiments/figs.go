@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"neurovec/internal/api"
 	"neurovec/internal/core"
 	"neurovec/internal/costmodel"
 	"neurovec/internal/dataset"
 	"neurovec/internal/ir"
+	"neurovec/internal/machine"
 	"neurovec/internal/policy"
 	"neurovec/internal/polly"
 	"neurovec/internal/rl"
@@ -38,7 +40,7 @@ func (o Options) trainSamples() int {
 	return 5000 // the paper limits its training set to 5,000 samples
 }
 
-func (o Options) rlConfig(arch archLike) rl.Config {
+func (o Options) rlConfig(arch *machine.Arch) rl.Config {
 	c := rl.DefaultConfig(arch.VFs(), arch.IFs())
 	c.Seed = o.Seed
 	if o.Quick {
@@ -56,17 +58,46 @@ func (o Options) rlConfig(arch archLike) rl.Config {
 	return c
 }
 
-func (o Options) embedScale(cfg *core.Config) {
+// framework returns a new framework over cfg, at the experiment's seed and
+// embedding scale, with set loaded.
+func (o Options) framework(cfg core.Config, set *dataset.Set) *core.Framework {
+	cfg.Seed = o.Seed
 	if o.Quick {
 		cfg.Embed.OutDim = 64
 		cfg.Embed.EmbedDim = 12
 		cfg.Embed.MaxContexts = 48
 	}
+	fw := core.New(cfg)
+	if err := fw.LoadSet(set); err != nil {
+		panic(err)
+	}
+	return fw
 }
 
-type archLike interface {
-	VFs() []int
-	IFs() []int
+// referenceSet is the generated corpus the reference agent, and every agent
+// compared with it, trains on.
+func (o Options) referenceSet() *dataset.Set {
+	return dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 2, Seed: o.Seed})
+}
+
+// Reference trains the reference agent: the code embedding and the default
+// discrete PPO agent at the experiment's scale, on the reference corpus.
+// Figures 5 and 6 and the embedding and joint-agent ablations compare
+// against it, so one training serves all four.
+func Reference(o Options) *rl.Stats {
+	fw := o.framework(core.DefaultConfig(), o.referenceSet())
+	rc := o.rlConfig(fw.Cfg.Arch)
+	return fw.Train(&rc)
+}
+
+// trainVariant returns the curves of rc's agent on the reference corpus
+// set: ref when rc is the reference agent's configuration, else a new
+// training.
+func (o Options) trainVariant(ref *rl.Stats, set *dataset.Set, rc rl.Config) *rl.Stats {
+	if reflect.DeepEqual(rc, o.rlConfig(core.DefaultConfig().Arch)) {
+		return ref
+	}
+	return o.framework(core.DefaultConfig(), set).Train(&rc)
 }
 
 // ---- Figure 1 ----
@@ -146,10 +177,11 @@ func Fig2(o Options) *Table {
 // ---- Figures 5 and 6: training sweeps ----
 
 // Fig5 sweeps learning rate, network architecture, and batch size, returning
-// the reward-mean and loss curves.
-func Fig5(o Options) *Curves {
+// the reward-mean and loss curves. A variant that leaves the reference
+// configuration unchanged reads ref, the Reference curves.
+func Fig5(ref *rl.Stats, o Options) *Curves {
 	curves := NewCurves("Figure 5: hyperparameter sweep (reward mean / training loss)")
-	base := o.rlConfig(archOf())
+	base := o.rlConfig(core.DefaultConfig().Arch)
 
 	type variant struct {
 		label string
@@ -182,18 +214,11 @@ func Fig5(o Options) *Curves {
 		}})
 	}
 
-	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 2, Seed: o.Seed})
+	set := o.referenceSet()
 	for _, v := range variants {
-		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
-		o.embedScale(&cfg)
-		fw := core.New(cfg)
-		if err := fw.LoadSet(set); err != nil {
-			panic(err)
-		}
 		rc := base
 		v.mod(&rc)
-		stats := fw.Train(&rc)
+		stats := o.trainVariant(ref, set, rc)
 		curves.RewardMean[v.label] = stats.RewardMean
 		curves.Loss[v.label] = stats.Loss
 		curves.Steps[v.label] = stats.Steps
@@ -201,29 +226,21 @@ func Fig5(o Options) *Curves {
 	return curves
 }
 
-// Fig6 compares the three action-space definitions.
-func Fig6(o Options) *Curves {
+// Fig6 compares the three action-space definitions. The discrete space is
+// the reference agent's, so its curves are ref, the Reference curves.
+func Fig6(ref *rl.Stats, o Options) *Curves {
 	curves := NewCurves("Figure 6: action-space definitions (reward mean / training loss)")
-	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 2, Seed: o.Seed})
+	set := o.referenceSet()
 	for _, space := range []rl.SpaceKind{rl.Discrete, rl.Continuous1, rl.Continuous2} {
-		cfg := core.DefaultConfig()
-		cfg.Seed = o.Seed
-		o.embedScale(&cfg)
-		fw := core.New(cfg)
-		if err := fw.LoadSet(set); err != nil {
-			panic(err)
-		}
-		rc := o.rlConfig(archOf())
+		rc := o.rlConfig(core.DefaultConfig().Arch)
 		rc.Space = space
-		stats := fw.Train(&rc)
+		stats := o.trainVariant(ref, set, rc)
 		curves.RewardMean[space.String()] = stats.RewardMean
 		curves.Loss[space.String()] = stats.Loss
 		curves.Steps[space.String()] = stats.Steps
 	}
 	return curves
 }
-
-func archOf() archLike { return core.DefaultConfig().Arch }
 
 // ---- Figures 7, 8 and 9: the held-out comparisons ----
 
@@ -232,16 +249,10 @@ func archOf() archLike { return core.DefaultConfig().Arch }
 // paper keeps 20% out for testing). The figures only read it, so one
 // training serves all three.
 func Train(o Options) *core.Framework {
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed
-	o.embedScale(&cfg)
-	fw := core.New(cfg)
 	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples(), Seed: o.Seed})
 	train, _ := set.Split(0.2)
-	if err := fw.LoadSet(train); err != nil {
-		panic(err)
-	}
-	rc := o.rlConfig(cfg.Arch)
+	fw := o.framework(core.DefaultConfig(), train)
+	rc := o.rlConfig(fw.Cfg.Arch)
 	fw.Train(&rc)
 	return fw
 }

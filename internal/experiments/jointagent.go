@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"neurovec/internal/core"
-	"neurovec/internal/dataset"
 	"neurovec/internal/rl"
 )
 
@@ -16,41 +15,27 @@ import (
 // configuration trains two single-factor agents in alternating rounds: the
 // VF agent's rewards are computed with the IF agent's current greedy choice
 // and vice versa — each agent sees the other only through the environment,
-// exactly the coupling the joint network internalises.
-func AblationJointAgent(o Options) *Curves {
+// exactly the coupling the joint network internalises. The joint curves are
+// ref, the Reference curves.
+func AblationJointAgent(ref *rl.Stats, o Options) *Curves {
 	curves := NewCurves("Ablation: joint (VF,IF) agent vs two independent agents")
-	set := dataset.Generate(dataset.GenConfig{N: o.trainSamples() / 2, Seed: o.Seed})
-
-	// ---- Joint agent (the paper's final design) ----
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed
-	o.embedScale(&cfg)
-	fw := core.New(cfg)
-	if err := fw.LoadSet(set); err != nil {
-		panic(err)
-	}
-	rc := o.rlConfig(cfg.Arch)
-	stats := fw.Train(&rc)
-	curves.RewardMean["joint"] = stats.RewardMean
-	curves.Loss["joint"] = stats.Loss
+	curves.RewardMean["joint"] = ref.RewardMean
+	curves.Loss["joint"] = ref.Loss
 
 	// ---- Two independent agents ----
-	fw2 := core.New(cfg)
-	if err := fw2.LoadSet(set); err != nil {
-		panic(err)
-	}
-	base := o.rlConfig(cfg.Arch)
+	fw := o.framework(core.DefaultConfig(), o.referenceSet())
+	base := o.rlConfig(fw.Cfg.Arch)
 
 	vfCfg := base
 	vfCfg.IFs = []int{1} // this head is degenerate; the env supplies real IF
 	ifCfg := base
 	ifCfg.VFs = []int{1}
 
-	vfAgent := rl.NewAgent(fw2.CodeEmbedder(), vfCfg)
-	ifAgent := rl.NewAgent(fw2.CodeEmbedder(), ifCfg)
+	vfAgent := rl.NewAgent(fw.CodeEmbedder(), vfCfg)
+	ifAgent := rl.NewAgent(fw.CodeEmbedder(), ifCfg)
 
-	vfEnv := &crossEnv{fw: fw2, pickIF: func(s int) int { _, ifc := ifAgent.Predict(s); return ifc }}
-	ifEnv := &crossEnv{fw: fw2, pickVF: func(s int) int { vf, _ := vfAgent.Predict(s); return vf }}
+	vfEnv := &crossEnv{fw: fw, pickIF: func(s int) int { _, ifc := ifAgent.Predict(s); return ifc }}
+	ifEnv := &crossEnv{fw: fw, pickVF: func(s int) int { vf, _ := vfAgent.Predict(s); return vf }}
 
 	// Alternate training rounds with the same total environment budget as
 	// the joint agent (half the iterations each).

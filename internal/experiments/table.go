@@ -147,7 +147,11 @@ func NewCurves(title string) *Curves {
 
 // Final returns the mean of the last k reward points for a configuration.
 func (c *Curves) Final(label string, k int) float64 {
-	series := c.RewardMean[label]
+	return finalMean(c.RewardMean[label], k)
+}
+
+// finalMean returns the mean of the last k points of series.
+func finalMean(series []float64, k int) float64 {
 	if len(series) == 0 {
 		return math.NaN()
 	}

@@ -4,10 +4,10 @@
 // arithmetic intensity instead of a learned embedding.
 //
 // It implements the same Embedder interface as the code2vec model so the RL
-// agent (and the ranker) can train on either representation; the feature
-// extractor itself has no trainable parameters, so nothing flows back into
-// it — exactly the limitation the paper calls out ("these features are
-// typically not sufficient to fully capture the code functionality").
+// agent can train on either representation; the feature extractor itself
+// has no trainable parameters, so nothing flows back into it — exactly the
+// limitation the paper calls out ("these features are typically not
+// sufficient to fully capture the code functionality").
 package features
 
 import (

@@ -16,7 +16,6 @@ import (
 	"neurovec/internal/dataset"
 	"neurovec/internal/features"
 	"neurovec/internal/nn"
-	"neurovec/internal/ranker"
 	"neurovec/internal/rl"
 )
 
@@ -74,10 +73,10 @@ func curve(vs []float64) string {
 }
 
 // TestTrainingGolden pins trained weights across commits: PPO in each action
-// space over the code2vec embedder, the learned cost model over the same
-// embedder, and PPO over the hand-crafted features must end with the
-// parameters and learning curves recorded in testdata/train.golden, bit for
-// bit. Regenerate with -update only for a change meant to alter training.
+// space over the code2vec embedder and PPO over the hand-crafted features
+// must end with the parameters and learning curves recorded in
+// testdata/train.golden, bit for bit. Regenerate with -update only for a
+// change meant to alter training.
 func TestTrainingGolden(t *testing.T) {
 	var b strings.Builder
 	for _, space := range []rl.SpaceKind{rl.Discrete, rl.Continuous1, rl.Continuous2} {
@@ -89,28 +88,6 @@ func TestTrainingGolden(t *testing.T) {
 	}
 
 	fw := goldenFramework(t)
-	rc := ranker.DefaultConfig(fw.Cfg.Arch.VFs(), fw.Cfg.Arch.IFs())
-	rc.Hidden = []int{16, 16}
-	rc.Steps = 200
-	rc.Batch = 16
-	m := ranker.New(fw.CodeEmbedder(), rc)
-	mse := m.Train(fw)
-	// The ranker keeps its own layers unexported; every predicted time is a
-	// function of all of them.
-	var preds []float64
-	for s := 0; s < fw.NumSamples(); s++ {
-		for _, vf := range rc.VFs {
-			for _, ifc := range rc.IFs {
-				preds = append(preds, m.PredictTime(s, vf, ifc))
-			}
-		}
-	}
-	h := sha256.Sum256([]byte(curve(preds)))
-	fmt.Fprintf(&b, "ranker embed_params %s\n", paramsHash(fw.CodeEmbedder().Params()))
-	fmt.Fprintf(&b, "ranker predictions %x\n", h)
-	fmt.Fprintf(&b, "ranker mse %s\n", curve(mse))
-
-	fw = goldenFramework(t)
 	stats := fw.TrainWithEmbedder(&features.Embedder{Loops: fw.UnitLoops()}, goldenRL(rl.Discrete))
 	fmt.Fprintf(&b, "features params %s\n", paramsHash(fw.Agent().Params()))
 	fmt.Fprintf(&b, "features reward_mean %s\n", curve(stats.RewardMean))
