@@ -1,10 +1,17 @@
 package code2vec
 
+// init installs the widest kernels the CPU has: AVX-512 for accum and axpy
+// above AVX, and AVX for tanhInPlace, whose VDIVPD-bound blocks stay
+// four-wide.
 func init() {
 	if hasAVX() {
 		accum = accumAVX
 		tanhInPlace = tanhAVX
 		axpy = axpyAVX
+	}
+	if hasAVX512() {
+		accum = accumAVX512
+		axpy = axpyAVX512
 	}
 }
 
@@ -20,6 +27,24 @@ func hasAVX() bool {
 	return eax&6 == 6
 }
 
+// hasAVX512 reports whether the CPU has AVX-512F (CPUID leaf 7, sub-leaf 0,
+// EBX bit 16) and the operating system saves the ZMM registers and the
+// opmask registers (XCR0's SSE, AVX, opmask, ZMM_Hi256 and Hi16_ZMM bits).
+func hasAVX512() bool {
+	if !hasAVX() {
+		return false
+	}
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const avx512f = 1 << 16
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx512f == 0 {
+		return false
+	}
+	eax, _ := xgetbv()
+	return eax&0xe6 == 0xe6
+}
+
 // accumAVX is accumGo with the rows swept four at a time by the AVX kernel
 // accum4x8, eight outputs per block; an OutDim % 8 tail goes through accum1
 // row by row. A last block of one to three rows is padded with copies of
@@ -29,14 +54,14 @@ func hasAVX() bool {
 // and VMULPD/VADDPD round every lane exactly as the MULSD/ADDSD the
 // compiler emits for accum1 and accum2 (it fuses no multiply-add into an
 // FMA unless the source calls math.FMA), so the kernels agree bit for bit.
-func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, quad []float64) {
+func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
 	n := len(rows)
 	if n == 0 {
 		return
 	}
 	out := len(acc) / n
 	o8 := out &^ 7
-	quad = quad[:4*d]
+	quad := lanes[:4*d]
 	var a [4][]float64
 	for i := 0; i < n; i += 4 {
 		for j := range a {
@@ -69,6 +94,46 @@ func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k
 //
 //go:noescape
 func accum4x8(a0, a1, a2, a3, xx, w []float64, stride, k0 int)
+
+// accumAVX512 is accumGo with the rows swept eight at a time by the
+// AVX-512 kernel accum8, one ZMM lane per row. A last block of one to seven
+// rows is padded with copies of its last row, as accumAVX pads its blocks.
+// accum8 runs every output, the OutDim % 8 tail included, so accum1 never
+// runs here. Each lane computes one row's sums, acc + w·x per term in k
+// order, with a VMULPD and then a VADDPD (no FMA), and so rounds every term
+// as accum1 and accum2 do.
+func accumAVX512(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
+	n := len(rows)
+	if n == 0 || d == 0 || len(acc) < n {
+		return // no rows, no terms or no outputs
+	}
+	out := len(acc) / n
+	lanes = lanes[:8*d]
+	// accum8 indexes without bounds checks; these are its last reads of acc and W.
+	_ = acc[n*out-1]
+	_ = w[(out-1)*stride+k0+d-1]
+	var off [8]int // each lane's row, in elements from the block's first row
+	for i := 0; i < n; i += 8 {
+		for j := range off {
+			r := min(i+j, n-1)
+			off[j] = (r - i) * out
+			for k, v := range table[int(rows[r])*d:][:d] {
+				lanes[8*k+j] = v
+			}
+		}
+		accum8(acc[i*out:], &off, out, lanes, w, stride, k0)
+	}
+}
+
+// accum8 performs, for every output o < out and k < len(xx)/8 in k order,
+//
+//	acc[off[j]+o] += w[o*stride+k0+k] * xx[8k+j]   for j = 0 .. 7
+//
+// It reads acc and w without bounds checks. Implemented in accum_amd64.s;
+// it needs AVX-512F.
+//
+//go:noescape
+func accum8(acc []float64, off *[8]int, out int, xx, w []float64, stride, k0 int)
 
 // tanhAVX is tanhGo with the blocks of four that tanhBlocks accepts
 // computed by the AVX kernel. tanhBlocks copies math.tanh's branch for
@@ -104,6 +169,18 @@ func axpyAVX(a float64, x, y []float64) {
 //
 //go:noescape
 func axpy4(a float64, x, y []float64)
+
+// axpyAVX512 is axpyGo through the AVX-512 kernel axpy8.
+func axpyAVX512(a float64, x, y []float64) {
+	axpy8(a, x, y[:len(x)])
+}
+
+// axpy8 performs y[k] += a*x[k] for k < len(x), as axpyGo rounds it. It
+// reads y without bounds checks. Implemented in accum_amd64.s; it needs
+// AVX-512F.
+//
+//go:noescape
+func axpy8(a float64, x, y []float64)
 
 // cpuid executes CPUID with EAX=leaf and ECX=sub. Implemented in
 // accum_amd64.s.

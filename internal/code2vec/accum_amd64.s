@@ -188,6 +188,183 @@ term:
 done:
 	RET
 
+// func accum8(acc []float64, off *[8]int, out int, xx, w []float64, stride, k0 int)
+//
+// One ZMM lane per row j, whose sums start at acc[off[j]]. Eight outputs
+// per block: the eight rows' sums for outputs o..o+7 are loaded, one row
+// per register, and transposed so that Z16-Z23 hold outputs o..o+7 with
+// one row per lane; after the terms they are transposed back and stored.
+// Then a block of four outputs in Z0-Z3 if out % 8 >= 4, then one at a time
+// in Z0; these gather their sums from, and scatter them back to,
+// acc[off[j]+o] through the offsets in Z14, with K1 as the all-ones mask.
+// Per term k, Z8 holds xx[8k..8k+7], and each W[o+j][k0+k] is broadcast
+// from memory by VMULPD.BCST into Z9-Z13 and added onto its accumulator.
+// W's rows are addressed as in accum4x8: from R8 (rows 0-3) and R11 (rows
+// 4-7) with the row stride in R9 and three times it in R13. DI points at
+// acc[o]. BP, R14, R15 and Z15 are left alone.
+#define GATHER(o, z) KXNORW K0, K0, K1; VGATHERQPD o(DI)(Z14*8), K1, z
+#define SCATTER(z, o) KXNORW K0, K0, K1; VSCATTERQPD z, K1, o(DI)(Z14*8)
+#define TERM(m, t, z) VMULPD.BCST m, Z8, t; VADDPD t, z, z
+
+// TRANSPOSE8 transposes the 8x8 matrix whose rows are a0-a7 into b0-b7
+// (bj's lane i is ai's lane j), clobbering a0-a7.
+#define TRANSPOSE8(a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4, b5, b6, b7) \
+	VUNPCKLPD  a1, a0, b0; VUNPCKHPD a1, a0, b1; \
+	VUNPCKLPD  a3, a2, b2; VUNPCKHPD a3, a2, b3; \
+	VUNPCKLPD  a5, a4, b4; VUNPCKHPD a5, a4, b5; \
+	VUNPCKLPD  a7, a6, b6; VUNPCKHPD a7, a6, b7; \
+	VSHUFF64X2 $0x88, b2, b0, a0; VSHUFF64X2 $0xdd, b2, b0, a1; \
+	VSHUFF64X2 $0x88, b3, b1, a2; VSHUFF64X2 $0xdd, b3, b1, a3; \
+	VSHUFF64X2 $0x88, b6, b4, a4; VSHUFF64X2 $0xdd, b6, b4, a5; \
+	VSHUFF64X2 $0x88, b7, b5, a6; VSHUFF64X2 $0xdd, b7, b5, a7; \
+	VSHUFF64X2 $0x88, a4, a0, b0; VSHUFF64X2 $0xdd, a4, a0, b4; \
+	VSHUFF64X2 $0x88, a5, a1, b2; VSHUFF64X2 $0xdd, a5, a1, b6; \
+	VSHUFF64X2 $0x88, a6, a2, b1; VSHUFF64X2 $0xdd, a6, a2, b5; \
+	VSHUFF64X2 $0x88, a7, a3, b3; VSHUFF64X2 $0xdd, a7, a3, b7
+
+TEXT ·accum8(SB), NOSPLIT, $0-104
+	MOVQ      out+32(FP), BX
+	MOVQ      xx_len+48(FP), R12
+	SHRQ      $3, R12
+	JZ        done8
+	TESTQ     BX, BX
+	JZ        done8
+	MOVQ      acc_base+0(FP), DI
+	MOVQ      off+24(FP), SI
+	VMOVDQU64 (SI), Z14
+	MOVQ      xx_base+40(FP), DX
+	MOVQ      w_base+64(FP), AX
+	MOVQ      stride+88(FP), R9
+	MOVQ      k0+96(FP), CX
+	LEAQ      (AX)(CX*8), AX
+	SHLQ      $3, R9
+	LEAQ      (R9)(R9*2), R13
+	MOVQ      BX, SI
+	SHRQ      $3, SI
+	JZ        four
+
+block8:
+	MOVQ    off+24(FP), R8
+	MOVQ    0(R8), R10
+	VMOVUPD (DI)(R10*8), Z0
+	MOVQ    8(R8), R11
+	VMOVUPD (DI)(R11*8), Z1
+	MOVQ    16(R8), R10
+	VMOVUPD (DI)(R10*8), Z2
+	MOVQ    24(R8), R11
+	VMOVUPD (DI)(R11*8), Z3
+	MOVQ    32(R8), R10
+	VMOVUPD (DI)(R10*8), Z4
+	MOVQ    40(R8), R11
+	VMOVUPD (DI)(R11*8), Z5
+	MOVQ    48(R8), R10
+	VMOVUPD (DI)(R10*8), Z6
+	MOVQ    56(R8), R11
+	VMOVUPD (DI)(R11*8), Z7
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	MOVQ AX, R8
+	LEAQ (AX)(R9*4), R11
+	MOVQ DX, R10
+	MOVQ R12, CX
+
+term8:
+	VMOVUPD (R10), Z8
+	TERM((R8), Z9, Z16)
+	TERM((R8)(R9*1), Z10, Z17)
+	TERM((R8)(R9*2), Z11, Z18)
+	TERM((R8)(R13*1), Z12, Z19)
+	TERM((R11), Z13, Z20)
+	TERM((R11)(R9*1), Z9, Z21)
+	TERM((R11)(R9*2), Z10, Z22)
+	TERM((R11)(R13*1), Z11, Z23)
+	ADDQ    $8, R8
+	ADDQ    $8, R11
+	ADDQ    $64, R10
+	DECQ    CX
+	JNZ     term8
+
+	TRANSPOSE8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	MOVQ    off+24(FP), R8
+	MOVQ    0(R8), R10
+	VMOVUPD Z0, (DI)(R10*8)
+	MOVQ    8(R8), R11
+	VMOVUPD Z1, (DI)(R11*8)
+	MOVQ    16(R8), R10
+	VMOVUPD Z2, (DI)(R10*8)
+	MOVQ    24(R8), R11
+	VMOVUPD Z3, (DI)(R11*8)
+	MOVQ    32(R8), R10
+	VMOVUPD Z4, (DI)(R10*8)
+	MOVQ    40(R8), R11
+	VMOVUPD Z5, (DI)(R11*8)
+	MOVQ    48(R8), R10
+	VMOVUPD Z6, (DI)(R10*8)
+	MOVQ    56(R8), R11
+	VMOVUPD Z7, (DI)(R11*8)
+	ADDQ $64, DI
+	LEAQ (AX)(R9*8), AX
+	DECQ SI
+	JNZ  block8
+
+four:
+	TESTQ $4, BX
+	JZ    ones
+	GATHER(0, Z0)
+	GATHER(8, Z1)
+	GATHER(16, Z2)
+	GATHER(24, Z3)
+	MOVQ  AX, R8
+	MOVQ  DX, R10
+	MOVQ  R12, CX
+
+term4:
+	VMOVUPD (R10), Z8
+	TERM((R8), Z9, Z0)
+	TERM((R8)(R9*1), Z10, Z1)
+	TERM((R8)(R9*2), Z11, Z2)
+	TERM((R8)(R13*1), Z12, Z3)
+	ADDQ    $8, R8
+	ADDQ    $64, R10
+	DECQ    CX
+	JNZ     term4
+
+	SCATTER(Z0, 0)
+	SCATTER(Z1, 8)
+	SCATTER(Z2, 16)
+	SCATTER(Z3, 24)
+	ADDQ $32, DI
+	LEAQ (AX)(R9*4), AX
+
+ones:
+	ANDQ $3, BX
+	JZ   zdone8
+
+one:
+	GATHER(0, Z0)
+	MOVQ AX, R8
+	MOVQ DX, R10
+	MOVQ R12, CX
+
+term1:
+	VMOVUPD (R10), Z8
+	TERM((R8), Z9, Z0)
+	ADDQ    $8, R8
+	ADDQ    $64, R10
+	DECQ    CX
+	JNZ     term1
+
+	SCATTER(Z0, 0)
+	ADDQ $8, DI
+	ADDQ R9, AX
+	DECQ BX
+	JNZ  one
+
+zdone8:
+	VZEROUPPER
+
+done8:
+	RET
+
 // Constants of tanhBlocks: the sign-clearing mask, the bound of math.tanh's
 // rational branch, and its coefficients tanhP[0..2] and tanhQ[0..2], as
 // written in Go's math/tanh.go.
@@ -302,5 +479,46 @@ axpyone:
 	JNZ    axpyone
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// func axpy8(a float64, x, y []float64)
+//
+// y[k] += a*x[k] for k < len(x): eight at a time with VMULPD then VADDPD,
+// then the len(x) % 8 tail the same way under the mask K1 of its lanes,
+// whose loads fault on no element past the end and whose store writes
+// none. The caller makes sure len(y) >= len(x).
+TEXT ·axpy8(SB), NOSPLIT, $0-56
+	VBROADCASTSD a+0(FP), Z0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DI
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	JZ           axpy8tail
+
+axpy8block:
+	VMULPD  (SI), Z0, Z1
+	VADDPD  (DI), Z1, Z1
+	VMOVUPD Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     axpy8block
+
+axpy8tail:
+	ANDQ    $7, CX
+	JZ      axpy8done
+	MOVL    $1, DX
+	SHLL    CX, DX
+	DECL    DX
+	KMOVW   DX, K1
+	VMOVUPD.Z (SI), K1, Z1
+	VMOVUPD.Z (DI), K1, Z2
+	VMULPD  Z1, Z0, Z1
+	VADDPD  Z2, Z1, Z1
+	VMOVUPD Z1, K1, (DI)
+
+axpy8done:
 	VZEROUPPER
 	RET

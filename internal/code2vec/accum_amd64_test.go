@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -25,21 +26,45 @@ func edgeFloat(rng *rand.Rand) float64 {
 	}
 }
 
-// TestAccumAVXMatchesScalar pins the AVX kernel that accum runs on amd64
-// CPUs with AVX to the pure-Go accum2 and accum1, bit for bit, over row
-// counts that fill blocks of four with every tail, output counts below, at
-// and around the eight-output block, and every column window of W.
-func TestAccumAVXMatchesScalar(t *testing.T) {
-	if !hasAVX() {
-		t.Skip("CPU lacks AVX: accum runs the pure-Go kernel")
+// cpuTiers lists the kernel tiers this CPU can run, widest first: AVX-512
+// and AVX where the CPU has them, then pure Go.
+func cpuTiers() []kernelTier {
+	var tiers []kernelTier
+	if hasAVX512() {
+		tiers = append(tiers, kernelTier{"AVX-512", accumAVX512, axpyAVX512})
 	}
-	if reflect.ValueOf(accum).Pointer() != reflect.ValueOf(accumAVX).Pointer() {
-		t.Fatal("accum does not run the AVX kernel on a CPU with AVX")
+	if hasAVX() {
+		tiers = append(tiers, kernelTier{"AVX", accumAVX, axpyAVX})
 	}
+	return append(tiers, goTier)
+}
+
+// TestKernelTier logs which accum, axpy and tanhInPlace kernels init
+// installed, so a test log shows which tier this machine exercised, and
+// requires them to be the widest tier the CPU has.
+func TestKernelTier(t *testing.T) {
+	name := func(f any) string {
+		return runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
+	}
+	t.Logf("AVX %v, AVX-512F %v: accum %s, axpy %s, tanhInPlace %s",
+		hasAVX(), hasAVX512(), name(accum), name(axpy), name(tanhInPlace))
+	widest := cpuTiers()[0]
+	if name(accum) != name(widest.accum) || name(axpy) != name(widest.axpy) {
+		t.Fatalf("installed accum %s and axpy %s, want the %s tier's %s and %s",
+			name(accum), name(axpy), widest.name, name(widest.accum), name(widest.axpy))
+	}
+}
+
+// checkAccumMatchesScalar pins the vector accum kernel fn to the pure-Go
+// accum2 and accum1, bit for bit, on edgeFloat inputs over 0 to maxRows
+// rows, output counts below, at and around the eight-output block and the
+// production 340, EmbedDim 1, 5 and 32, and every column window of W.
+func checkAccumMatchesScalar(t *testing.T, fn func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64), maxRows int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	for _, out := range []int{1, 7, 8, 9, 13, 340} {
 		for _, d := range []int{1, 5, 32} {
-			for n := 0; n <= 9; n++ {
+			for n := 0; n <= maxRows; n++ {
 				table := make([]float64, 8*d)
 				w := make([]float64, out*3*d)
 				acc := make([]float64, n*out)
@@ -63,7 +88,7 @@ func TestAccumAVXMatchesScalar(t *testing.T) {
 						accum1(want[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, 3*d, k0)
 					}
 					got := append([]float64(nil), acc...)
-					accumAVX(got, table, rows, d, w, 3*d, k0, make([]float64, 4*d))
+					fn(got, table, rows, d, w, 3*d, k0, make([]float64, 8*d))
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("out=%d d=%d rows=%d k0=%d: acc[%d] = %v (%#x), accum2 %v (%#x)",
@@ -74,6 +99,30 @@ func TestAccumAVXMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAccumAVXMatchesScalar pins the AVX kernel accumAVX to the pure-Go
+// accum2 and accum1, bit for bit, over row counts that fill blocks of four
+// with every tail, and requires accum to run the widest tier the CPU has.
+func TestAccumAVXMatchesScalar(t *testing.T) {
+	if !hasAVX() {
+		t.Skip("CPU lacks AVX: accum runs the pure-Go kernel")
+	}
+	if widest := cpuTiers()[0]; reflect.ValueOf(accum).Pointer() != reflect.ValueOf(widest.accum).Pointer() {
+		t.Fatalf("accum does not run the %s kernel, the widest this CPU has", widest.name)
+	}
+	checkAccumMatchesScalar(t, accumAVX, 9)
+}
+
+// TestAccumAVX512MatchesScalar pins the AVX-512 kernel accumAVX512 to the
+// pure-Go accum2 and accum1, bit for bit, over row counts 0 to 17, which
+// fill blocks of eight with every tail, and output counts whose % 8 tails
+// run in the kernel's four-output and one-output paths.
+func TestAccumAVX512MatchesScalar(t *testing.T) {
+	if !hasAVX512() {
+		t.Skip("CPU lacks AVX-512F: accum runs a narrower kernel")
+	}
+	checkAccumMatchesScalar(t, accumAVX512, 17)
 }
 
 // tanhInputs are the values where math.tanh changes branch or is special:
@@ -198,37 +247,41 @@ func TestTanhKernelMatchesMathTanh(t *testing.T) {
 	}
 }
 
-// TestAxpyMatchesScalar pins the AVX axpy that axpy runs on amd64 CPUs with
-// AVX to axpyGo, bit for bit, on edgeFloat inputs over lengths 0 to 9, 96
-// (Backward's 3·EmbedDim) and 340 (OutDim), and requires it to leave the
-// rest of a longer y alone.
+// TestAxpyMatchesScalar pins the axpy of every vector tier the CPU has
+// (AVX-512 and AVX) to axpyGo, bit for bit, on edgeFloat inputs over lengths
+// 0 to 17, 96 (Backward's 3·EmbedDim) and 340 (OutDim), requires each to
+// leave the rest of a longer y alone, and requires axpy to run the widest
+// tier.
 func TestAxpyMatchesScalar(t *testing.T) {
 	if !hasAVX() {
 		t.Skip("CPU lacks AVX: axpy runs the pure-Go loop")
 	}
-	if reflect.ValueOf(axpy).Pointer() != reflect.ValueOf(axpyAVX).Pointer() {
-		t.Fatal("axpy does not run the AVX kernel on a CPU with AVX")
+	tiers := cpuTiers()
+	if reflect.ValueOf(axpy).Pointer() != reflect.ValueOf(tiers[0].axpy).Pointer() {
+		t.Fatalf("axpy does not run the %s kernel, the widest this CPU has", tiers[0].name)
 	}
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 96, 340} {
-		for trial := 0; trial < 20; trial++ {
-			a := edgeFloat(rng)
-			x := make([]float64, n)
-			y := make([]float64, n+3)
-			for i := range x {
-				x[i] = edgeFloat(rng)
-			}
-			for i := range y {
-				y[i] = edgeFloat(rng)
-			}
-			want := append([]float64(nil), y...)
-			axpyGo(a, x, want)
-			got := append([]float64(nil), y...)
-			axpyAVX(a, x, got)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d a=%v: y[%d] = %v (%#x), scalar %v (%#x)",
-						n, a, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	for _, k := range tiers[:len(tiers)-1] {
+		rng := rand.New(rand.NewSource(1))
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 96, 340} {
+			for trial := 0; trial < 20; trial++ {
+				a := edgeFloat(rng)
+				x := make([]float64, n)
+				y := make([]float64, n+3)
+				for i := range x {
+					x[i] = edgeFloat(rng)
+				}
+				for i := range y {
+					y[i] = edgeFloat(rng)
+				}
+				want := append([]float64(nil), y...)
+				axpyGo(a, x, want)
+				got := append([]float64(nil), y...)
+				k.axpy(a, x, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s n=%d a=%v: y[%d] = %v (%#x), scalar %v (%#x)",
+							k.name, n, a, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
 				}
 			}
 		}

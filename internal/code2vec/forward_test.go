@@ -121,8 +121,8 @@ func referenceBackward(m *Model, s *Scratch, ctxs []Context, dvec []float64) {
 // bags as a training batch accumulates them. It runs at the production
 // shape on every corpus loop bag under testModel, whose random bias sends
 // some projections through math.tanh's Exp branch, and at two toy shapes
-// whose odd widths leave tails in every four-wide loop. It runs with axpy
-// as installed at init and as the pure-Go axpyGo.
+// whose odd widths leave tails in every four-wide loop. It runs with the
+// axpy of every tier the CPU has (cpuTiers: AVX-512, AVX, pure Go).
 func TestBackwardMatchesScalar(t *testing.T) {
 	cfg := DefaultConfig()
 	checkBackward(t, cfg, loopBags(t, cfg, corpusSources()))
@@ -132,20 +132,21 @@ func TestBackwardMatchesScalar(t *testing.T) {
 }
 
 // checkBackward runs referenceBackward on one testModel, and Backward with
-// the installed and with the pure-Go axpy on two identical ones, over bags,
+// each tier's axpy on an identical one per tier, over bags,
 // each after ForwardInto, with a random dLoss/dv, and compares every
 // gradient after every bag.
 func checkBackward(t *testing.T, cfg Config, bags [][]Context) {
 	t.Helper()
 	installed := axpy
 	defer func() { axpy = installed }()
-	kernels := []struct {
+	type kernel struct {
 		name string
 		fn   func(a float64, x, y []float64)
 		m    *Model
-	}{
-		{"installed", installed, testModel(cfg)},
-		{"pure Go", axpyGo, testModel(cfg)},
+	}
+	var kernels []kernel
+	for _, k := range cpuTiers() {
+		kernels = append(kernels, kernel{k.name, k.axpy, testModel(cfg)})
 	}
 	ref := testModel(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -258,33 +259,48 @@ func checkBag(t *testing.T, m *Model, name string, ctxs []Context, s *Scratch) {
 	}
 }
 
+// kernelTier is one width of the projection and axpy kernels: a tier that
+// init installs on a CPU that has it, or the pure-Go reference.
+type kernelTier struct {
+	name  string
+	accum func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64)
+	axpy  func(a float64, x, y []float64)
+}
+
+var goTier = kernelTier{"pure-Go", accumGo, axpyGo}
+
 // TestForwardIntoMatchesReference pins the prefix-trie, register-blocked
 // forward to the plain per-context loop bit for bit, at the production
 // shape on every loop bag of the shipped suites and 200 extended-grammar
 // samples, and on hand-built bags that exercise the kernels' edge cases. It
-// runs with every combination of the projection kernel accum and the tanh
-// kernel tanhInPlace: as installed at init (AVX on amd64 CPUs that have it)
-// and as the pure-Go accumGo and tanhGo, so an amd64 machine checks every
-// mix.
+// runs every tier of accum and axpy the CPU has (cpuTiers: AVX-512, AVX,
+// pure Go) with the tanh kernel tanhInPlace as installed at init and as the
+// pure-Go tanhGo, so an amd64 machine checks every mix. The widest tier is
+// "installed"; a subtest named "X accum" runs tier X's accum and axpy.
 func TestForwardIntoMatchesReference(t *testing.T) {
 	cfg := DefaultConfig()
 	bags := loopBags(t, cfg, corpusSources())
-	accumInstalled, tanhInstalled := accum, tanhInPlace
-	defer func() { accum, tanhInPlace = accumInstalled, tanhInstalled }()
-	for _, k := range []struct {
-		name  string
-		accum func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, quad []float64)
-		tanh  func([]float64)
-	}{
-		{"installed", accumInstalled, tanhInstalled},
-		{"pure Go", accumGo, tanhGo},
-		{"installed accum, pure-Go tanh", accumInstalled, tanhGo},
-		{"pure-Go accum, installed tanh", accumGo, tanhInstalled},
-	} {
-		t.Run(k.name, func(t *testing.T) {
-			accum, tanhInPlace = k.accum, k.tanh
-			checkForwardIntoReference(t, cfg, bags)
-		})
+	accumInstalled, axpyInstalled, tanhInstalled := accum, axpy, tanhInPlace
+	defer func() { accum, axpy, tanhInPlace = accumInstalled, axpyInstalled, tanhInstalled }()
+	tiers := cpuTiers()
+	tiers[0].name = "installed"
+	for _, k := range tiers {
+		for _, tanh := range []struct {
+			name string
+			fn   func([]float64)
+		}{{"installed", tanhInstalled}, {"pure-Go", tanhGo}} {
+			name := k.name + " accum, " + tanh.name + " tanh"
+			switch name {
+			case "installed accum, installed tanh":
+				name = "installed"
+			case "pure-Go accum, pure-Go tanh":
+				name = "pure Go"
+			}
+			t.Run(name, func(t *testing.T) {
+				accum, axpy, tanhInPlace = k.accum, k.axpy, tanh.fn
+				checkForwardIntoReference(t, cfg, bags)
+			})
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ type Scratch struct {
 	lefts  []uint32  // token rows of the distinct lefts
 	paths  []uint32  // path rows of the distinct pairs
 	rights []uint32  // token rows of the distinct triples' rights
-	quad   []float64 // four input rows interleaved, 4*EmbedDim: the AVX kernel's operand
+	lanes  []float64 // up to eight input rows interleaved, 8*EmbedDim: the vector kernels' operand
 	h      []float64 // projections, a row of OutDim per distinct prefix: pre-activation, then squashed
 	scores []float64 // attention logits, n
 	alpha  []float64 // attention weights, n
@@ -119,7 +119,7 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	s.triple = s.triple[:n]
 	h := growF(s.h, n*out)
 	s.h = h
-	s.quad = growF(s.quad, 4*d)
+	s.lanes = growF(s.lanes, 8*d)
 	s.scores = growF(s.scores, n)
 	s.alpha = growF(s.alpha, n)
 
@@ -162,19 +162,19 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	for l := range lefts {
 		copy(h[l*out:(l+1)*out], m.B.W)
 	}
-	accum(h[:len(lefts)*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.quad)
+	accum(h[:len(lefts)*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.lanes)
 	for p := len(paths) - 1; p >= 0; p-- {
 		if l := s.leftOf[p]; l != p {
 			copy(h[p*out:(p+1)*out], h[l*out:(l+1)*out])
 		}
 	}
-	accum(h[:len(paths)*out], m.Path.W, paths, d, m.W.W, 3*d, d, s.quad)
+	accum(h[:len(paths)*out], m.Path.W, paths, d, m.W.W, 3*d, d, s.lanes)
 	for t := len(rights) - 1; t >= 0; t-- {
 		if p := s.pairOf[t]; p != t {
 			copy(h[t*out:(t+1)*out], h[p*out:(p+1)*out])
 		}
 	}
-	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.quad)
+	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.lanes)
 
 	tanhInPlace(h[:len(rights)*out])
 	scoreRows(s.scores[:len(rights)], h, m.Attn.W)
@@ -232,7 +232,7 @@ func tanhGo(x []float64) {
 
 // axpy performs y[k] += a*x[k] for every k < len(x), each product rounded
 // and then added, as the scalar loop rounds them. It is axpyGo, unless
-// accum_amd64.go installs the AVX kernel on a CPU that has it.
+// accum_amd64.go installs an AVX or AVX-512 kernel on a CPU that has it.
 var axpy = axpyGo
 
 func axpyGo(a float64, x, y []float64) {
@@ -249,8 +249,9 @@ func axpyGo(a float64, x, y []float64) {
 //	acc[i*out+o] += W[o*stride+k0+k] * table[rows[i]*d+k]   for k = 0 .. d-1
 //
 // in that order, each term rounded onto the running sum exactly as a scalar
-// loop would round it. quad is scratch for 4·d floats. accum is accumGo,
-// unless accum_amd64.go installs the AVX kernel on a CPU that has it.
+// loop would round it. lanes is scratch for 8·d floats. accum is accumGo,
+// unless accum_amd64.go installs an AVX or AVX-512 kernel on a CPU that
+// has it.
 var accum = accumGo
 
 // accumGo is the pure-Go accum: it sweeps the rows two at a time through
