@@ -99,15 +99,20 @@ func accum4x8(a0, a1, a2, a3, xx, w []float64, stride, k0 int)
 // AVX-512 kernel accum8, one ZMM lane per row. A last block of one to seven
 // rows is padded with copies of its last row, as accumAVX pads its blocks.
 // accum8 runs every output, the OutDim % 8 tail included, so accum1 never
-// runs here. Each lane computes one row's sums, acc + w·x per term in k
-// order, with a VMULPD and then a VADDPD (no FMA), and so rounds every term
-// as accum1 and accum2 do.
+// runs here; fewer than eight outputs, which only test shapes have, go
+// through accumGo. Each lane computes one row's sums, acc + w·x per term in
+// k order, with a VMULPD and then a VADDPD (no FMA), and so rounds every
+// term as accum1 and accum2 do.
 func accumAVX512(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
 	n := len(rows)
-	if n == 0 || d == 0 || len(acc) < n {
-		return // no rows, no terms or no outputs
+	if n == 0 || d == 0 {
+		return
 	}
 	out := len(acc) / n
+	if out < 8 {
+		accumGo(acc, table, rows, d, w, stride, k0, lanes)
+		return
+	}
 	lanes = lanes[:8*d]
 	// accum8 indexes without bounds checks; these are its last reads of acc and W.
 	_ = acc[n*out-1]
@@ -129,7 +134,7 @@ func accumAVX512(acc, table []float64, rows []uint32, d int, w []float64, stride
 //
 //	acc[off[j]+o] += w[o*stride+k0+k] * xx[8k+j]   for j = 0 .. 7
 //
-// It reads acc and w without bounds checks. Implemented in accum_amd64.s;
+// It needs out >= 8, and reads acc and w without bounds checks. Implemented in accum_amd64.s;
 // it needs AVX-512F.
 //
 //go:noescape

@@ -190,20 +190,18 @@ done:
 
 // func accum8(acc []float64, off *[8]int, out int, xx, w []float64, stride, k0 int)
 //
-// One ZMM lane per row j, whose sums start at acc[off[j]]. Eight outputs
-// per block: the eight rows' sums for outputs o..o+7 are loaded, one row
-// per register, and transposed so that Z16-Z23 hold outputs o..o+7 with
-// one row per lane; after the terms they are transposed back and stored.
-// Then a block of four outputs in Z0-Z3 if out % 8 >= 4, then one at a time
-// in Z0; these gather their sums from, and scatter them back to,
-// acc[off[j]+o] through the offsets in Z14, with K1 as the all-ones mask.
-// Per term k, Z8 holds xx[8k..8k+7], and each W[o+j][k0+k] is broadcast
-// from memory by VMULPD.BCST into Z9-Z13 and added onto its accumulator.
-// W's rows are addressed as in accum4x8: from R8 (rows 0-3) and R11 (rows
-// 4-7) with the row stride in R9 and three times it in R13. DI points at
-// acc[o]. BP, R14, R15 and Z15 are left alone.
-#define GATHER(o, z) KXNORW K0, K0, K1; VGATHERQPD o(DI)(Z14*8), K1, z
-#define SCATTER(z, o) KXNORW K0, K0, K1; VSCATTERQPD z, K1, o(DI)(Z14*8)
+// One ZMM lane per row j, whose sums start at acc[off[j]]; out >= 8. Eight
+// outputs per block: the eight rows' sums for outputs o..o+7 are loaded,
+// one row per register, and transposed so that Z16-Z23 hold outputs
+// o..o+7 with one row per lane. Per term k, Z8 holds xx[8k..8k+7], and each
+// W[o+j][k0+k] is broadcast from memory by VMULPD.BCST into Z9-Z13 and
+// added onto its accumulator. The sums are then transposed back and
+// stored under the output mask K1. The out % 8 tail outputs run as one
+// more block, at o = out-8: it recomputes outputs that earlier blocks
+// already stored, and K1 then stores only the tail's lanes. W's rows are
+// addressed as in accum4x8: from R8 (rows 0-3) and R11 (rows 4-7) with the
+// row stride in R9 and three times it in R13. DI points at acc[o] and AX
+// at W[o][k0]. BP, R14, R15 and Z15 are left alone.
 #define TERM(m, t, z) VMULPD.BCST m, Z8, t; VADDPD t, z, z
 
 // TRANSPOSE8 transposes the 8x8 matrix whose rows are a0-a7 into b0-b7
@@ -223,25 +221,23 @@ done:
 	VSHUFF64X2 $0x88, a7, a3, b3; VSHUFF64X2 $0xdd, a7, a3, b7
 
 TEXT ·accum8(SB), NOSPLIT, $0-104
-	MOVQ      out+32(FP), BX
-	MOVQ      xx_len+48(FP), R12
-	SHRQ      $3, R12
-	JZ        done8
-	TESTQ     BX, BX
-	JZ        done8
-	MOVQ      acc_base+0(FP), DI
-	MOVQ      off+24(FP), SI
-	VMOVDQU64 (SI), Z14
-	MOVQ      xx_base+40(FP), DX
-	MOVQ      w_base+64(FP), AX
-	MOVQ      stride+88(FP), R9
-	MOVQ      k0+96(FP), CX
-	LEAQ      (AX)(CX*8), AX
-	SHLQ      $3, R9
-	LEAQ      (R9)(R9*2), R13
-	MOVQ      BX, SI
-	SHRQ      $3, SI
-	JZ        four
+	MOVQ   out+32(FP), BX
+	MOVQ   BX, SI
+	SHRQ   $3, SI
+	JZ     done8
+	MOVQ   xx_len+48(FP), R12
+	SHRQ   $3, R12
+	JZ     done8
+	MOVQ   acc_base+0(FP), DI
+	MOVQ   xx_base+40(FP), DX
+	MOVQ   w_base+64(FP), AX
+	MOVQ   stride+88(FP), R9
+	MOVQ   k0+96(FP), CX
+	LEAQ   (AX)(CX*8), AX
+	SHLQ   $3, R9
+	LEAQ   (R9)(R9*2), R13
+	ANDQ   $7, BX
+	KXNORW K0, K0, K1
 
 block8:
 	MOVQ    off+24(FP), R8
@@ -286,78 +282,45 @@ term8:
 	TRANSPOSE8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 	MOVQ    off+24(FP), R8
 	MOVQ    0(R8), R10
-	VMOVUPD Z0, (DI)(R10*8)
+	VMOVUPD Z0, K1, (DI)(R10*8)
 	MOVQ    8(R8), R11
-	VMOVUPD Z1, (DI)(R11*8)
+	VMOVUPD Z1, K1, (DI)(R11*8)
 	MOVQ    16(R8), R10
-	VMOVUPD Z2, (DI)(R10*8)
+	VMOVUPD Z2, K1, (DI)(R10*8)
 	MOVQ    24(R8), R11
-	VMOVUPD Z3, (DI)(R11*8)
+	VMOVUPD Z3, K1, (DI)(R11*8)
 	MOVQ    32(R8), R10
-	VMOVUPD Z4, (DI)(R10*8)
+	VMOVUPD Z4, K1, (DI)(R10*8)
 	MOVQ    40(R8), R11
-	VMOVUPD Z5, (DI)(R11*8)
+	VMOVUPD Z5, K1, (DI)(R11*8)
 	MOVQ    48(R8), R10
-	VMOVUPD Z6, (DI)(R10*8)
+	VMOVUPD Z6, K1, (DI)(R10*8)
 	MOVQ    56(R8), R11
-	VMOVUPD Z7, (DI)(R11*8)
+	VMOVUPD Z7, K1, (DI)(R11*8)
 	ADDQ $64, DI
 	LEAQ (AX)(R9*8), AX
 	DECQ SI
 	JNZ  block8
 
-four:
-	TESTQ $4, BX
-	JZ    ones
-	GATHER(0, Z0)
-	GATHER(8, Z1)
-	GATHER(16, Z2)
-	GATHER(24, Z3)
-	MOVQ  AX, R8
-	MOVQ  DX, R10
-	MOVQ  R12, CX
-
-term4:
-	VMOVUPD (R10), Z8
-	TERM((R8), Z9, Z0)
-	TERM((R8)(R9*1), Z10, Z1)
-	TERM((R8)(R9*2), Z11, Z2)
-	TERM((R8)(R13*1), Z12, Z3)
-	ADDQ    $8, R8
-	ADDQ    $64, R10
-	DECQ    CX
-	JNZ     term4
-
-	SCATTER(Z0, 0)
-	SCATTER(Z1, 8)
-	SCATTER(Z2, 16)
-	SCATTER(Z3, 24)
-	ADDQ $32, DI
-	LEAQ (AX)(R9*4), AX
-
-ones:
-	ANDQ $3, BX
-	JZ   zdone8
-
-one:
-	GATHER(0, Z0)
-	MOVQ AX, R8
-	MOVQ DX, R10
-	MOVQ R12, CX
-
-term1:
-	VMOVUPD (R10), Z8
-	TERM((R8), Z9, Z0)
-	ADDQ    $8, R8
-	ADDQ    $64, R10
-	DECQ    CX
-	JNZ     term1
-
-	SCATTER(Z0, 0)
-	ADDQ $8, DI
-	ADDQ R9, AX
-	DECQ BX
-	JNZ  one
+	// The tail: BX = out % 8 outputs left. Step back 8 - BX outputs, store
+	// only the last BX lanes (K1 = 0xff << (8 - BX)), and run one block.
+	TESTQ  BX, BX
+	JZ     zdone8
+	MOVQ   $8, CX
+	SUBQ   BX, CX
+	SHLQ   $3, CX
+	SUBQ   CX, DI
+	MOVQ   R9, R10
+	IMULQ  CX, R10
+	SHRQ   $3, R10
+	SUBQ   R10, AX
+	SHRQ   $3, CX
+	MOVL   $0xff, R10
+	SHLL   CX, R10
+	KMOVW  R10, K1
+	XORQ   BX, BX
+	MOVQ   $1, SI
+	JMP    block8
 
 zdone8:
 	VZEROUPPER
