@@ -45,7 +45,8 @@ func hasAVX512() bool {
 	return eax&0xe6 == 0xe6
 }
 
-// accumAVX is accumGo with the rows swept four at a time by the AVX kernel
+// accumAVX is accumGo with the rows, once startRows has copied the
+// parents' sums, swept four at a time by the AVX kernel
 // accum4x8, eight outputs per block; an OutDim % 8 tail goes through accum1
 // row by row. A last block of one to three rows is padded with copies of
 // its last row: a copy loads the same sums and inputs as the row it
@@ -54,12 +55,13 @@ func hasAVX512() bool {
 // and VMULPD/VADDPD round every lane exactly as the MULSD/ADDSD the
 // compiler emits for accum1 and accum2 (it fuses no multiply-add into an
 // FMA unless the source calls math.FMA), so the kernels agree bit for bit.
-func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
+func accumAVX(acc []float64, from []int, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
 	n := len(rows)
 	if n == 0 {
 		return
 	}
 	out := len(acc) / n
+	startRows(acc, from, out)
 	o8 := out &^ 7
 	quad := lanes[:4*d]
 	var a [4][]float64
@@ -96,49 +98,61 @@ func accumAVX(acc, table []float64, rows []uint32, d int, w []float64, stride, k
 func accum4x8(a0, a1, a2, a3, xx, w []float64, stride, k0 int)
 
 // accumAVX512 is accumGo with the rows swept eight at a time by the
-// AVX-512 kernel accum8, one ZMM lane per row. A last block of one to seven
-// rows is padded with copies of its last row, as accumAVX pads its blocks.
-// accum8 runs every output, the OutDim % 8 tail included, so accum1 never
-// runs here; fewer than eight outputs, which only test shapes have, go
-// through accumGo. Each lane computes one row's sums, acc + w·x per term in
-// k order, with a VMULPD and then a VADDPD (no FMA), and so rounds every
-// term as accum1 and accum2 do.
-func accumAVX512(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
+// AVX-512 kernel accum8, one ZMM lane per row. A lane loads its row's
+// starting sums from the parent row and stores them to its own row, so no
+// row is copied; the blocks run from the last down, and a block loads all
+// its sums before it stores any, so no parent row is overwritten before
+// its last reader. A last block of one to seven rows is padded with copies
+// of its last row, as accumAVX pads its blocks. accum8 runs every output,
+// the OutDim % 8 tail included, so accum1 never runs here; fewer than
+// eight outputs, which only test shapes have, go through accumGo. Each lane
+// computes one row's sums, acc + w·x per term in k order, with a VMULPD and
+// then a VADDPD (no FMA), and so rounds every term as accum1 and accum2 do.
+func accumAVX512(acc []float64, from []int, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64) {
 	n := len(rows)
 	if n == 0 || d == 0 {
 		return
 	}
 	out := len(acc) / n
 	if out < 8 {
-		accumGo(acc, table, rows, d, w, stride, k0, lanes)
+		accumGo(acc, from, table, rows, d, w, stride, k0, lanes)
 		return
 	}
 	lanes = lanes[:8*d]
 	// accum8 indexes without bounds checks; these are its last reads of acc and W.
 	_ = acc[n*out-1]
 	_ = w[(out-1)*stride+k0+d-1]
-	var off [8]int // each lane's row, in elements from the block's first row
-	for i := 0; i < n; i += 8 {
-		for j := range off {
+	var src, dst [8]int // each lane's parent row and own row, in elements of acc
+	for i := (n - 1) &^ 7; i >= 0; i -= 8 {
+		for j := range dst {
 			r := min(i+j, n-1)
-			off[j] = (r - i) * out
+			p := r
+			if from != nil {
+				p = from[r]
+			}
+			if uint(p) > uint(r) {
+				panic("code2vec: accum parent row after its child")
+			}
+			src[j], dst[j] = p*out, r*out
 			for k, v := range table[int(rows[r])*d:][:d] {
 				lanes[8*k+j] = v
 			}
 		}
-		accum8(acc[i*out:], &off, out, lanes, w, stride, k0)
+		accum8(acc, &src, &dst, out, lanes, w, stride, k0)
 	}
 }
 
-// accum8 performs, for every output o < out and k < len(xx)/8 in k order,
+// accum8 performs, for every output o < out,
 //
-//	acc[off[j]+o] += w[o*stride+k0+k] * xx[8k+j]   for j = 0 .. 7
+//	acc[dst[j]+o] = acc[src[j]+o] + w[o*stride+k0+k] * xx[8k+j]   for j = 0 .. 7
 //
-// It needs out >= 8, and reads acc and w without bounds checks. Implemented in accum_amd64.s;
-// it needs AVX-512F.
+// adding the terms for k < len(xx)/8 in k order, and loads every lane's
+// sums for an output before it stores any. It needs out >= 8, and reads
+// acc and w without bounds checks. Implemented in accum_amd64.s; it needs
+// AVX-512F.
 //
 //go:noescape
-func accum8(acc []float64, off *[8]int, out int, xx, w []float64, stride, k0 int)
+func accum8(acc []float64, src, dst *[8]int, out int, xx, w []float64, stride, k0 int)
 
 // tanhAVX is tanhGo with the blocks of four that tanhBlocks accepts
 // computed by the AVX kernel. tanhBlocks copies math.tanh's branch for

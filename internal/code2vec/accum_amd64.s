@@ -188,15 +188,15 @@ term:
 done:
 	RET
 
-// func accum8(acc []float64, off *[8]int, out int, xx, w []float64, stride, k0 int)
+// func accum8(acc []float64, src, dst *[8]int, out int, xx, w []float64, stride, k0 int)
 //
-// One ZMM lane per row j, whose sums start at acc[off[j]]; out >= 8. Eight
-// outputs per block: the eight rows' sums for outputs o..o+7 are loaded,
-// one row per register, and transposed so that Z16-Z23 hold outputs
-// o..o+7 with one row per lane. Per term k, Z8 holds xx[8k..8k+7], and each
+// One ZMM lane per row j, whose sums start at acc[src[j]] and end at
+// acc[dst[j]]; out >= 8. Eight outputs per block: the eight parent rows'
+// sums for outputs o..o+7 are loaded, one row per register, and transposed
+// so that Z16-Z23 hold outputs o..o+7 with one row per lane. Per term k, Z8 holds xx[8k..8k+7], and each
 // W[o+j][k0+k] is broadcast from memory by VMULPD.BCST into Z9-Z13 and
 // added onto its accumulator. The sums are then transposed back and
-// stored under the output mask K1. The out % 8 tail outputs run as one
+// stored to the rows dst under the output mask K1. The out % 8 tail outputs run as one
 // more block, at o = out-8: it recomputes outputs that earlier blocks
 // already stored, and K1 then stores only the tail's lanes. W's rows are
 // addressed as in accum4x8: from R8 (rows 0-3) and R11 (rows 4-7) with the
@@ -220,19 +220,19 @@ done:
 	VSHUFF64X2 $0x88, a6, a2, b1; VSHUFF64X2 $0xdd, a6, a2, b5; \
 	VSHUFF64X2 $0x88, a7, a3, b3; VSHUFF64X2 $0xdd, a7, a3, b7
 
-TEXT ·accum8(SB), NOSPLIT, $0-104
-	MOVQ   out+32(FP), BX
+TEXT ·accum8(SB), NOSPLIT, $0-112
+	MOVQ   out+40(FP), BX
 	MOVQ   BX, SI
 	SHRQ   $3, SI
 	JZ     done8
-	MOVQ   xx_len+48(FP), R12
+	MOVQ   xx_len+56(FP), R12
 	SHRQ   $3, R12
 	JZ     done8
 	MOVQ   acc_base+0(FP), DI
-	MOVQ   xx_base+40(FP), DX
-	MOVQ   w_base+64(FP), AX
-	MOVQ   stride+88(FP), R9
-	MOVQ   k0+96(FP), CX
+	MOVQ   xx_base+48(FP), DX
+	MOVQ   w_base+72(FP), AX
+	MOVQ   stride+96(FP), R9
+	MOVQ   k0+104(FP), CX
 	LEAQ   (AX)(CX*8), AX
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R13
@@ -240,7 +240,7 @@ TEXT ·accum8(SB), NOSPLIT, $0-104
 	KXNORW K0, K0, K1
 
 block8:
-	MOVQ    off+24(FP), R8
+	MOVQ    src+24(FP), R8
 	MOVQ    0(R8), R10
 	VMOVUPD (DI)(R10*8), Z0
 	MOVQ    8(R8), R11
@@ -280,7 +280,7 @@ term8:
 	JNZ     term8
 
 	TRANSPOSE8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
-	MOVQ    off+24(FP), R8
+	MOVQ    dst+32(FP), R8
 	MOVQ    0(R8), R10
 	VMOVUPD Z0, K1, (DI)(R10*8)
 	MOVQ    8(R8), R11

@@ -55,11 +55,13 @@ func TestKernelTier(t *testing.T) {
 	}
 }
 
-// checkAccumMatchesScalar pins the vector accum kernel fn to the pure-Go
-// accum2 and accum1, bit for bit, on edgeFloat inputs over 0 to maxRows
-// rows, output counts below, at and around the eight-output block and the
-// production 340, EmbedDim 1, 5 and 32, and every column window of W.
-func checkAccumMatchesScalar(t *testing.T, fn func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64), maxRows int) {
+// checkAccumMatchesScalar pins the vector accum kernel fn to startRows and
+// the pure-Go accum2 and accum1, bit for bit, on edgeFloat inputs over 0 to
+// maxRows rows, output counts below, at and around the eight-output block
+// and the production 340, EmbedDim 1, 5 and 32, and every column window of
+// W. Each window runs with every row continuing its own sums (a nil from)
+// and with random parent rows.
+func checkAccumMatchesScalar(t *testing.T, fn func(acc []float64, from []int, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64), maxRows int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	for _, out := range []int{1, 7, 8, 9, 13, 340} {
@@ -77,22 +79,29 @@ func checkAccumMatchesScalar(t *testing.T, fn func(acc, table []float64, rows []
 				for i := range rows {
 					rows[i] = uint32(rng.Intn(8))
 				}
-				for k0 := 0; k0 < 3*d; k0 += d {
-					want := append([]float64(nil), acc...)
-					i := 0
-					for ; i+2 <= n; i += 2 {
-						accum2(want[i*out:(i+1)*out], want[(i+1)*out:(i+2)*out],
-							table[int(rows[i])*d:][:d], table[int(rows[i+1])*d:][:d], w, 3*d, k0)
-					}
-					if i < n {
-						accum1(want[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, 3*d, k0)
-					}
-					got := append([]float64(nil), acc...)
-					fn(got, table, rows, d, w, 3*d, k0, make([]float64, 8*d))
-					for j := range want {
-						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("out=%d d=%d rows=%d k0=%d: acc[%d] = %v (%#x), accum2 %v (%#x)",
-								out, d, n, k0, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				parents := make([]int, n)
+				for i := range parents {
+					parents[i] = rng.Intn(i + 1)
+				}
+				for _, from := range [][]int{nil, parents} {
+					for k0 := 0; k0 < 3*d; k0 += d {
+						want := append([]float64(nil), acc...)
+						startRows(want, from, out)
+						i := 0
+						for ; i+2 <= n; i += 2 {
+							accum2(want[i*out:(i+1)*out], want[(i+1)*out:(i+2)*out],
+								table[int(rows[i])*d:][:d], table[int(rows[i+1])*d:][:d], w, 3*d, k0)
+						}
+						if i < n {
+							accum1(want[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, 3*d, k0)
+						}
+						got := append([]float64(nil), acc...)
+						fn(got, from, table, rows, d, w, 3*d, k0, make([]float64, 8*d))
+						for j := range want {
+							if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+								t.Fatalf("out=%d d=%d rows=%d k0=%d parents=%v: acc[%d] = %v (%#x), accum2 %v (%#x)",
+									out, d, n, k0, from, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+							}
 						}
 					}
 				}

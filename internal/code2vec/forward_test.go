@@ -263,7 +263,7 @@ func checkBag(t *testing.T, m *Model, name string, ctxs []Context, s *Scratch) {
 // init installs on a CPU that has it, or the pure-Go reference.
 type kernelTier struct {
 	name  string
-	accum func(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64)
+	accum func(acc []float64, from []int, table []float64, rows []uint32, d int, w []float64, stride, k0 int, lanes []float64)
 	axpy  func(a float64, x, y []float64)
 }
 

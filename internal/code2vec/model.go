@@ -156,25 +156,14 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	}
 
 	// Row l of h gets the bias plus the left terms of the l-th distinct
-	// left. Each pass then gives every node of the next level its parent's
-	// row and continues it over the next EmbedDim terms. Copying from the
-	// last node down overwrites no row before its last reader.
+	// left. Each pass then continues every node of the next level from its
+	// parent's row over the next EmbedDim terms.
 	for l := range lefts {
 		copy(h[l*out:(l+1)*out], m.B.W)
 	}
-	accum(h[:len(lefts)*out], m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.lanes)
-	for p := len(paths) - 1; p >= 0; p-- {
-		if l := s.leftOf[p]; l != p {
-			copy(h[p*out:(p+1)*out], h[l*out:(l+1)*out])
-		}
-	}
-	accum(h[:len(paths)*out], m.Path.W, paths, d, m.W.W, 3*d, d, s.lanes)
-	for t := len(rights) - 1; t >= 0; t-- {
-		if p := s.pairOf[t]; p != t {
-			copy(h[t*out:(t+1)*out], h[p*out:(p+1)*out])
-		}
-	}
-	accum(h[:len(rights)*out], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.lanes)
+	accum(h[:len(lefts)*out], nil, m.Tok.W, lefts, d, m.W.W, 3*d, 0, s.lanes)
+	accum(h[:len(paths)*out], s.leftOf[:len(paths)], m.Path.W, paths, d, m.W.W, 3*d, d, s.lanes)
+	accum(h[:len(rights)*out], s.pairOf[:len(rights)], m.Tok.W, rights, d, m.W.W, 3*d, 2*d, s.lanes)
 
 	tanhInPlace(h[:len(rights)*out])
 	scoreRows(s.scores[:len(rights)], h, m.Attn.W)
@@ -243,25 +232,29 @@ func axpyGo(a float64, x, y []float64) {
 }
 
 // accum adds one EmbedDim-wide column window of W, times embedding rows,
-// onto acc. acc holds one row of sums per entry of rows; for every such
-// row i and output o it performs
+// onto sums that continue a parent row. acc holds one row of sums per entry
+// of rows, and row i continues the sums that row from[i] <= i held before
+// the call (a nil from continues every row from its own sums). For every
+// such row i and output o it sets
 //
-//	acc[i*out+o] += W[o*stride+k0+k] * table[rows[i]*d+k]   for k = 0 .. d-1
+//	acc[i*out+o] = acc[from[i]*out+o] + W[o*stride+k0+k] * table[rows[i]*d+k]   for k = 0 .. d-1
 //
-// in that order, each term rounded onto the running sum exactly as a scalar
-// loop would round it. lanes is scratch for 8·d floats. accum is accumGo,
-// unless accum_amd64.go installs an AVX or AVX-512 kernel on a CPU that
-// has it.
+// adding the terms in that order, each rounded onto the running sum exactly
+// as a scalar loop would round it. lanes is scratch for 8·d floats. accum
+// is accumGo, unless accum_amd64.go installs an AVX or AVX-512 kernel on a
+// CPU that has it.
 var accum = accumGo
 
-// accumGo is the pure-Go accum: it sweeps the rows two at a time through
-// accum2, and accum1 takes an odd last row. It needs no scratch.
-func accumGo(acc, table []float64, rows []uint32, d int, w []float64, stride, k0 int, _ []float64) {
+// accumGo is the pure-Go accum: startRows copies the parents' rows, then it
+// sweeps the rows two at a time through accum2, and accum1 takes an odd
+// last row. It needs no scratch.
+func accumGo(acc []float64, from []int, table []float64, rows []uint32, d int, w []float64, stride, k0 int, _ []float64) {
 	n := len(rows)
 	if n == 0 {
 		return
 	}
 	out := len(acc) / n
+	startRows(acc, from, out)
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		x0 := table[int(rows[i])*d:][:d]
@@ -270,6 +263,17 @@ func accumGo(acc, table []float64, rows []uint32, d int, w []float64, stride, k0
 	}
 	if i < n {
 		accum1(acc[i*out:(i+1)*out], table[int(rows[i])*d:][:d], w, stride, k0)
+	}
+}
+
+// startRows gives every row i of acc the sums of row from[i], copying from
+// the last row down: since from[i] <= i, no row is overwritten before its
+// last reader.
+func startRows(acc []float64, from []int, out int) {
+	for i := len(from) - 1; i >= 0; i-- {
+		if p := from[i]; p != i {
+			copy(acc[i*out:(i+1)*out], acc[p*out:(p+1)*out])
+		}
 	}
 }
 
