@@ -410,8 +410,8 @@ func trieBags() []struct {
 		{"identical", identical},
 		{"same left and path", sameLeftPath},
 		// A B A C B A: B is a new pair under A's left and C a new triple
-		// under A's pair, each numbered above its parent, so the in-place
-		// row copies run at both levels.
+		// under A's pair, each numbered above its parent, so rows continue
+		// from other rows at both levels.
 		{"interleaved", []Context{a, b, a, c, b, a}},
 		// Two lefts whose pairs and triples interleave.
 		{"interleaved paths", []Context{
