@@ -76,6 +76,8 @@ func TestRewardAllocCeiling(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	fw, _ := productionFramework(t)
+	// AllocsPerRun's warm-up call builds every unit's action grid; Reward
+	// is then a lookup.
 	got := allocsPerCall(fw.NumSamples(), func(i int) { fw.Reward(i, 8, 2) })
-	checkCeiling(t, "Reward", got, 3)
+	checkCeiling(t, "Reward", got, 0)
 }

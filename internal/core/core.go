@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"neurovec/internal/code2vec"
@@ -94,18 +95,19 @@ type Unit struct {
 	baselinePlans   map[string]*vectorizer.Plan
 	baselineCycles  float64
 	baselineCompile float64
+	gridOnce        sync.Once
+	grid            []cell // see Framework.lookup
 }
 
 // Framework is the end-to-end system.
 //
 // Concurrency: the mutating APIs (LoadSet/LoadSource, Train,
-// SaveModel/LoadModel, and the reward/measurement paths over loaded units)
-// are setup- and training-time operations for a single goroutine. The
-// inference APIs documented as stateless — PredictLoops, Compile, Decide,
-// SweepSource — only read the configuration and trained weights, so any
-// number of goroutines may call them once setup is done. Training's own
-// rollout workers call Reward and the embedder concurrently; both only read
-// the units and weights.
+// SaveModel/LoadModel) are setup- and training-time operations for a single
+// goroutine. Once setup is done, any number of goroutines may call the
+// stateless inference APIs (PredictLoops, Compile, Decide, SweepSource) and
+// the reward and measurement paths over loaded units (Reward, Cycles,
+// CompileBlowup, BruteForceLabel), which read each unit's action grid,
+// built once on first use. Training's rollout workers call Reward.
 type Framework struct {
 	Cfg Config
 
@@ -299,36 +301,50 @@ func (f *Framework) Explain(sample, vf, ifc int) sim.Breakdown {
 // NumSamples implements rl.Env.
 func (f *Framework) NumSamples() int { return len(f.units) }
 
+// lookup returns a unit and its cell for (vf, ifc) in the unit's action
+// grid: every action of arch.VFs() x arch.IFs(), built on first use behind
+// a sync.Once (rollout workers share units) through one evalRequest.
+func (f *Framework) lookup(sample, vf, ifc int) (*Unit, cell) {
+	u := f.units[sample]
+	u.gridOnce.Do(func() {
+		e := &evalRequest{Request: policy.Request{Prog: u.Prog, Loop: u.Loop},
+			f: f, base: u.baselinePlans, compile: true}
+		for _, v := range f.Cfg.Arch.VFs() {
+			for _, c := range f.Cfg.Arch.IFs() {
+				u.grid = append(u.grid, e.eval(v, c))
+			}
+		}
+	})
+	return u, u.grid[actionIndex(f.Cfg.Arch, vf, ifc)]
+}
+
+// actionIndex is the index in arch.VFs() x arch.IFs() (VF-major) of the
+// action vectorizer.New reads (vf, ifc) as: it first floors each factor to
+// a power of two (at least one) and clamps it to the arch maximum (a power
+// of two), so a request and its action get the same plan.
+func actionIndex(arch *machine.Arch, vf, ifc int) int {
+	log2 := func(v, hi int) int { return bits.Len(uint(min(max(v, 1), hi))) - 1 }
+	return log2(vf, arch.MaxVF)*bits.Len(uint(arch.MaxIF)) + log2(ifc, arch.MaxIF)
+}
+
 // Reward implements rl.Env: Equation 2 of the paper,
 // (t_baseline - t_RL)/t_baseline, with the compile-timeout penalty.
 func (f *Framework) Reward(sample, vf, ifc int) float64 {
-	u := f.units[sample]
-	cycles, compile := f.measure(u, vf, ifc)
-	if compile > f.Cfg.CompileTimeoutFactor*u.baselineCompile {
+	u, c := f.lookup(sample, vf, ifc)
+	if c.compile > f.Cfg.CompileTimeoutFactor*u.baselineCompile {
 		return f.Cfg.TimeoutPenalty
 	}
 	if u.baselineCycles <= 0 {
 		return 0
 	}
-	return (u.baselineCycles - cycles) / u.baselineCycles
-}
-
-// measure simulates the unit's program with (vf, ifc) injected at its loop
-// and all other loops at the baseline decision.
-func (f *Framework) measure(u *Unit, vf, ifc int) (cycles, compile float64) {
-	plans := make(map[string]*vectorizer.Plan, len(u.baselinePlans))
-	for k, v := range u.baselinePlans {
-		plans[k] = v
-	}
-	plans[u.Loop.Label] = vectorizer.New(u.Loop, f.Cfg.Arch, vf, ifc)
-	return sim.Program(u.Prog, plans, f.Cfg.Sim).Cycles, sim.CompileTime(u.Prog, plans, f.Cfg.Arch)
+	return (u.baselineCycles - c.cycles) / u.baselineCycles
 }
 
 // Cycles returns the simulated program cycles for a unit under a specific
-// factor pair (used by brute force and the evaluation harness).
+// factor pair (used by brute force and the figures).
 func (f *Framework) Cycles(sample, vf, ifc int) float64 {
-	c, _ := f.measure(f.units[sample], vf, ifc)
-	return c
+	_, c := f.lookup(sample, vf, ifc)
+	return c.cycles
 }
 
 // BaselineCycles returns the unit's program cycles under the baseline cost
@@ -341,12 +357,11 @@ func (f *Framework) BaselineCycles(sample int) float64 {
 // (vf, ifc) at the unit's loop to the baseline's compile time — the
 // quantity the Section 3.4 timeout rule thresholds at 10x.
 func (f *Framework) CompileBlowup(sample, vf, ifc int) float64 {
-	u := f.units[sample]
-	_, compile := f.measure(u, vf, ifc)
+	u, c := f.lookup(sample, vf, ifc)
 	if u.baselineCompile <= 0 {
 		return 1
 	}
-	return compile / u.baselineCompile
+	return c.compile / u.baselineCompile
 }
 
 // ---- Embedder adapter ----

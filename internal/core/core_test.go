@@ -10,6 +10,8 @@ import (
 	"neurovec/internal/dataset"
 	"neurovec/internal/nn"
 	"neurovec/internal/rl"
+	"neurovec/internal/sim"
+	"neurovec/internal/vectorizer"
 )
 
 func smallFramework(t *testing.T, n int) *Framework {
@@ -408,10 +410,13 @@ func TestRewardDeterministic(t *testing.T) {
 
 // TestUnitsMatchServedCompile pins the one front end: a loaded unit is the
 // loop /v2/compile serves. Over every shipped suite and an extended
-// generated sample, each unit's baseline equals the served baseline, and
-// the unit's simulated cycles at the costmodel and brute decisions equal the
-// served cycles, bit for bit. (tsvc's s113 is the loop where a front end
-// without semantic analysis misses the proven trip count.)
+// generated sample, each unit's baseline equals the served baseline, the
+// unit's simulated cycles at the costmodel, brute and random decisions equal
+// the served cycles, bit for bit, and the unit's brute-force label is the
+// served brute decision. (random decides off the baseline without
+// searching, so its cycles come from decide's shared plan map. tsvc's s113
+// is the loop where a front end without semantic analysis misses the proven
+// trip count.)
 func TestUnitsMatchServedCompile(t *testing.T) {
 	type file struct {
 		name, src string
@@ -442,7 +447,7 @@ func TestUnitsMatchServedCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range []string{"costmodel", "brute"} {
+		for _, pol := range []string{"costmodel", "brute", "random"} {
 			resp, err := fw.Decide(ctx, c, WithPolicyName(pol))
 			if err != nil {
 				t.Fatal(err)
@@ -455,12 +460,64 @@ func TestUnitsMatchServedCompile(t *testing.T) {
 				if u := fw.Units()[i]; u.Loop.Label != d.Label {
 					t.Fatalf("%s: unit %d is loop %s, served loop %d is %s", f.name, i, u.Loop.Label, j, d.Label)
 				}
+				if pol == "brute" {
+					if vf, ifc := fw.BruteForceLabel(i); vf != d.VF || ifc != d.IF {
+						t.Errorf("%s/%s: unit brute label (VF=%d, IF=%d), served brute (VF=%d, IF=%d)",
+							f.name, d.Label, vf, ifc, d.VF, d.IF)
+					}
+				}
 				if got := fw.BaselineCycles(i); math.Float64bits(got) != math.Float64bits(resp.BaselineCycles) {
 					t.Errorf("%s/%s: unit baseline %v cycles, served %v", f.name, d.Label, got, resp.BaselineCycles)
 				}
 				if got := fw.Cycles(i, d.VF, d.IF); math.Float64bits(got) != math.Float64bits(d.Cycles) {
 					t.Errorf("%s/%s: %s's (VF=%d, IF=%d) costs the unit %v cycles, served %v",
 						f.name, d.Label, pol, d.VF, d.IF, got, d.Cycles)
+				}
+			}
+		}
+	}
+}
+
+// measureOracle is the reference the unit grids must reproduce: the unit's
+// program simulated with (vf, ifc) at its loop and every other loop at the
+// baseline decision, on a fresh copy of the plan map, with no memo.
+func measureOracle(f *Framework, u *Unit, vf, ifc int) (cycles, compile float64) {
+	plans := make(map[string]*vectorizer.Plan, len(u.baselinePlans))
+	for k, v := range u.baselinePlans {
+		plans[k] = v
+	}
+	plans[u.Loop.Label] = vectorizer.New(u.Loop, f.Cfg.Arch, vf, ifc)
+	return sim.Program(u.Prog, plans, f.Cfg.Sim).Cycles, sim.CompileTime(u.Prog, plans, f.Cfg.Arch)
+}
+
+// TestUnitGridMatchesOracle checks every unit's action grid against
+// measureOracle bit for bit, cycles and compile time, over the shipped
+// suites and an extended generated sample: at every action of the arch, and
+// at requests off the grid (0, 3 and 128 for VF, 0, 3 and 32 for IF), which
+// the grid answers through the action vectorizer.New reads them as.
+func TestUnitGridMatchesOracle(t *testing.T) {
+	fw := New(DefaultConfig())
+	for _, suite := range [][]dataset.Benchmark{dataset.PolyBench(), dataset.MiBench(), dataset.EvalBenchmarks(), dataset.TSVC()} {
+		for _, b := range suite {
+			if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil && !errors.Is(err, ErrNoLoops) {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fw.LoadSet(dataset.Generate(dataset.GenConfig{N: 100, Seed: 5, Extended: true})); err != nil {
+		t.Fatal(err)
+	}
+	vfs := append(fw.Cfg.Arch.VFs(), 0, 3, 128)
+	ifs := append(fw.Cfg.Arch.IFs(), 0, 3, 32)
+	for i, u := range fw.Units() {
+		for _, vf := range vfs {
+			for _, ifc := range ifs {
+				wantCycles, wantCompile := measureOracle(fw, u, vf, ifc)
+				_, got := fw.lookup(i, vf, ifc)
+				if math.Float64bits(got.cycles) != math.Float64bits(wantCycles) ||
+					math.Float64bits(got.compile) != math.Float64bits(wantCompile) {
+					t.Fatalf("%s (VF=%d, IF=%d): grid (%v cycles, %v compile), oracle (%v, %v)",
+						u.Name, vf, ifc, got.cycles, got.compile, wantCycles, wantCompile)
 				}
 			}
 		}

@@ -398,16 +398,16 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 		Diagnostics:    c.diags,
 	}
 	combined := clonePlans(c.basePlans)
-	// single is reused across loops (set one entry, simulate, restore):
-	// cloning the whole plan map per loop made the walk O(loops^2) in map
-	// copies, which dominated multi-loop files.
-	single := clonePlans(c.basePlans)
+	// plans is the scratch map every loop's evaluator swaps its decision
+	// into in turn, so the walk copies the plan map once, not once per loop.
+	plans := clonePlans(c.basePlans)
 	for _, info := range c.infos {
 		loop := c.irp.FindLoop(info.Label)
 		if loop == nil {
 			return nil, fmt.Errorf("core: loop %s missing from IR", info.Label)
 		}
 		id := c.ids[info.Label]
+		r := f.loopRequest(c, info, loop)
 		var vf, ifc int
 		prov := api.Provenance{Origin: api.OriginPolicy, Policy: pol.Name(), ModelVersion: version}
 		switch pin, isPinned := pinned[info.Label]; {
@@ -423,17 +423,16 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 					break
 				}
 			}
-			req := f.loopRequest(c, info, loop)
 			// Span wrap first, cache wrap outside it: a cache hit returns
 			// before the inner closure runs, so only real code2vec forward
 			// passes are timed as "embed".
-			traceEmbed(ctx, req, info.Label)
+			traceEmbed(ctx, &r.Request, info.Label)
 			if cache != nil {
-				wrapEmbed(req, cache, embedKey(version, id))
+				wrapEmbed(&r.Request, cache, embedKey(version, id))
 			}
 			dctx, dsp := obs.StartSpan(ctx, "decide")
 			dsp.Annotate(info.Label)
-			d, err := safeDecide(dctx, pol, req)
+			d, err := safeDecide(dctx, pol, &r.Request)
 			dsp.End()
 			if err != nil {
 				return nil, fmt.Errorf("core: policy %s on loop %s: %w", pol.Name(), info.Label, err)
@@ -445,26 +444,18 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 				decisionCache.PutDecision(dkey, vf, ifc)
 			}
 		}
-		plan := vectorizer.New(loop, f.Cfg.Arch, vf, ifc)
-		prev, hadPrev := single[info.Label]
-		single[info.Label] = plan
 		_, ssp := obs.StartSpan(ctx, "sim")
 		ssp.Annotate(info.Label)
-		cycles := sim.Program(c.irp, single, f.Cfg.Sim).Cycles
+		plan, got := r.at(plans, vf, ifc)
 		ssp.End()
-		if hadPrev {
-			single[info.Label] = prev
-		} else {
-			delete(single, info.Label)
-		}
 		resp.Loops = append(resp.Loops, api.Decision{
 			Loop:             id,
 			Label:            info.Label,
 			Func:             info.Func,
 			VF:               vf,
 			IF:               ifc,
-			Cycles:           cycles,
-			PredictedSpeedup: safeRatio(c.baseCycles, cycles),
+			Cycles:           got.cycles,
+			PredictedSpeedup: safeRatio(c.baseCycles, got.cycles),
 			Provenance:       prov,
 		})
 		combined[info.Label] = plan
@@ -559,8 +550,8 @@ func wrapEmbed(req *policy.Request, cache LoopCache, key string) {
 // loopRequest assembles the policy.Request for one loop of a compiled
 // program. Embedding and candidate evaluation are closures so policies that
 // never use them cost nothing.
-func (f *Framework) loopRequest(c *Compiled, info extractor.LoopInfo, loop *ir.Loop) *policy.Request {
-	r := &evalRequest{f: f, basePlans: c.basePlans}
+func (f *Framework) loopRequest(c *Compiled, info extractor.LoopInfo, loop *ir.Loop) *evalRequest {
+	r := &evalRequest{f: f, base: c.basePlans}
 	r.Request = policy.Request{
 		Name:   info.Label,
 		Source: c.source,
@@ -577,43 +568,58 @@ func (f *Framework) loopRequest(c *Compiled, info extractor.LoopInfo, loop *ir.L
 			f.embed.ForwardInto(vec, s.ex.Extract(info.Outermost, f.Cfg.Embed), &s.sc)
 			return vec
 		},
-		Evaluate: r.evaluate,
+		Evaluate: func(vf, ifc int) float64 { return r.eval(vf, ifc).cycles },
 	}
-	return &r.Request
+	return r
 }
 
-// evalRequest is a policy.Request plus the state behind its Evaluate.
+// evalRequest is one loop's policy.Request and the one evaluator of its
+// decisions — the program's cycles with the loop at (vf, ifc) and every
+// other loop at base — for Evaluate, decide, SweepSource and the unit grids
+// (which set only Prog and Loop). Not safe for concurrent use.
 type evalRequest struct {
 	policy.Request
-	f         *Framework
-	basePlans map[string]*vectorizer.Plan
-	// plans is basePlans with the request's loop at the candidate under
-	// evaluation; cycles memoizes each effective (VF, IF) already
-	// simulated. Both are built on the first Evaluate call, so policies
-	// that never search allocate neither.
-	plans  map[string]*vectorizer.Plan
-	cycles map[[2]int]float64
+	f       *Framework
+	base    map[string]*vectorizer.Plan
+	compile bool // also charge sim.CompileTime (the unit grids only)
+	// plans (a copy of base) and memo are made by the first eval, so a
+	// policy that never searches allocates neither.
+	plans map[string]*vectorizer.Plan
+	memo  map[[2]int]cell
 }
 
-// evaluate returns the program's simulated cycles with the loop at (vf, ifc)
-// and every other loop at its baseline plan. The simulator sees only the
-// effective factors vectorizer.New clamps a request to, so a candidate that
-// clamps onto a pair already simulated is answered from the memo. Every
-// call overwrites the loop's plan entry, so the reused map needs no restore.
-func (r *evalRequest) evaluate(vf, ifc int) float64 {
-	plan := vectorizer.New(r.Loop, r.Arch, vf, ifc)
+// cell is the program's cycles and compile time under one action.
+type cell struct{ cycles, compile float64 }
+
+// at returns the loop's plan for (vf, ifc) and the program's cell under it,
+// memoized (once the memo is made) by the effective pair vectorizer.New
+// clamps to. The plan is swapped into plans, a copy of base, and back out,
+// so one program's evaluators may share plans in turn.
+func (r *evalRequest) at(plans map[string]*vectorizer.Plan, vf, ifc int) (*vectorizer.Plan, cell) {
+	plan := vectorizer.New(r.Loop, r.f.Cfg.Arch, vf, ifc)
 	key := [2]int{plan.VF, plan.IF}
-	if cycles, ok := r.cycles[key]; ok {
-		return cycles
+	if c, ok := r.memo[key]; ok {
+		return plan, c
 	}
-	if r.cycles == nil {
-		r.cycles = make(map[[2]int]float64)
-		r.plans = clonePlans(r.basePlans)
+	plans[r.Loop.Label] = plan
+	c := cell{cycles: sim.Program(r.Prog, plans, r.f.Cfg.Sim).Cycles}
+	if r.compile {
+		c.compile = sim.CompileTime(r.Prog, plans, r.f.Cfg.Arch)
 	}
-	r.plans[r.Loop.Label] = plan
-	cycles := sim.Program(r.Prog, r.plans, r.f.Cfg.Sim).Cycles
-	r.cycles[key] = cycles
-	return cycles
+	plans[r.Loop.Label] = r.base[r.Loop.Label]
+	if r.memo != nil {
+		r.memo[key] = c
+	}
+	return plan, c
+}
+
+// eval is at over the request's own plans, memoized.
+func (r *evalRequest) eval(vf, ifc int) cell {
+	if r.memo == nil {
+		r.plans, r.memo = clonePlans(r.base), make(map[[2]int]cell)
+	}
+	_, c := r.at(r.plans, vf, ifc)
+	return c
 }
 
 // Sweep is the VF x IF performance grid for one loop of a program.
@@ -689,7 +695,7 @@ func (f *Framework) SweepSource(ctx context.Context, source string, params map[s
 		sw.Speedup = append(sw.Speedup, row)
 	}
 	if pol != nil {
-		d, err := pol.Decide(ctx, req)
+		d, err := pol.Decide(ctx, &req.Request)
 		if err != nil {
 			return nil, fmt.Errorf("core: policy %s on loop %s: %w", pol.Name(), info.Label, err)
 		}

@@ -212,3 +212,42 @@ func TestModelVersionStamping(t *testing.T) {
 		t.Fatal("version unchanged after retraining")
 	}
 }
+
+// TestUnitGridsFirstUseRace has 8 goroutines call Reward, CompileBlowup and
+// BruteForceLabel on the units of a freshly loaded framework, so the first
+// use of each unit's action grid races (run under -race), and checks every
+// answer against a serial pass over a second framework loaded alike.
+func TestUnitGridsFirstUseRace(t *testing.T) {
+	type answer struct {
+		reward, blowup float64
+		vf, ifc        int
+	}
+	ask := func(fw *Framework, i int) answer {
+		a := answer{reward: fw.Reward(i, 64, 16), blowup: fw.CompileBlowup(i, 8, 2)}
+		a.vf, a.ifc = fw.BruteForceLabel(i)
+		return a
+	}
+	serial := smallFramework(t, 12)
+	want := make([]answer, serial.NumSamples())
+	for i := range want {
+		want[i] = ask(serial, i)
+	}
+
+	fw := smallFramework(t, 12)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range want {
+				i := (w + k) % len(want)
+				if got := ask(fw, i); got != want[i] {
+					t.Errorf("worker %d, unit %d: concurrent %+v, serial %+v", w, i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
