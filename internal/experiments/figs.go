@@ -105,8 +105,6 @@ func (o Options) trainVariant(ref *rl.Stats, set *dataset.Set, rc rl.Config) *rl
 // Fig1 reproduces the dot-product VF x IF grid: performance of every factor
 // pair normalized to the baseline cost model's pick.
 func Fig1(o Options) *Table {
-	cfg := core.DefaultConfig()
-	fw := core.New(cfg)
 	src := `
 int vec[512];
 int example1() {
@@ -117,19 +115,19 @@ int example1() {
     return sum;
 }
 `
-	if err := fw.LoadSource("dot", src, nil); err != nil {
+	sw, err := core.New(core.DefaultConfig()).SweepSource(context.Background(), src, nil)
+	if err != nil {
 		panic(err)
 	}
-	base := fw.BaselineCycles(0)
 	t := &Table{Title: "Figure 1: dot product, performance vs (VF, IF), normalized to baseline"}
-	for _, ifc := range cfg.Arch.IFs() {
+	for _, ifc := range sw.IFs {
 		t.Columns = append(t.Columns, fmt.Sprintf("IF=%d", ifc))
 	}
 	bestV, bestSpeed := "", 0.0
-	for _, vf := range cfg.Arch.VFs() {
+	for i, vf := range sw.VFs {
 		vals := map[string]float64{}
-		for _, ifc := range cfg.Arch.IFs() {
-			sp := base / fw.Cycles(0, vf, ifc)
+		for j, ifc := range sw.IFs {
+			sp := sw.Speedup[i][j]
 			vals[fmt.Sprintf("IF=%d", ifc)] = sp
 			if sp > bestSpeed {
 				bestSpeed, bestV = sp, fmt.Sprintf("(VF=%d,IF=%d)", vf, ifc)
