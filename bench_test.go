@@ -29,11 +29,9 @@ func BenchmarkFig1DotProductGrid(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
 		tab := experiments.Fig1(experiments.QuickOptions())
-		for _, r := range tab.Rows() {
-			for _, c := range tab.Columns {
-				if v, ok := tab.Get(r, c); ok && v > best {
-					best = v
-				}
+		for _, c := range tab.Columns {
+			for _, v := range tab.Column(c) {
+				best = max(best, v)
 			}
 		}
 	}
@@ -145,7 +143,7 @@ func BenchmarkAblationCompilePenalty(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		tab := experiments.AblationCompilePenalty(experiments.QuickOptions())
-		rate, _ = tab.Get("penalty=-9 (paper)", "timeout-rate")
+		rate = tab.Column("timeout-rate")[0] // row 0 is "penalty=-9 (paper)"
 	}
 	b.ReportMetric(rate, "timeout-rate(with-penalty)")
 }

@@ -18,6 +18,26 @@ import (
 	"neurovec/internal/rl"
 )
 
+// Get returns the value at (rowLabel, col) and whether it exists.
+func (t *Table) Get(rowLabel, col string) (float64, bool) {
+	for _, r := range t.rows {
+		if r.label == rowLabel {
+			v, ok := r.values[col]
+			return v, ok
+		}
+	}
+	return 0, false
+}
+
+// Rows returns the row labels in insertion order.
+func (t *Table) Rows() []string {
+	out := make([]string, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = r.label
+	}
+	return out
+}
+
 var updateGolden = flag.Bool("update", false, "rewrite the figure golden files")
 
 // trained is the quick-mode framework Figures 7, 8 and 9 share, trained on

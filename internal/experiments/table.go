@@ -32,26 +32,6 @@ func (t *Table) Add(label string, values map[string]float64) {
 	t.rows = append(t.rows, row{label: label, values: values})
 }
 
-// Get returns the value at (rowLabel, col) and whether it exists.
-func (t *Table) Get(rowLabel, col string) (float64, bool) {
-	for _, r := range t.rows {
-		if r.label == rowLabel {
-			v, ok := r.values[col]
-			return v, ok
-		}
-	}
-	return 0, false
-}
-
-// Rows returns the row labels in insertion order.
-func (t *Table) Rows() []string {
-	out := make([]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.label
-	}
-	return out
-}
-
 // Column returns all values of a column in row order (missing cells are
 // skipped).
 func (t *Table) Column(col string) []float64 {
