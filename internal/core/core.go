@@ -81,7 +81,8 @@ func DefaultConfig() Config {
 // Unit is one loaded loop sample: the program compiled as /v2/compile
 // compiles it, one of its innermost loops, that loop's nest in the parsed
 // source with the path contexts extracted from it, and cached baseline
-// measurements. Units of one program share its IR and baseline plans.
+// measurements. Units of one program share its IR, its prepared simulation
+// and its baseline plans.
 type Unit struct {
 	Name string
 
@@ -92,6 +93,7 @@ type Unit struct {
 	Nest *lang.ForStmt
 	Ctxs []code2vec.Context
 
+	prep            *sim.Prepared
 	baselinePlans   map[string]*vectorizer.Plan
 	baselineCycles  float64
 	baselineCompile float64
@@ -261,6 +263,7 @@ func (f *Framework) LoadSource(name, source string, params map[string]int64) err
 			Loop:            loop,
 			Nest:            info.Outermost,
 			Ctxs:            code2vec.ExtractContexts(info.Outermost, f.Cfg.Embed),
+			prep:            c.prep,
 			baselinePlans:   c.basePlans,
 			baselineCycles:  c.baseCycles,
 			baselineCompile: baseCompile,
@@ -290,10 +293,12 @@ func (f *Framework) BaselineChoice(sample int) (vf, ifc int) {
 }
 
 // Explain returns the simulator's cycle breakdown for a unit's loop under
-// the given factors — the diagnostic view behind the CLI's explain command.
+// the given factors, within its enclosing nest — the diagnostic view behind
+// the CLI's explain command. Its Total is what the program's simulation
+// charges for one execution of the loop.
 func (f *Framework) Explain(sample, vf, ifc int) sim.Breakdown {
 	u := f.units[sample]
-	return sim.Explain(u.Loop, vectorizer.New(u.Loop, f.Cfg.Arch, vf, ifc), f.Cfg.Sim)
+	return u.prep.Explain(vectorizer.Clamp(u.Loop, f.Cfg.Arch, u.baselinePlans[u.Loop.Label].MaxLegalVF, vf, ifc))
 }
 
 // ---- Environment (reward) ----
@@ -307,8 +312,8 @@ func (f *Framework) NumSamples() int { return len(f.units) }
 func (f *Framework) lookup(sample, vf, ifc int) (*Unit, cell) {
 	u := f.units[sample]
 	u.gridOnce.Do(func() {
-		e := &evalRequest{Request: policy.Request{Prog: u.Prog, Loop: u.Loop},
-			f: f, base: u.baselinePlans, compile: true}
+		e := f.evaluator(u.Prog, u.Loop, u.prep, u.baselinePlans)
+		e.compile = true
 		for _, v := range f.Cfg.Arch.VFs() {
 			for _, c := range f.Cfg.Arch.IFs() {
 				u.grid = append(u.grid, e.eval(v, c))

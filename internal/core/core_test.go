@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"neurovec/internal/dataset"
+	"neurovec/internal/ir"
 	"neurovec/internal/nn"
 	"neurovec/internal/rl"
 	"neurovec/internal/sim"
@@ -490,13 +491,13 @@ func measureOracle(f *Framework, u *Unit, vf, ifc int) (cycles, compile float64)
 	return sim.Program(u.Prog, plans, f.Cfg.Sim).Cycles, sim.CompileTime(u.Prog, plans, f.Cfg.Arch)
 }
 
-// TestUnitGridMatchesOracle checks every unit's action grid against
-// measureOracle bit for bit, cycles and compile time, over the shipped
-// suites and an extended generated sample: at every action of the arch, and
-// at requests off the grid (0, 3 and 128 for VF, 0, 3 and 32 for IF), which
-// the grid answers through the action vectorizer.New reads them as.
-func TestUnitGridMatchesOracle(t *testing.T) {
-	fw := New(DefaultConfig())
+// shippedFramework loads the shipped suites and an extended generated
+// sample as units, and returns the actions to check them at: every action
+// of the arch and requests off the grid (0, 3 and 128 for VF, 0, 3 and 32
+// for IF), which vectorizer.New floors or clamps.
+func shippedFramework(t *testing.T) (fw *Framework, vfs, ifs []int) {
+	t.Helper()
+	fw = New(DefaultConfig())
 	for _, suite := range [][]dataset.Benchmark{dataset.PolyBench(), dataset.MiBench(), dataset.EvalBenchmarks(), dataset.TSVC()} {
 		for _, b := range suite {
 			if err := fw.LoadSource(b.Name, b.Source, b.ParamValues); err != nil && !errors.Is(err, ErrNoLoops) {
@@ -507,8 +508,15 @@ func TestUnitGridMatchesOracle(t *testing.T) {
 	if err := fw.LoadSet(dataset.Generate(dataset.GenConfig{N: 100, Seed: 5, Extended: true})); err != nil {
 		t.Fatal(err)
 	}
-	vfs := append(fw.Cfg.Arch.VFs(), 0, 3, 128)
-	ifs := append(fw.Cfg.Arch.IFs(), 0, 3, 32)
+	return fw, append(fw.Cfg.Arch.VFs(), 0, 3, 128), append(fw.Cfg.Arch.IFs(), 0, 3, 32)
+}
+
+// TestUnitGridMatchesOracle checks every unit's action grid against
+// measureOracle bit for bit, cycles and compile time, at every action of
+// shippedFramework, which the grid answers off the arch's grid through the
+// action vectorizer.New reads them as.
+func TestUnitGridMatchesOracle(t *testing.T) {
+	fw, vfs, ifs := shippedFramework(t)
 	for i, u := range fw.Units() {
 		for _, vf := range vfs {
 			for _, ifc := range ifs {
@@ -522,4 +530,76 @@ func TestUnitGridMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEvaluatorPlanMatchesVectorizerNew checks that the evaluator, which
+// clamps with the baseline plan's dependence bound instead of re-running
+// the analysis, builds the plan vectorizer.New builds, field for field, for
+// every unit of shippedFramework at every action.
+func TestEvaluatorPlanMatchesVectorizerNew(t *testing.T) {
+	fw, vfs, ifs := shippedFramework(t)
+	for _, u := range fw.Units() {
+		e := fw.evaluator(u.Prog, u.Loop, u.prep, u.baselinePlans)
+		plans := clonePlans(u.baselinePlans)
+		for _, vf := range vfs {
+			for _, ifc := range ifs {
+				got, _ := e.at(plans, vf, ifc)
+				if want := vectorizer.New(u.Loop, fw.Cfg.Arch, vf, ifc); *got != *want {
+					t.Fatalf("%s (VF=%d, IF=%d): evaluator plan %+v, vectorizer.New %+v", u.Name, vf, ifc, *got, *want)
+				}
+			}
+		}
+	}
+}
+
+// TestExplainMatchesChargedCycles checks that Explain breaks a unit's loop
+// down as the program's simulation charges it, within its enclosing nest.
+// One execution of the loop is charged once per iteration of its
+// ancestors, so moving the loop from (1, 1) to an action changes the
+// program's cycles by the ancestors' trip product times the change in the
+// breakdown's Total. A breakdown that ignored the enclosing loops (atax's
+// inner loop at VF 16 was explained as 184 cycles and charged 240) fails.
+func TestExplainMatchesChargedCycles(t *testing.T) {
+	fw, vfs, ifs := shippedFramework(t)
+	for i, u := range fw.Units() {
+		trips := ancestorTrips(u.Prog, u.Loop)
+		scalar, scalarCycles := fw.Explain(i, 1, 1).Total, fw.Cycles(i, 1, 1)
+		tol := 1e-9 * math.Max(1, scalarCycles)
+		for _, vf := range vfs {
+			for _, ifc := range ifs {
+				b := fw.Explain(i, vf, ifc)
+				want := fw.Cycles(i, vf, ifc) - scalarCycles
+				got := trips * (b.Total - scalar)
+				if math.Abs(got-want) > tol {
+					t.Fatalf("%s (VF=%d, IF=%d): Explain Total %v, so %v cycles over scalar in the program; charged %v",
+						u.Name, vf, ifc, b.Total, got, want)
+				}
+			}
+		}
+	}
+}
+
+// ancestorTrips is the product of the trip counts of the loops enclosing
+// l in p: how often one execution of l runs per program run.
+func ancestorTrips(p *ir.Program, l *ir.Loop) float64 {
+	var find func(x *ir.Loop, trips float64) (float64, bool)
+	find = func(x *ir.Loop, trips float64) (float64, bool) {
+		if x == l {
+			return trips, true
+		}
+		for _, c := range x.Children {
+			if t, ok := find(c, trips*float64(max(x.Trip, 0))); ok {
+				return t, true
+			}
+		}
+		return 0, false
+	}
+	for _, f := range p.Funcs {
+		for _, root := range f.Loops {
+			if t, ok := find(root, 1); ok {
+				return t
+			}
+		}
+	}
+	panic("loop " + l.Label + " not in program")
 }

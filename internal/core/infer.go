@@ -174,15 +174,17 @@ func (f *Framework) resolvePolicy(o *inferOpts, fallback string) (policy.Policy,
 
 // Compiled is one source program compiled for inference — the per-request
 // state every inference entrypoint builds once: the parsed program, its
-// extraction targets with stable loop identities, the lowered IR, and the
-// baseline plan/cycle anchors. Build it with Compile; it is read-only
-// afterwards, so any number of Decide calls, for any policies, may share it.
+// extraction targets with stable loop identities, the lowered IR, the
+// simulator's prepared form of it, and the baseline plan/cycle anchors.
+// Build it with Compile; it is read-only afterwards, so any number of
+// Decide calls, for any policies, may share it.
 type Compiled struct {
 	source     string
 	prog       *lang.Program
 	infos      []extractor.LoopInfo
 	ids        map[string]api.LoopID
 	irp        *ir.Program
+	prep       *sim.Prepared
 	basePlans  map[string]*vectorizer.Plan
 	baseCycles float64
 	diags      diag.List
@@ -250,8 +252,12 @@ func (f *Framework) compileSource(ctx context.Context, source string, params map
 	_, sp = obs.StartSpan(ctx, "deps")
 	basePlans := costmodel.Plans(irp, f.Cfg.Arch)
 	sp.End()
+	// The simulator's plan-invariant analysis of every loop runs here, once:
+	// the baseline, every candidate evaluation and the combined simulation
+	// read it.
 	_, sp = obs.StartSpan(ctx, "sim_baseline")
-	baseCycles := sim.Program(irp, basePlans, f.Cfg.Sim).Cycles
+	prep := sim.Prepare(irp, f.Cfg.Sim)
+	baseCycles := prep.Cycles(basePlans)
 	sp.End()
 	return &Compiled{
 		source:     source,
@@ -259,6 +265,7 @@ func (f *Framework) compileSource(ctx context.Context, source string, params map
 		infos:      infos,
 		ids:        ids,
 		irp:        irp,
+		prep:       prep,
 		basePlans:  basePlans,
 		baseCycles: baseCycles,
 		diags:      sinfo.Diags,
@@ -462,7 +469,7 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 	}
 	_, ssp := obs.StartSpan(ctx, "sim")
 	ssp.Annotate("combined")
-	resp.PredictedCycles = sim.Program(c.irp, combined, f.Cfg.Sim).Cycles
+	resp.PredictedCycles = c.prep.Cycles(combined)
 	ssp.End()
 	resp.Speedup = safeRatio(c.baseCycles, resp.PredictedCycles)
 	return resp, nil
@@ -551,7 +558,7 @@ func wrapEmbed(req *policy.Request, cache LoopCache, key string) {
 // program. Embedding and candidate evaluation are closures so policies that
 // never use them cost nothing.
 func (f *Framework) loopRequest(c *Compiled, info extractor.LoopInfo, loop *ir.Loop) *evalRequest {
-	r := &evalRequest{f: f, base: c.basePlans}
+	r := f.evaluator(c.irp, loop, c.prep, c.basePlans)
 	r.Request = policy.Request{
 		Name:   info.Label,
 		Source: c.source,
@@ -576,12 +583,16 @@ func (f *Framework) loopRequest(c *Compiled, info extractor.LoopInfo, loop *ir.L
 // evalRequest is one loop's policy.Request and the one evaluator of its
 // decisions — the program's cycles with the loop at (vf, ifc) and every
 // other loop at base — for Evaluate, decide, SweepSource and the unit grids
-// (which set only Prog and Loop). Not safe for concurrent use.
+// (which set only Prog and Loop). It reads the compile's plan-invariant
+// analyses: the prepared program and the loop's dependence-limited VF,
+// which the baseline plan carries. Not safe for concurrent use.
 type evalRequest struct {
 	policy.Request
-	f       *Framework
-	base    map[string]*vectorizer.Plan
-	compile bool // also charge sim.CompileTime (the unit grids only)
+	f          *Framework
+	prep       *sim.Prepared
+	base       map[string]*vectorizer.Plan
+	maxLegalVF int
+	compile    bool // also charge sim.CompileTime (the unit grids only)
 	// plans (a copy of base) and memo are made by the first eval, so a
 	// policy that never searches allocates neither.
 	plans map[string]*vectorizer.Plan
@@ -591,18 +602,31 @@ type evalRequest struct {
 // cell is the program's cycles and compile time under one action.
 type cell struct{ cycles, compile float64 }
 
-// at returns the loop's plan for (vf, ifc) and the program's cell under it,
-// memoized (once the memo is made) by the effective pair vectorizer.New
-// clamps to. The plan is swapped into plans, a copy of base, and back out,
-// so one program's evaluators may share plans in turn.
+// evaluator returns the evaluator of loop's decisions in prog, whose
+// prepared form is prep and whose baseline plans are base.
+func (f *Framework) evaluator(prog *ir.Program, loop *ir.Loop, prep *sim.Prepared, base map[string]*vectorizer.Plan) *evalRequest {
+	return &evalRequest{
+		Request:    policy.Request{Prog: prog, Loop: loop},
+		f:          f,
+		prep:       prep,
+		base:       base,
+		maxLegalVF: base[loop.Label].MaxLegalVF,
+	}
+}
+
+// at returns the loop's plan for (vf, ifc) — the plan vectorizer.New
+// builds — and the program's cell under it, memoized (once the memo is
+// made) by the effective pair the plan clamps to. The plan is swapped into
+// plans, a copy of base, and back out, so one program's evaluators may
+// share plans in turn.
 func (r *evalRequest) at(plans map[string]*vectorizer.Plan, vf, ifc int) (*vectorizer.Plan, cell) {
-	plan := vectorizer.New(r.Loop, r.f.Cfg.Arch, vf, ifc)
+	plan := vectorizer.Clamp(r.Loop, r.f.Cfg.Arch, r.maxLegalVF, vf, ifc)
 	key := [2]int{plan.VF, plan.IF}
 	if c, ok := r.memo[key]; ok {
 		return plan, c
 	}
 	plans[r.Loop.Label] = plan
-	c := cell{cycles: sim.Program(r.Prog, plans, r.f.Cfg.Sim).Cycles}
+	c := cell{cycles: r.prep.Cycles(plans)}
 	if r.compile {
 		c.compile = sim.CompileTime(r.Prog, plans, r.f.Cfg.Arch)
 	}

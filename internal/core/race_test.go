@@ -39,7 +39,10 @@ func TestConcurrentInference(t *testing.T) {
 	}
 	want := make([]golden, len(srcs))
 	shared := make([]*Compiled, len(srcs))
-	decidePolicies := []string{"rl", "brute"}
+	// Across workers and rounds, every source's shared compile is decided
+	// by each policy, so the policies' evaluators read one prepared
+	// simulation and one set of baseline plans at once.
+	decidePolicies := []string{"rl", "brute", "costmodel"}
 	decideJSON := func(c *Compiled, pol string) (string, error) {
 		resp, err := fw.Decide(context.Background(), c, WithPolicyName(pol))
 		if err != nil {

@@ -31,10 +31,14 @@ type Choice struct {
 
 // Choose runs the baseline model on an innermost loop.
 func Choose(l *ir.Loop, arch *machine.Arch) Choice {
+	return choose(l, arch, deps.MaxLegalVF(l, arch.MaxVF))
+}
+
+// choose is Choose given the loop's dependence-limited bound maxLegal.
+func choose(l *ir.Loop, arch *machine.Arch, maxLegal int) Choice {
 	scalarCost := iterCost(l, 1, arch)
 	best := Choice{VF: 1, IF: 1, Cost: scalarCost, ScalarCost: scalarCost}
 
-	maxLegal := deps.MaxLegalVF(l, arch.MaxVF)
 	// LLVM derives the width candidates from the *preferred* register width
 	// and the widest element type in the loop.
 	widest := widestTypeBits(l)
@@ -71,9 +75,12 @@ func Estimate(l *ir.Loop, vf int, arch *machine.Arch) float64 {
 }
 
 // Plan returns the baseline decision as an executable vectorization plan.
+// The dependence analysis runs once: its bound both caps the model's
+// candidates and clamps the plan.
 func Plan(l *ir.Loop, arch *machine.Arch) *vectorizer.Plan {
-	c := Choose(l, arch)
-	return vectorizer.New(l, arch, c.VF, c.IF)
+	maxLegal := deps.MaxLegalVF(l, arch.MaxVF)
+	c := choose(l, arch, maxLegal)
+	return vectorizer.Clamp(l, arch, maxLegal, c.VF, c.IF)
 }
 
 // Plans runs the baseline model over every innermost loop of a program.

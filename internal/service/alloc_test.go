@@ -43,7 +43,7 @@ func TestCompileAllocCeiling(t *testing.T) {
 		cfg     Config
 		ceiling int
 	}{
-		{"uncached", Config{ModelPath: model, CacheEntries: -1, LoopCacheEntries: -1}, 343},
+		{"uncached", Config{ModelPath: model, CacheEntries: -1, LoopCacheEntries: -1}, 339},
 		{"cached", Config{ModelPath: model}, 56},
 	} {
 		s := newTestServer(t, tc.cfg)

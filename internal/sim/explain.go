@@ -10,7 +10,7 @@ import (
 )
 
 // Breakdown explains where an innermost loop's cycles go under a plan. It is
-// a diagnostic view of the same model innermostCycles evaluates, offered
+// a diagnostic view of the same model the simulator charges, offered
 // because the paper's deployability discussion (Section 4.2) names
 // interpretability as the main obstacle for learned compiler policies: the
 // simulator can always say *why* a configuration is slow even when the
@@ -55,24 +55,37 @@ func (b Breakdown) String() string {
 	return sb.String()
 }
 
-// Explain analyses an innermost loop under a plan. Explain(l, p, cfg).Total
-// always equals Loop(l, p, cfg).
+// Explain analyses an innermost loop under a plan, with no enclosing
+// ancestors. Explain(l, p, cfg).Total always equals Loop(l, p, cfg); a loop
+// inside a nest is broken down as the program charges it by
+// Prepared.Explain.
 func Explain(l *ir.Loop, plan *vectorizer.Plan, cfg Config) Breakdown {
-	return explain(l, nil, plan, cfg)
+	lf := newLoopFacts(l, nil, cfg)
+	return explain(l, &lf, plan.VF, plan.IF, cfg.Arch)
 }
 
-func explain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config) Breakdown {
-	arch := cfg.Arch
-	b := Breakdown{Label: l.Label, VF: plan.VF, IF: plan.IF}
+// explain is the core model: the cycles of one execution of innermost loop
+// l at (vf, ifc), given its facts lf. It combines four per-group bounds:
+//
+//   - throughput: legalized uop counts against issue width and load/store
+//     ports, with masking overheads for predicated bodies and gather lane
+//     costs for strided/non-affine accesses;
+//   - latency: the reduction dependence chain (one serial update per group
+//     per accumulator; IF and register splitting multiply the accumulators);
+//   - memory: the reuse/footprint cache model plus a DRAM bandwidth bound;
+//   - spills: register overcommit serialises additional store/reload pairs;
+//
+// plus fixed startup, horizontal reduction tail, the scalar remainder loop,
+// and a runtime-trip-count guard cost.
+func explain(l *ir.Loop, lf *loopFacts, vf, ifc int, arch *machine.Arch) Breakdown {
+	b := Breakdown{Label: l.Label, VF: vf, IF: ifc}
 	trip := max64(l.Trip, 0)
-	lf := newLoopFacts(l, ancestors, cfg)
 	b.ScalarIter = lf.scalarIter
 	if trip == 0 {
 		b.Total = 2
 		b.Bound = "scalar"
 		return b
 	}
-	vf, ifc := plan.VF, plan.IF
 	if vf <= 1 && ifc <= 1 {
 		b.Remainder = trip
 		b.Total = float64(trip)*b.ScalarIter + 2

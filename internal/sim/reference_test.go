@@ -16,8 +16,8 @@ import (
 // This file keeps the simulator's earlier per-call formulation as a
 // test-only reference: every bound re-derives the deduplicated accesses, the
 // nest footprints and each stream's service level on its own. The live
-// model derives those plan-invariant facts once per explain call
-// (loopFacts); TestMatchesPerCallReference pins the two to the same bits.
+// model derives those plan-invariant facts once per loop and Config
+// (Prepare); TestMatchesPerCallReference pins the two to the same bits.
 
 func refProgram(p *ir.Program, plans map[string]*vectorizer.Plan, cfg Config) Result {
 	cycles := 0.0
@@ -60,7 +60,7 @@ func refScalarIterCycles(l *ir.Loop, ancestors []*ir.Loop, cfg Config) float64 {
 		}
 		uops += machine.OpThroughput(in.Op, in.Type)
 	}
-	accesses := dedupAccesses(l.Accesses)
+	accesses := dedupAccesses(nil, l.Accesses)
 	var loads, stores float64
 	for _, a := range accesses {
 		if a.InvariantIn(l.Label) {
@@ -165,7 +165,7 @@ func refServiceLevel(a *ir.Access, l *ir.Loop, ancestors []*ir.Loop, cfg Config)
 
 func refFootprintBelow(l *ir.Loop, chain []*ir.Loop, from int) int64 {
 	var total int64
-	for _, a := range dedupAccesses(l.Accesses) {
+	for _, a := range dedupAccesses(nil, l.Accesses) {
 		total += refRegionBytes(a, chain[from:])
 	}
 	return total
@@ -215,7 +215,7 @@ func refExplain(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Con
 		b.Bound = "scalar"
 		return b
 	}
-	accesses := dedupAccesses(l.Accesses)
+	accesses := dedupAccesses(nil, l.Accesses)
 	var aluUops, loadUops, storeUops float64
 	for _, in := range l.Body {
 		if in.Op == ir.OpCopy {
@@ -333,34 +333,44 @@ func referencePrograms(t *testing.T) map[string]*ir.Program {
 	return progs
 }
 
-// TestMatchesPerCallReference pins the live simulator to the per-call
-// reference bit for bit: Program, Loop, and every Breakdown field of each
-// innermost loop explained within its ancestor chain, at all 35 (VF, IF)
-// pairs, with warm and cold caches.
+// referenceActions is every (VF, IF) action of arch plus off-grid requests
+// that vectorizer.New floors or clamps: VF 0/3/128 and IF 0/3/32.
+func referenceActions(arch *machine.Arch) (vfs, ifs []int) {
+	return append(arch.VFs(), 0, 3, 128), append(arch.IFs(), 0, 3, 32)
+}
+
+// TestMatchesPerCallReference pins the prepared simulator to the per-call
+// reference bit for bit, with warm and cold caches and one Prepared per
+// (program, Config) reused across every plan: Cycles and Program; every
+// Breakdown field of each innermost loop explained within its ancestor
+// chain by Prepared.Explain; and Loop without ancestors; at every action
+// and off-grid request.
 func TestMatchesPerCallReference(t *testing.T) {
 	progs := referencePrograms(t)
 	warm := DefaultConfig()
 	cold := warm
 	cold.WarmCaches = false
 	arch := warm.Arch
+	vfs, ifs := referenceActions(arch)
 	loops := 0
 	for name, p := range progs {
-		var walk func(l *ir.Loop, ancestors []*ir.Loop)
-		walk = func(l *ir.Loop, ancestors []*ir.Loop) {
-			if !l.Innermost() {
-				chain := append(append([]*ir.Loop(nil), ancestors...), l)
-				for _, c := range l.Children {
-					walk(c, chain)
+		for _, cfg := range []Config{warm, cold} {
+			pp := Prepare(p, cfg)
+			var walk func(l *ir.Loop, ancestors []*ir.Loop)
+			walk = func(l *ir.Loop, ancestors []*ir.Loop) {
+				if !l.Innermost() {
+					chain := append(append([]*ir.Loop(nil), ancestors...), l)
+					for _, c := range l.Children {
+						walk(c, chain)
+					}
+					return
 				}
-				return
-			}
-			loops++
-			for _, cfg := range []Config{warm, cold} {
-				for _, vf := range arch.VFs() {
-					for _, ifc := range arch.IFs() {
+				loops++
+				for _, vf := range vfs {
+					for _, ifc := range ifs {
 						plan := vectorizer.New(l, arch, vf, ifc)
-						if got, want := explain(l, ancestors, plan, cfg), refExplain(l, ancestors, plan, cfg); !sameBreakdown(got, want) {
-							t.Fatalf("%s %s (%d,%d) warm=%v: explain\n got %+v\nwant %+v", name, l.Label, vf, ifc, cfg.WarmCaches, got, want)
+						if got, want := pp.Explain(plan), refExplain(l, ancestors, plan, cfg); !sameBreakdown(got, want) {
+							t.Fatalf("%s %s (%d,%d) warm=%v: Prepared.Explain\n got %+v\nwant %+v", name, l.Label, vf, ifc, cfg.WarmCaches, got, want)
 						}
 						if got, want := Loop(l, plan, cfg), refExplain(l, nil, plan, cfg).Total; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s %s (%d,%d) warm=%v: Loop = %v, want %v", name, l.Label, vf, ifc, cfg.WarmCaches, got, want)
@@ -368,29 +378,30 @@ func TestMatchesPerCallReference(t *testing.T) {
 					}
 				}
 			}
-		}
-		for _, f := range p.Funcs {
-			for _, root := range f.Loops {
-				walk(root, nil)
+			for _, f := range p.Funcs {
+				for _, root := range f.Loops {
+					walk(root, nil)
+				}
 			}
-		}
-		for _, cfg := range []Config{warm, cold} {
-			for _, vf := range arch.VFs() {
-				for _, ifc := range arch.IFs() {
+			for _, vf := range vfs {
+				for _, ifc := range ifs {
 					plans := map[string]*vectorizer.Plan{}
 					for _, l := range p.InnermostLoops() {
 						plans[l.Label] = vectorizer.New(l, arch, vf, ifc)
 					}
-					got, want := Program(p, plans, cfg), refProgram(p, plans, cfg)
-					if math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) || math.Float64bits(got.Seconds) != math.Float64bits(want.Seconds) {
+					want := refProgram(p, plans, cfg)
+					if got := pp.Cycles(plans); math.Float64bits(got) != math.Float64bits(want.Cycles) {
+						t.Fatalf("%s (%d,%d) warm=%v: Cycles = %v, want %v", name, vf, ifc, cfg.WarmCaches, got, want.Cycles)
+					}
+					if got := Program(p, plans, cfg); math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) || math.Float64bits(got.Seconds) != math.Float64bits(want.Seconds) {
 						t.Fatalf("%s (%d,%d) warm=%v: Program = %+v, want %+v", name, vf, ifc, cfg.WarmCaches, got, want)
 					}
 				}
 			}
 		}
 	}
-	if loops < 250 {
-		t.Fatalf("reference covered only %d innermost loops", loops)
+	if loops < 2*250 {
+		t.Fatalf("reference covered only %d innermost loops over both configs", loops)
 	}
-	t.Logf("%d programs, %d innermost loops", len(progs), loops)
+	t.Logf("%d programs, %d innermost loops over both configs", len(progs), loops)
 }

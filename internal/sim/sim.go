@@ -56,77 +56,151 @@ type Result struct {
 
 // Program simulates a whole translation unit: straight-line code plus every
 // loop nest, with the given per-loop vectorization plans (keyed by loop
-// label; loops without a plan run scalar).
+// label; loops without a plan run scalar). It is Prepare then Cycles; a
+// caller that simulates one program under many plans prepares it once.
 func Program(p *ir.Program, plans map[string]*vectorizer.Plan, cfg Config) Result {
-	cycles := 0.0
-	for _, f := range p.Funcs {
-		cycles += Function(f, plans, cfg)
-	}
+	cycles := Prepare(p, cfg).Cycles(plans)
 	return Result{Cycles: cycles, Seconds: cycles / (cfg.Arch.FreqGHz * 1e9)}
-}
-
-// Function simulates one function invocation.
-func Function(f *ir.Func, plans map[string]*vectorizer.Plan, cfg Config) float64 {
-	const scalarOpCycles = 0.45 // straight-line IPC ~2.2 on a 4-wide core
-	cycles := 20 + float64(f.ScalarOps)*scalarOpCycles
-	for _, l := range f.Loops {
-		cycles += Nest(l, plans, cfg)
-	}
-	return cycles
-}
-
-// Nest simulates one complete execution of a loop nest.
-func Nest(root *ir.Loop, plans map[string]*vectorizer.Plan, cfg Config) float64 {
-	return nestCycles(root, nil, plans, cfg)
 }
 
 // Loop simulates a single innermost loop under a plan, with no enclosing
 // ancestors. Convenience for tests and microbenchmarks.
 func Loop(l *ir.Loop, plan *vectorizer.Plan, cfg Config) float64 {
-	return innermostCycles(l, nil, plan, cfg)
+	return Explain(l, plan, cfg).Total
 }
 
-func nestCycles(l *ir.Loop, ancestors []*ir.Loop, plans map[string]*vectorizer.Plan, cfg Config) float64 {
-	if l.Innermost() {
-		plan := plans[l.Label]
-		if plan == nil {
-			plan = vectorizer.ScalarPlan(l)
+// Prepared is a program's plan-invariant simulation facts under one Config:
+// every loop's loopFacts within its nest, derived once, so simulating the
+// program under many plans re-derives none of them. It is read-only after
+// Prepare, so any number of goroutines may call its methods.
+type Prepared struct {
+	cfg   Config
+	funcs []preparedFunc
+	// loops holds every loop of the program in nest preorder (outer before
+	// inner, siblings in order), so a loop's subtree is loops[i:loops[i].end]
+	// and its first child, if any, is loops[i+1].
+	loops []preparedLoop
+	// streams backs every loop's facts.streams, one loop after another.
+	streams []stream
+}
+
+// preparedFunc is one function: its straight-line cost and the range of
+// loops that holds its nests.
+type preparedFunc struct {
+	straightLine float64
+	first, end   int
+}
+
+// preparedLoop is one loop, its facts within its enclosing nest, and the end
+// of its subtree in Prepared.loops.
+type preparedLoop struct {
+	loop  *ir.Loop
+	facts loopFacts
+	end   int
+}
+
+// Prepare derives p's plan-invariant facts under cfg.
+func Prepare(p *ir.Program, cfg Config) *Prepared {
+	const scalarOpCycles = 0.45 // straight-line IPC ~2.2 on a 4-wide core
+	// Size every array up front: a loop has at most one stream per access.
+	loops, accesses := 0, 0
+	for _, f := range p.Funcs {
+		for _, root := range f.Loops {
+			root.Walk(func(l *ir.Loop) { loops, accesses = loops+1, accesses+len(l.Accesses) })
 		}
-		return innermostCycles(l, ancestors, plan, cfg)
+	}
+	pp := &Prepared{
+		cfg:     cfg,
+		funcs:   make([]preparedFunc, 0, len(p.Funcs)),
+		loops:   make([]preparedLoop, 0, loops),
+		streams: make([]stream, 0, accesses),
+	}
+	// One ancestor chain serves the whole walk: a loop's children overwrite
+	// only the slots past its own.
+	chain := make([]*ir.Loop, 0, 8)
+	for _, f := range p.Funcs {
+		pf := preparedFunc{straightLine: 20 + float64(f.ScalarOps)*scalarOpCycles, first: len(pp.loops)}
+		for _, root := range f.Loops {
+			pp.add(root, chain)
+		}
+		pf.end = len(pp.loops)
+		pp.funcs = append(pp.funcs, pf)
+	}
+	return pp
+}
+
+// add appends l and its subtree in preorder. ancestors are the loops
+// enclosing l, outermost first.
+func (pp *Prepared) add(l *ir.Loop, ancestors []*ir.Loop) {
+	i := len(pp.loops)
+	first := len(pp.streams)
+	pp.streams = appendStreams(pp.streams, l, ancestors, pp.cfg)
+	lf := loopFacts{streams: pp.streams[first:len(pp.streams):len(pp.streams)]}
+	lf.scalarIter = lf.scalarIterCycles(l, pp.cfg.Arch)
+	pp.loops = append(pp.loops, preparedLoop{loop: l, facts: lf})
+	if !l.Innermost() {
+		chain := append(ancestors, l)
+		for _, c := range l.Children {
+			pp.add(c, chain)
+		}
+	}
+	pp.loops[i].end = len(pp.loops)
+}
+
+// Cycles simulates one run of the whole program under plans (keyed by loop
+// label; loops without a plan run scalar): each function's straight-line
+// code plus one complete execution of each of its loop nests.
+func (pp *Prepared) Cycles(plans map[string]*vectorizer.Plan) float64 {
+	cycles := 0.0
+	for _, f := range pp.funcs {
+		fc := f.straightLine
+		for i := f.first; i < f.end; i = pp.loops[i].end {
+			fc += pp.nestCycles(i, plans)
+		}
+		cycles += fc
+	}
+	return cycles
+}
+
+// Explain breaks plan.Loop's cycles down within its enclosing nest: its
+// Total is exactly what Cycles charges for one execution of the loop under
+// plan. A loop outside the prepared program is explained without
+// ancestors, as Explain does.
+func (pp *Prepared) Explain(plan *vectorizer.Plan) Breakdown {
+	for i := range pp.loops {
+		if pl := &pp.loops[i]; pl.loop == plan.Loop {
+			return explain(pl.loop, &pl.facts, plan.VF, plan.IF, pp.cfg.Arch)
+		}
+	}
+	return Explain(plan.Loop, plan, pp.cfg)
+}
+
+// nestCycles simulates one complete execution of the nest rooted at
+// loops[i].
+func (pp *Prepared) nestCycles(i int, plans map[string]*vectorizer.Plan) float64 {
+	pl := &pp.loops[i]
+	l := pl.loop
+	if l.Innermost() {
+		vf, ifc := 1, 1 // no plan: scalar
+		if plan := plans[l.Label]; plan != nil {
+			vf, ifc = plan.VF, plan.IF
+		}
+		return explain(l, &pl.facts, vf, ifc, pp.cfg.Arch).Total
 	}
 	// Non-innermost loops execute scalar: their own body work per iteration
 	// plus one full execution of each child nest per iteration.
-	chain := append(append([]*ir.Loop(nil), ancestors...), l)
-	perIter := newLoopFacts(l, ancestors, cfg).scalarIter + 1.5 // outer-loop control overhead
+	perIter := pl.facts.scalarIter + 1.5 // outer-loop control overhead
 	inner := 0.0
-	for _, c := range l.Children {
-		inner += nestCycles(c, chain, plans, cfg)
+	for c := i + 1; c < pl.end; c = pp.loops[c].end {
+		inner += pp.nestCycles(c, plans)
 	}
 	trip := float64(max64(l.Trip, 0))
 	return trip*(perIter+inner) + 4 // nest setup
 }
 
-// innermostCycles is the core model. It delegates to the breakdown analysis
-// in explain.go so the Explain diagnostic and the charged cycles can never
-// disagree. The model combines four per-group bounds:
-//
-//   - throughput: legalized uop counts against issue width and load/store
-//     ports, with masking overheads for predicated bodies and gather lane
-//     costs for strided/non-affine accesses;
-//   - latency: the reduction dependence chain (one serial update per group
-//     per accumulator; IF and register splitting multiply the accumulators);
-//   - memory: the reuse/footprint cache model plus a DRAM bandwidth bound;
-//   - spills: register overcommit serialises additional store/reload pairs;
-//
-// plus fixed startup, horizontal reduction tail, the scalar remainder loop,
-// and a runtime-trip-count guard cost.
-func innermostCycles(l *ir.Loop, ancestors []*ir.Loop, plan *vectorizer.Plan, cfg Config) float64 {
-	return explain(l, ancestors, plan, cfg).Total
-}
-
 // loopFacts are the facts about a loop, within its enclosing nest, that no
-// vectorization plan changes. explain derives them once per call and charges
-// the scalar and the vector bounds from them.
+// vectorization plan changes. Prepare derives them once per loop, and
+// explain charges the scalar and the vector bounds from them.
 type loopFacts struct {
 	// streams are the deduplicated accesses that vary in the loop, in
 	// access order.
@@ -145,6 +219,14 @@ type stream struct {
 
 // newLoopFacts derives l's plan-invariant facts. ancestors are the loops
 // enclosing l, outermost first.
+func newLoopFacts(l *ir.Loop, ancestors []*ir.Loop, cfg Config) loopFacts {
+	lf := loopFacts{streams: appendStreams(nil, l, ancestors, cfg)}
+	lf.scalarIter = lf.scalarIterCycles(l, cfg.Arch)
+	return lf
+}
+
+// appendStreams appends l's streams, in access order, to dst. ancestors
+// are the loops enclosing l, outermost first.
 //
 // Each stream's service level comes from an analytic reuse/footprint model:
 //
@@ -157,13 +239,15 @@ type stream struct {
 //
 // Loop tiling (package polly) shrinks the one-iteration footprint in rule 2
 // — that is precisely how tiling shows up as a win in this model.
-func newLoopFacts(l *ir.Loop, ancestors []*ir.Loop, cfg Config) loopFacts {
+func appendStreams(dst []stream, l *ir.Loop, ancestors []*ir.Loop, cfg Config) []stream {
 	arch := cfg.Arch
-	// Nests are shallow: the chain and its footprints fit these stack
-	// buffers, so neither allocates.
+	// Nests are shallow and loops carry a few dozen accesses at most: the
+	// chain, its footprints and the deduplicated accesses fit these stack
+	// buffers, so none allocates.
 	var chainBuf [8]*ir.Loop
 	chain := append(append(chainBuf[:0], ancestors...), l)
-	accesses := dedupAccesses(l.Accesses)
+	var accBuf [32]*ir.Access
+	accesses := dedupAccesses(accBuf[:0], l.Accesses)
 	var fpBuf [9]int64
 	fp := footprints(fpBuf[:0], accesses, chain)
 
@@ -173,7 +257,6 @@ func newLoopFacts(l *ir.Loop, ancestors []*ir.Loop, cfg Config) loopFacts {
 			warm = lv
 		}
 	}
-	lf := loopFacts{streams: make([]stream, 0, len(accesses))}
 	for _, a := range accesses {
 		if a.InvariantIn(l.Label) {
 			continue
@@ -191,10 +274,9 @@ func newLoopFacts(l *ir.Loop, ancestors []*ir.Loop, cfg Config) loopFacts {
 			}
 			break
 		}
-		lf.streams = append(lf.streams, s)
+		dst = append(dst, s)
 	}
-	lf.scalarIter = lf.scalarIterCycles(l, arch)
-	return lf
+	return dst
 }
 
 // scalarIterCycles models one scalar iteration of the loop body.
@@ -373,10 +455,10 @@ func arrayElems(a *ir.Access) int64 {
 // dedupAccesses merges duplicate loads of the same address expression (the
 // common v[i]*v[i] pattern), which a real compiler CSEs away: an affine load
 // is dropped when an earlier affine load of the same array has the same
-// offset and strides. Loops carry a few dozen accesses at most, so the
-// pairwise scan is cheaper than building keys for a set.
-func dedupAccesses(in []*ir.Access) []*ir.Access {
-	out := make([]*ir.Access, 0, len(in))
+// offset and strides. The rest are appended to out, in order. Loops carry a
+// few dozen accesses at most, so the pairwise scan is cheaper than building
+// keys for a set.
+func dedupAccesses(out, in []*ir.Access) []*ir.Access {
 	for _, a := range in {
 		if !isAffineLoad(a) || !slices.ContainsFunc(out, func(b *ir.Access) bool {
 			return isAffineLoad(b) && b.Array == a.Array && b.Offset == a.Offset && maps.Equal(b.Strides, a.Strides)

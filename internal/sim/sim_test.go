@@ -332,11 +332,11 @@ void f(float x) {
     }
 }
 `)
-	nest := p.Funcs[0].Loops[0]
-	scalar := Nest(nest, nil, cfg)
-	inner := nest.InnermostLoops()[0]
+	pp := Prepare(p, cfg)
+	scalar := pp.Cycles(nil)
+	inner := p.InnermostLoops()[0]
 	plans := map[string]*vectorizer.Plan{inner.Label: vectorizer.New(inner, cfg.Arch, 8, 1)}
-	vec := Nest(nest, plans, cfg)
+	vec := pp.Cycles(plans)
 	if vec >= scalar {
 		t.Errorf("vectorized nest (%.0f) not faster than scalar (%.0f)", vec, scalar)
 	}
@@ -436,7 +436,7 @@ func TestDedupAccesses(t *testing.T) {
 		gather, gather, // nor non-affine loads
 		load("v", 0, map[string]int64{"L0": 1}), // dropped again
 	}
-	got := dedupAccesses(in)
+	got := dedupAccesses(nil, in)
 	want := []*ir.Access{in[0], in[2], in[3], in[4], in[5], store, store, gather, gather}
 	if len(got) != len(want) {
 		t.Fatalf("kept %d accesses, want %d", len(got), len(want))

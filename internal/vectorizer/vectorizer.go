@@ -50,12 +50,19 @@ func (p *Plan) String() string {
 	return s
 }
 
-// New builds a legal plan for the loop from a requested factor pair.
+// New builds a legal plan for the loop from a requested factor pair: the
+// dependence analysis bounds VF, then Clamp applies it.
+func New(l *ir.Loop, arch *machine.Arch, vf, ifc int) *Plan {
+	return Clamp(l, arch, deps.MaxLegalVF(l, arch.MaxVF), vf, ifc)
+}
+
+// Clamp builds the legal plan for a requested factor pair given the loop's
+// dependence-limited bound maxLegalVF, which must be deps.MaxLegalVF(l,
+// arch.MaxVF): callers that plan one loop many times analyse it once.
 // Requests that are not powers of two are rounded down; requests below one
 // become one.
-func New(l *ir.Loop, arch *machine.Arch, vf, ifc int) *Plan {
-	p := &Plan{Loop: l, RequestedVF: vf, RequestedIF: ifc}
-	p.MaxLegalVF = deps.MaxLegalVF(l, arch.MaxVF)
+func Clamp(l *ir.Loop, arch *machine.Arch, maxLegalVF, vf, ifc int) *Plan {
+	p := &Plan{Loop: l, RequestedVF: vf, RequestedIF: ifc, MaxLegalVF: maxLegalVF}
 
 	vf = floorPow2(vf)
 	ifc = floorPow2(ifc)
