@@ -47,7 +47,7 @@ func cmdEval(args []string) error {
 	if *format != "json" && *format != "csv" {
 		return fmt.Errorf("eval: unknown format %q (want json or csv)", *format)
 	}
-	logger, err := lopts.logger()
+	logger, err := lopts.logger(os.Stderr)
 	if err != nil {
 		return fmt.Errorf("eval: %w", err)
 	}

@@ -43,7 +43,7 @@ func cmdFleet(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := lopts.logger()
+	logger, err := lopts.logger(os.Stderr)
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}

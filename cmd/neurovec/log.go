@@ -2,13 +2,14 @@ package main
 
 import (
 	"flag"
-	"os"
-
-	obslog "neurovec/internal/obs/log"
+	"fmt"
+	"io"
+	"log/slog"
+	"strings"
 )
 
 // logOpts carries the -log-level / -log-format flags shared by the
-// long-running subcommands (serve, train, eval).
+// long-running subcommands (serve, train, eval, fleet).
 type logOpts struct {
 	level  string
 	format string
@@ -22,16 +23,29 @@ func addLogFlags(fs *flag.FlagSet) *logOpts {
 	return o
 }
 
-// logger builds the structured stderr logger the flags describe. Logs go to
-// stderr so report/artifact output on stdout stays machine-parseable.
-func (o *logOpts) logger() (*obslog.Logger, error) {
-	lv, err := obslog.ParseLevel(o.level)
-	if err != nil {
-		return nil, err
+// logger builds the log/slog logger the flags describe, writing to w. The
+// subcommands pass stderr, so report/artifact output on stdout stays
+// machine-parseable.
+func (o *logOpts) logger(w io.Writer) (*slog.Logger, error) {
+	var lv slog.Level
+	switch strings.ToLower(o.level) {
+	case "debug":
+		lv = slog.LevelDebug
+	case "info", "":
+		lv = slog.LevelInfo
+	case "warn", "warning":
+		lv = slog.LevelWarn
+	case "error":
+		lv = slog.LevelError
+	default:
+		return nil, fmt.Errorf("log: unknown level %q (want debug, info, warn, or error)", o.level)
 	}
-	f, err := obslog.ParseFormat(o.format)
-	if err != nil {
-		return nil, err
+	opts := &slog.HandlerOptions{Level: lv}
+	switch strings.ToLower(o.format) {
+	case "text", "":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return obslog.New(os.Stderr, lv, f), nil
+	return nil, fmt.Errorf("log: unknown format %q (want text or json)", o.format)
 }

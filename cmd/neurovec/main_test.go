@@ -1,7 +1,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"flag"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -245,6 +249,71 @@ func TestCmdErrorsOnMissingFile(t *testing.T) {
 		}
 		if err := fn([]string{"-file", "/nonexistent/x.c"}); err == nil {
 			t.Error("expected error for missing file")
+		}
+	}
+}
+
+// TestLogFlags checks that every value -log-level and -log-format accept,
+// in any case, builds a logger that drops lines below its level and
+// writes the rest in its format, and that other values fail naming the
+// valid ones.
+func TestLogFlags(t *testing.T) {
+	levels := []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError}
+	for _, tc := range []struct {
+		args []string
+		min  slog.Level
+		json bool
+	}{
+		{nil, slog.LevelInfo, false},
+		{[]string{"-log-level", "debug", "-log-format", "text"}, slog.LevelDebug, false},
+		{[]string{"-log-level", "INFO", "-log-format", "json"}, slog.LevelInfo, true},
+		{[]string{"-log-level", "", "-log-format", ""}, slog.LevelInfo, false},
+		{[]string{"-log-level", "warn", "-log-format", "JSON"}, slog.LevelWarn, true},
+		{[]string{"-log-level", "Warning", "-log-format", "Text"}, slog.LevelWarn, false},
+		{[]string{"-log-level", "error", "-log-format", "json"}, slog.LevelError, true},
+	} {
+		fs := flag.NewFlagSet("log", flag.ContinueOnError)
+		o := addLogFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		l, err := o.logger(&buf)
+		if err != nil {
+			t.Errorf("%q: %v", tc.args, err)
+			continue
+		}
+		for _, lv := range levels {
+			buf.Reset()
+			l.Log(context.Background(), lv, "probe", "k", "v")
+			line := buf.String()
+			if (line != "") != (lv >= tc.min) {
+				t.Errorf("%q: a %v line wrote %q", tc.args, lv, line)
+				continue
+			}
+			if line == "" {
+				continue
+			}
+			var m map[string]any
+			isJSON := json.Unmarshal([]byte(line), &m) == nil
+			if isJSON != tc.json || isJSON && (m["level"] != lv.String() || m["k"] != "v") ||
+				!isJSON && !strings.Contains(line, "level="+lv.String()+" msg=probe k=v") {
+				t.Errorf("%q: a %v line reads %q", tc.args, lv, line)
+			}
+		}
+	}
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-log-level", "loud", "debug, info, warn, or error"},
+		{"-log-format", "xml", "text or json"},
+	} {
+		fs := flag.NewFlagSet("log", flag.ContinueOnError)
+		o := addLogFlags(fs)
+		if err := fs.Parse([]string{tc.flag, tc.value}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := o.logger(io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.value) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: error %v, want one naming %q and %s", tc.flag, tc.value, err, tc.value, tc.want)
 		}
 	}
 }

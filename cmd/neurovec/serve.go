@@ -47,7 +47,7 @@ func cmdServe(args []string) error {
 	if *maxBody <= 0 {
 		return fmt.Errorf("serve: -max-body must be positive (got %d)", *maxBody)
 	}
-	logger, err := lopts.logger()
+	logger, err := lopts.logger(os.Stderr)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}

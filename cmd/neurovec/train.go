@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"os"
 	"os/signal"
 	"syscall"
 
@@ -79,7 +80,7 @@ func cmdTrain(args []string) error {
 	if o.checkpointEvery > 0 && o.out == "" && o.resume == "" {
 		return fmt.Errorf("train: -checkpoint-every needs -out")
 	}
-	logger, err := o.log.logger()
+	logger, err := o.log.logger(os.Stderr)
 	if err != nil {
 		return fmt.Errorf("train: %w", err)
 	}

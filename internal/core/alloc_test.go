@@ -60,7 +60,7 @@ func TestPredictLoopsAllocCeiling(t *testing.T) {
 	}
 	fw, srcs := productionFramework(t)
 	ctx := context.Background()
-	for pol, ceiling := range map[string]int{"costmodel": 229, "rl": 240, "brute": 280} {
+	for pol, ceiling := range map[string]int{"costmodel": 229, "rl": 240, "brute": 269} {
 		opts := []InferOption{WithPolicyName(pol)}
 		got := allocsPerCall(len(srcs), func(i int) {
 			if _, err := fw.PredictLoops(ctx, srcs[i], nil, opts...); err != nil {

@@ -540,10 +540,9 @@ func TestEvaluatorPlanMatchesVectorizerNew(t *testing.T) {
 	fw, vfs, ifs := shippedFramework(t)
 	for _, u := range fw.Units() {
 		e := fw.evaluator(u.Prog, u.Loop, u.prep, u.baselinePlans)
-		plans := clonePlans(u.baselinePlans)
 		for _, vf := range vfs {
 			for _, ifc := range ifs {
-				got, _ := e.at(plans, vf, ifc)
+				got := e.plan(vf, ifc)
 				if want := vectorizer.New(u.Loop, fw.Cfg.Arch, vf, ifc); *got != *want {
 					t.Fatalf("%s (VF=%d, IF=%d): evaluator plan %+v, vectorizer.New %+v", u.Name, vf, ifc, *got, *want)
 				}

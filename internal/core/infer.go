@@ -453,7 +453,8 @@ func (f *Framework) decide(ctx context.Context, c *Compiled, pol policy.Policy, 
 		}
 		_, ssp := obs.StartSpan(ctx, "sim")
 		ssp.Annotate(info.Label)
-		plan, got := r.at(plans, vf, ifc)
+		plan := r.plan(vf, ifc)
+		got := r.at(plans, plan)
 		ssp.End()
 		resp.Loops = append(resp.Loops, api.Decision{
 			Loop:             id,
@@ -614,16 +615,20 @@ func (f *Framework) evaluator(prog *ir.Program, loop *ir.Loop, prep *sim.Prepare
 	}
 }
 
-// at returns the loop's plan for (vf, ifc) — the plan vectorizer.New
-// builds — and the program's cell under it, memoized (once the memo is
-// made) by the effective pair the plan clamps to. The plan is swapped into
+// plan returns the loop's plan for (vf, ifc), the plan vectorizer.New
+// builds.
+func (r *evalRequest) plan(vf, ifc int) *vectorizer.Plan {
+	return vectorizer.Clamp(r.Loop, r.f.Cfg.Arch, r.maxLegalVF, vf, ifc)
+}
+
+// at returns the program's cell with the loop at plan, memoized (once the
+// memo is made) by the plan's effective pair. The plan is swapped into
 // plans, a copy of base, and back out, so one program's evaluators may
 // share plans in turn.
-func (r *evalRequest) at(plans map[string]*vectorizer.Plan, vf, ifc int) (*vectorizer.Plan, cell) {
-	plan := vectorizer.Clamp(r.Loop, r.f.Cfg.Arch, r.maxLegalVF, vf, ifc)
+func (r *evalRequest) at(plans map[string]*vectorizer.Plan, plan *vectorizer.Plan) cell {
 	key := [2]int{plan.VF, plan.IF}
 	if c, ok := r.memo[key]; ok {
-		return plan, c
+		return c
 	}
 	plans[r.Loop.Label] = plan
 	c := cell{cycles: r.prep.Cycles(plans)}
@@ -634,16 +639,20 @@ func (r *evalRequest) at(plans map[string]*vectorizer.Plan, vf, ifc int) (*vecto
 	if r.memo != nil {
 		r.memo[key] = c
 	}
-	return plan, c
+	return c
 }
 
-// eval is at over the request's own plans, memoized.
+// eval is at over the request's own plans, memoized; it builds the plan
+// only when the memo misses.
 func (r *evalRequest) eval(vf, ifc int) cell {
 	if r.memo == nil {
 		r.plans, r.memo = clonePlans(r.base), make(map[[2]int]cell)
 	}
-	_, c := r.at(r.plans, vf, ifc)
-	return c
+	eVF, eIF := vectorizer.Effective(r.Loop, r.f.Cfg.Arch, r.maxLegalVF, vf, ifc)
+	if c, ok := r.memo[[2]int{eVF, eIF}]; ok {
+		return c
+	}
+	return r.at(r.plans, r.plan(vf, ifc))
 }
 
 // Sweep is the VF x IF performance grid for one loop of a program.

@@ -186,7 +186,7 @@ void kernel() {
 					continue // clamped: the measurement would be for a different config
 				}
 				preds = append(preds, costmodel.Estimate(loop, vf, arch))
-				meas = append(meas, sim.Loop(loop, plan, simCfg))
+				meas = append(meas, sim.Explain(loop, plan, simCfg).Total)
 				vfs = append(vfs, vf)
 			}
 			if len(preds) < 4 {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -19,7 +20,6 @@ import (
 	"neurovec/internal/core"
 	"neurovec/internal/diag"
 	"neurovec/internal/lang"
-	obslog "neurovec/internal/obs/log"
 	"neurovec/internal/service"
 )
 
@@ -61,13 +61,16 @@ type Config struct {
 	DrainTimeout time.Duration
 	ReadyTimeout time.Duration
 	// Logger receives router events; nil discards them.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 	// Transport overrides the forwarding transport (tests).
 	Transport http.RoundTripper
 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
+	if out.Logger == nil {
+		out.Logger = slog.New(slog.DiscardHandler)
+	}
 	if out.VNodes <= 0 {
 		out.VNodes = DefaultVNodes
 	}
@@ -117,7 +120,7 @@ type Router struct {
 	cache    *core.Cache[[]byte]
 	metrics  *Metrics
 	client   *http.Client
-	log      *obslog.Logger
+	log      *slog.Logger
 	mux      *http.ServeMux
 
 	mu       sync.Mutex // replica state transitions + ring rebuilds

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -12,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	obslog "neurovec/internal/obs/log"
 )
 
 // SpawnConfig configures a locally spawned replica set (`neurovec fleet
@@ -32,7 +31,7 @@ type SpawnConfig struct {
 	Stdout io.Writer
 	Stderr io.Writer
 	// Logger receives supervision events; nil discards them.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // Spawned is a supervised set of local replica processes. A replica that
@@ -47,7 +46,7 @@ type Spawned struct {
 
 	cfg      SpawnConfig
 	procs    []*proc
-	log      *obslog.Logger
+	log      *slog.Logger
 	stopping atomic.Bool
 	wg       sync.WaitGroup
 }
@@ -73,6 +72,9 @@ func Spawn(cfg SpawnConfig) (*Spawned, error) {
 	}
 	if cfg.Stdout == nil {
 		cfg.Stdout = io.Discard
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Spawned{cfg: cfg, log: cfg.Logger}
 	for i := 0; i < cfg.N; i++ {

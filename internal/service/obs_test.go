@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +11,6 @@ import (
 
 	"neurovec/internal/api"
 	"neurovec/internal/obs"
-	obslog "neurovec/internal/obs/log"
 )
 
 // These tests cover the observability layer at the service boundary: request
@@ -191,7 +191,7 @@ func TestPprofMountIsOptIn(t *testing.T) {
 func TestServerLogsRequests(t *testing.T) {
 	testFixture(t)
 	var buf strings.Builder
-	logger := obslog.New(&buf, obslog.LevelDebug, obslog.FormatJSON)
+	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	s := newTestServer(t, Config{ModelPath: fixture.model1, Logger: logger})
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	req.Header.Set("X-Request-ID", "log-probe")

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
 
 	"neurovec/internal/api"
-	obslog "neurovec/internal/obs/log"
 	"neurovec/internal/policy"
 )
 
@@ -151,7 +151,7 @@ func TestPanicLoggedOnEveryForm(t *testing.T) {
 			var logs strings.Builder
 			s := newTestServer(t, Config{
 				ModelPath: fixture.model1,
-				Logger:    obslog.New(&logs, obslog.LevelError, obslog.FormatJSON),
+				Logger:    slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelError})),
 			})
 			rec := postCompile(t, s, tc.body, tc.contentType)
 			if rec.Code != tc.status {

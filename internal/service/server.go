@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -21,7 +22,6 @@ import (
 	"neurovec/internal/lang"
 	"neurovec/internal/lower"
 	"neurovec/internal/obs"
-	obslog "neurovec/internal/obs/log"
 	"neurovec/internal/policy"
 )
 
@@ -76,7 +76,7 @@ type Config struct {
 	Pprof bool
 	// Logger receives the server's structured log lines (request accounting,
 	// reloads, training-job lifecycle). Nil disables logging.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // model is one immutable serving snapshot; hot-reload swaps the whole
@@ -97,7 +97,7 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	start   time.Time
-	log     *obslog.Logger
+	log     *slog.Logger
 
 	// loops memoizes per-loop state (code vectors, loop-pure decisions)
 	// across requests, files and /v1/eval runs; nil when disabled. Keys
@@ -147,6 +147,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = DefaultMaxRequestBytes
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
 		cfg:       cfg,

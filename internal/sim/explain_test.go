@@ -12,44 +12,6 @@ import (
 	"neurovec/internal/vectorizer"
 )
 
-func TestExplainMatchesLoopExactly(t *testing.T) {
-	cfg := DefaultConfig()
-	srcs := []string{
-		dotSrc,
-		`
-double a[8192];
-double b[8192];
-void f() {
-    for (int i = 0; i < 8192; i++) {
-        a[i] = b[i] * 2.0;
-    }
-}
-`,
-		`
-int a[100];
-int b[100];
-void f() {
-    for (int i = 0; i < 100; i++) {
-        a[i] = b[i] + 1;
-    }
-}
-`,
-	}
-	for _, src := range srcs {
-		l := lower.MustProgram(lang.MustParse(src)).InnermostLoops()[0]
-		for _, vf := range cfg.Arch.VFs() {
-			for _, ifc := range cfg.Arch.IFs() {
-				plan := vectorizer.New(l, cfg.Arch, vf, ifc)
-				want := Loop(l, plan, cfg)
-				got := Explain(l, plan, cfg).Total
-				if math.Abs(want-got) > 1e-9 {
-					t.Fatalf("(%d,%d): Explain.Total=%v, Loop=%v", vf, ifc, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestExplainBoundNames(t *testing.T) {
 	cfg := DefaultConfig()
 

@@ -372,7 +372,7 @@ func TestMatchesPerCallReference(t *testing.T) {
 						if got, want := pp.Explain(plan), refExplain(l, ancestors, plan, cfg); !sameBreakdown(got, want) {
 							t.Fatalf("%s %s (%d,%d) warm=%v: Prepared.Explain\n got %+v\nwant %+v", name, l.Label, vf, ifc, cfg.WarmCaches, got, want)
 						}
-						if got, want := Loop(l, plan, cfg), refExplain(l, nil, plan, cfg).Total; math.Float64bits(got) != math.Float64bits(want) {
+						if got, want := Explain(l, plan, cfg).Total, refExplain(l, nil, plan, cfg).Total; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s %s (%d,%d) warm=%v: Loop = %v, want %v", name, l.Label, vf, ifc, cfg.WarmCaches, got, want)
 						}
 					}

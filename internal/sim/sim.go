@@ -63,12 +63,6 @@ func Program(p *ir.Program, plans map[string]*vectorizer.Plan, cfg Config) Resul
 	return Result{Cycles: cycles, Seconds: cycles / (cfg.Arch.FreqGHz * 1e9)}
 }
 
-// Loop simulates a single innermost loop under a plan, with no enclosing
-// ancestors. Convenience for tests and microbenchmarks.
-func Loop(l *ir.Loop, plan *vectorizer.Plan, cfg Config) float64 {
-	return Explain(l, plan, cfg).Total
-}
-
 // Prepared is a program's plan-invariant simulation facts under one Config:
 // every loop's loopFacts within its nest, derived once, so simulating the
 // program under many plans re-derives none of them. It is read-only after

@@ -32,7 +32,7 @@ func loopCycles(t *testing.T, src string, vf, ifc int) float64 {
 	p := irFor(t, src)
 	l := p.InnermostLoops()[0]
 	plan := vectorizer.New(l, cfg.Arch, vf, ifc)
-	return Loop(l, plan, cfg)
+	return Explain(l, plan, cfg).Total
 }
 
 // TestDotProductGridShape is the calibration test for the paper's Figure 1:
@@ -49,8 +49,8 @@ func TestDotProductGridShape(t *testing.T) {
 	if choice.VF != 4 || choice.IF != 2 {
 		t.Fatalf("baseline choice = (%d,%d), want (4,2) like LLVM on int dot product", choice.VF, choice.IF)
 	}
-	baseline := Loop(l, vectorizer.New(l, cfg.Arch, choice.VF, choice.IF), cfg)
-	scalar := Loop(l, vectorizer.ScalarPlan(l), cfg)
+	baseline := Explain(l, vectorizer.New(l, cfg.Arch, choice.VF, choice.IF), cfg).Total
+	scalar := Explain(l, vectorizer.ScalarPlan(l), cfg).Total
 
 	if ratio := scalar / baseline; ratio < 1.5 || ratio > 6 {
 		t.Errorf("baseline speedup over scalar = %.2fx, want within [1.5, 6] (paper: 2.6x)", ratio)
@@ -62,7 +62,7 @@ func TestDotProductGridShape(t *testing.T) {
 	for _, vf := range cfg.Arch.VFs() {
 		for _, ifc := range cfg.Arch.IFs() {
 			total++
-			c := Loop(l, vectorizer.New(l, cfg.Arch, vf, ifc), cfg)
+			c := Explain(l, vectorizer.New(l, cfg.Arch, vf, ifc), cfg).Total
 			sp := baseline / c
 			if sp > 1.0 {
 				better++
@@ -188,8 +188,8 @@ void f() {
 	cfg := DefaultConfig()
 	p := irFor(t, src)
 	l := p.InnermostLoops()[0]
-	extreme := Loop(l, vectorizer.New(l, cfg.Arch, 64, 16), cfg)
-	moderate := Loop(l, vectorizer.New(l, cfg.Arch, 8, 2), cfg)
+	extreme := Explain(l, vectorizer.New(l, cfg.Arch, 64, 16), cfg).Total
+	moderate := Explain(l, vectorizer.New(l, cfg.Arch, 8, 2), cfg).Total
 	if extreme <= moderate {
 		t.Errorf("extreme factors (%.0f) beat moderate (%.0f); spill model missing", extreme, moderate)
 	}
@@ -381,8 +381,8 @@ void f() {
 	cold := DefaultConfig()
 	cold.WarmCaches = false
 	plan := vectorizer.New(l, warm.Arch, 8, 2)
-	cw := Loop(l, plan, warm)
-	cc := Loop(l, plan, cold)
+	cw := Explain(l, plan, warm).Total
+	cc := Explain(l, plan, cold).Total
 	if cc <= cw {
 		t.Errorf("cold run (%.0f) not more expensive than warm run (%.0f)", cc, cw)
 	}
@@ -399,7 +399,7 @@ void f() {
 `
 	cfg := DefaultConfig()
 	l := irFor(t, src).InnermostLoops()[0]
-	c := Loop(l, vectorizer.New(l, cfg.Arch, 8, 2), cfg)
+	c := Explain(l, vectorizer.New(l, cfg.Arch, 8, 2), cfg).Total
 	if c <= 0 || c > 10 {
 		t.Errorf("zero-trip loop cycles = %.1f, want small positive constant", c)
 	}

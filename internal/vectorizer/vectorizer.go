@@ -59,47 +59,29 @@ func New(l *ir.Loop, arch *machine.Arch, vf, ifc int) *Plan {
 // Clamp builds the legal plan for a requested factor pair given the loop's
 // dependence-limited bound maxLegalVF, which must be deps.MaxLegalVF(l,
 // arch.MaxVF): callers that plan one loop many times analyse it once.
-// Requests that are not powers of two are rounded down; requests below one
-// become one.
 func Clamp(l *ir.Loop, arch *machine.Arch, maxLegalVF, vf, ifc int) *Plan {
-	p := &Plan{Loop: l, RequestedVF: vf, RequestedIF: ifc, MaxLegalVF: maxLegalVF}
+	eVF, eIF := Effective(l, arch, maxLegalVF, vf, ifc)
+	// Rounding, legality and trip bounds are all the ways a request can
+	// change, so it was honoured exactly when it equals its effective pair.
+	return &Plan{Loop: l, RequestedVF: vf, RequestedIF: ifc, VF: eVF, IF: eIF,
+		MaxLegalVF: maxLegalVF, Clamped: eVF != vf || eIF != ifc}
+}
 
-	vf = floorPow2(vf)
-	ifc = floorPow2(ifc)
-
-	eVF := vf
-	if eVF > p.MaxLegalVF {
-		eVF = p.MaxLegalVF
-	}
-	eIF := ifc
-	if eIF > arch.MaxIF {
-		eIF = arch.MaxIF
-	}
+// Effective is the clamp rule: the legal (VF, IF) that Clamp's plan
+// carries for a requested pair, without building the plan. Requests that
+// are not powers of two are rounded down; requests below one become one.
+func Effective(l *ir.Loop, arch *machine.Arch, maxLegalVF, vf, ifc int) (int, int) {
+	eVF := min(floorPow2(vf), maxLegalVF)
+	eIF := min(floorPow2(ifc), arch.MaxIF)
 
 	// Trip-count clamping: a vector body wider than the whole loop would
 	// execute zero vector iterations; the compiler would refuse such a
 	// width. Only applies when the trip count is a compile-time constant.
 	if l.TripKnown && l.Trip > 0 {
-		maxW := floorPow2(int(min64(l.Trip, int64(arch.MaxVF))))
-		if eVF > maxW {
-			eVF = maxW
-		}
-		maxGroups := int(l.Trip) / eVF
-		if maxGroups < 1 {
-			maxGroups = 1
-		}
-		maxIF := floorPow2(maxGroups)
-		if maxIF > arch.MaxIF {
-			maxIF = arch.MaxIF
-		}
-		if eIF > maxIF {
-			eIF = maxIF
-		}
+		eVF = min(eVF, floorPow2(int(min(l.Trip, int64(arch.MaxVF)))))
+		eIF = min(eIF, floorPow2(int(l.Trip)/eVF))
 	}
-
-	p.VF, p.IF = eVF, eIF
-	p.Clamped = eVF != vf || eIF != ifc || vf != p.RequestedVF || ifc != p.RequestedIF
-	return p
+	return eVF, eIF
 }
 
 // ScalarPlan returns the do-nothing plan (VF=1, IF=1).
@@ -116,11 +98,4 @@ func floorPow2(v int) int {
 		p *= 2
 	}
 	return p
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

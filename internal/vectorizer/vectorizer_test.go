@@ -78,8 +78,11 @@ func TestPlanRoundsToPowerOfTwo(t *testing.T) {
 	l := loopFor(t, freeSrc)
 	arch := machine.IntelAVX2()
 	p := New(l, arch, 13, 5)
-	if p.VF != 8 || p.IF != 4 {
-		t.Fatalf("plan = (%d,%d), want (8,4)", p.VF, p.IF)
+	if p.VF != 8 || p.IF != 4 || !p.Clamped {
+		t.Fatalf("plan = %+v, want clamped (8,4)", p)
+	}
+	if p := New(l, arch, 0, -1); p.VF != 1 || p.IF != 1 || !p.Clamped {
+		t.Fatalf("plan = %+v, want clamped (1,1)", p)
 	}
 }
 
