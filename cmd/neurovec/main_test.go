@@ -253,32 +253,60 @@ func TestCmdErrorsOnMissingFile(t *testing.T) {
 	}
 }
 
-// TestLogFlags checks that every value -log-level and -log-format accept,
-// in any case, builds a logger that drops lines below its level and
-// writes the rest in its format, and that other values fail naming the
-// valid ones.
-func TestLogFlags(t *testing.T) {
-	levels := []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError}
-	for _, tc := range []struct {
-		args []string
-		min  slog.Level
-		json bool
-	}{
-		{nil, slog.LevelInfo, false},
-		{[]string{"-log-level", "debug", "-log-format", "text"}, slog.LevelDebug, false},
-		{[]string{"-log-level", "INFO", "-log-format", "json"}, slog.LevelInfo, true},
-		{[]string{"-log-level", "", "-log-format", ""}, slog.LevelInfo, false},
-		{[]string{"-log-level", "warn", "-log-format", "JSON"}, slog.LevelWarn, true},
-		{[]string{"-log-level", "Warning", "-log-format", "Text"}, slog.LevelWarn, false},
-		{[]string{"-log-level", "error", "-log-format", "json"}, slog.LevelError, true},
-	} {
-		fs := flag.NewFlagSet("log", flag.ContinueOnError)
-		o := addLogFlags(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
+// logFlagCases lists flag values -log-level and -log-format accept, in
+// any case, with the lowest level and the format of the logger each builds.
+var logFlagCases = []struct {
+	args []string
+	min  slog.Level
+	json bool
+}{
+	{nil, slog.LevelInfo, false},
+	{[]string{"-log-level", "debug", "-log-format", "text"}, slog.LevelDebug, false},
+	{[]string{"-log-level", "INFO", "-log-format", "json"}, slog.LevelInfo, true},
+	{[]string{"-log-level", "", "-log-format", ""}, slog.LevelInfo, false},
+	{[]string{"-log-level", "warn", "-log-format", "JSON"}, slog.LevelWarn, true},
+	{[]string{"-log-level", "Warning", "-log-format", "Text"}, slog.LevelWarn, false},
+	{[]string{"-log-level", "error", "-log-format", "json"}, slog.LevelError, true},
+}
+
+// parseLogFlags parses args into a fresh log flag set.
+func parseLogFlags(t *testing.T, args []string) *logOpts {
+	t.Helper()
+	fs := flag.NewFlagSet("log", flag.ContinueOnError)
+	o := addLogFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestParseLevelAndFormat checks that every value -log-level and
+// -log-format accept builds a logger, and that other values fail naming
+// the valid ones.
+func TestParseLevelAndFormat(t *testing.T) {
+	for _, tc := range logFlagCases {
+		if _, err := parseLogFlags(t, tc.args).logger(io.Discard); err != nil {
+			t.Errorf("%q: %v", tc.args, err)
 		}
+	}
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-log-level", "loud", "debug, info, warn, or error"},
+		{"-log-format", "xml", "text or json"},
+	} {
+		_, err := parseLogFlags(t, []string{tc.flag, tc.value}).logger(io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.value) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: error %v, want one naming %q and %s", tc.flag, tc.value, err, tc.value, tc.want)
+		}
+	}
+}
+
+// TestLevelFiltering checks that the logger each accepted flag value
+// builds drops lines below its level and writes the rest in its format.
+func TestLevelFiltering(t *testing.T) {
+	levels := []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError}
+	for _, tc := range logFlagCases {
 		var buf strings.Builder
-		l, err := o.logger(&buf)
+		l, err := parseLogFlags(t, tc.args).logger(&buf)
 		if err != nil {
 			t.Errorf("%q: %v", tc.args, err)
 			continue
@@ -300,20 +328,6 @@ func TestLogFlags(t *testing.T) {
 				!isJSON && !strings.Contains(line, "level="+lv.String()+" msg=probe k=v") {
 				t.Errorf("%q: a %v line reads %q", tc.args, lv, line)
 			}
-		}
-	}
-	for _, tc := range []struct{ flag, value, want string }{
-		{"-log-level", "loud", "debug, info, warn, or error"},
-		{"-log-format", "xml", "text or json"},
-	} {
-		fs := flag.NewFlagSet("log", flag.ContinueOnError)
-		o := addLogFlags(fs)
-		if err := fs.Parse([]string{tc.flag, tc.value}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := o.logger(io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.value) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s %s: error %v, want one naming %q and %s", tc.flag, tc.value, err, tc.value, tc.want)
 		}
 	}
 }
