@@ -71,7 +71,6 @@ var deterministicDirs = []string{
 var metricMethods = map[string]string{
 	"Counter":      "counter",
 	"CounterVec":   "counter",
-	"Gauge":        "gauge",
 	"GaugeFunc":    "gauge",
 	"GaugeVec":     "gauge",
 	"Histogram":    "histogram",

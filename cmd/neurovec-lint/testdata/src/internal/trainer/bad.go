@@ -12,7 +12,7 @@ import (
 type registry struct{}
 
 func (registry) Counter(name, help string) int              { return 0 }
-func (registry) Gauge(name, help string) int                { return 0 }
+func (registry) GaugeVec(name, help string, l ...any) int   { return 0 }
 func (registry) Histogram(name string, b []float64) int     { return 0 }
 func (registry) CounterVec(name, help string, l ...any) int { return 0 }
 
@@ -47,14 +47,14 @@ func ctxFirst(ctx context.Context, name string) error { // ok
 }
 
 func badMetrics(r registry) {
-	r.Counter("neurovec_jobs", "missing _total")          // metricnames
-	r.Counter("neurovecJobsTotal", "not snake_case")      // metricnames
-	r.Counter("jobs_total", "missing prefix")             // metricnames
-	r.Gauge("neurovec_depth_total", "gauge with _total")  // metricnames
-	r.Histogram("neurovec_latency", []float64{1})         // metricnames: no unit
-	r.CounterVec("neurovec_requests_total", "ok", "code") // ok
-	r.Histogram("neurovec_wait_seconds", []float64{1})    // ok
-	r.Gauge("neurovec_queue_depth", "ok")                 // ok
+	r.Counter("neurovec_jobs", "missing _total")            // metricnames
+	r.Counter("neurovecJobsTotal", "not snake_case")        // metricnames
+	r.Counter("jobs_total", "missing prefix")               // metricnames
+	r.GaugeVec("neurovec_depth_total", "gauge with _total") // metricnames
+	r.Histogram("neurovec_latency", []float64{1})           // metricnames: no unit
+	r.CounterVec("neurovec_requests_total", "ok", "code")   // ok
+	r.Histogram("neurovec_wait_seconds", []float64{1})      // ok
+	r.GaugeVec("neurovec_queue_depth", "ok")                // ok
 }
 
 func mustParseEscape() any {

@@ -17,13 +17,13 @@ import (
 
 // cmdFleet runs the multi-replica serving tier: a consistent-hash router in
 // front of N `neurovec serve` replicas, either spawned as local child
-// processes (-spawn, the default) or joined by address (-join). POST
+// processes (the default) or joined by address (-join). POST
 // /fleet/reload rolls a new checkpoint across the replicas with zero dropped
 // requests; SIGHUP triggers the same roll.
 func cmdFleet(args []string) error {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "router listen address")
-	model := fs.String("model", "", "trained model snapshot the spawned replicas serve (required with -spawn)")
+	model := fs.String("model", "", "trained model snapshot the spawned replicas serve (required unless -join is given)")
 	replicas := fs.Int("replicas", 3, "number of replicas to spawn")
 	join := fs.String("join", "", "comma-separated replica base URLs to join instead of spawning (e.g. http://10.0.0.1:8080,http://10.0.0.2:8080)")
 	probeInterval := fs.Duration("probe-interval", time.Second, "readiness-probe cadence")
@@ -72,7 +72,7 @@ func cmdFleet(args []string) error {
 		}
 	} else {
 		if *model == "" {
-			return fmt.Errorf("fleet: -model is required with -spawn (or use -join)")
+			return fmt.Errorf("fleet: -model is required to spawn replicas (or use -join)")
 		}
 		childArgs := []string{"-model", *model}
 		if lopts.level != "" {

@@ -66,10 +66,10 @@ type Config struct {
 // DefaultConfig returns the paper's settings: AVX-class machine, 340-wide
 // code vectors, 10x compile budget with a -9 penalty.
 func DefaultConfig() Config {
-	arch := machine.IntelAVX2()
+	sc := sim.DefaultConfig()
 	return Config{
-		Arch:                 arch,
-		Sim:                  sim.Config{Arch: arch, WarmCaches: true},
+		Arch:                 sc.Arch,
+		Sim:                  sc,
 		Embed:                code2vec.DefaultConfig(),
 		Lower:                lower.DefaultOptions(),
 		CompileTimeoutFactor: 10,
@@ -177,7 +177,7 @@ func (f *Framework) Seed() int64 { return f.Cfg.Seed }
 // Decider returns the trained agent's greedy decision function over
 // embedding vectors, or ErrNoAgent when no agent is trained/loaded (part of
 // the policy.Host contract). The returned closure reads f.agent per call so
-// it stays current across ContinueTraining and LoadModel.
+// it stays current across retraining and LoadModel.
 func (f *Framework) Decider() (func(vec []float64) (vf, ifc int), error) {
 	if f.agent == nil {
 		return nil, ErrNoAgent
@@ -483,25 +483,6 @@ func (f *Framework) TrainWithEmbedder(emb rl.Embedder, cfg *rl.Config) *rl.Stats
 	f.agent = rl.NewAgent(emb, f.normalizeRL(cfg))
 	f.Retrained()
 	return f.agent.Train(f)
-}
-
-// ContinueTraining runs additional PPO iterations on the current agent over
-// the currently loaded units — the paper's footnote 2: "it might still be
-// beneficial to keep online training activated so that when completely new
-// loops are observed, the agent learns how to optimize them too". Load the
-// new programs first (LoadSource), then call this. The agent
-// continues from the iterations it has completed, drawing that iteration's
-// (seed, iteration) streams, under a fresh Adam optimizer.
-func (f *Framework) ContinueTraining(iterations int) (*rl.Stats, error) {
-	if f.agent == nil {
-		return nil, fmt.Errorf("core: no agent; call Train first: %w", ErrNoAgent)
-	}
-	// The iteration count is passed explicitly rather than written into the
-	// shared Cfg: a save/restore of Cfg.Iterations would expose a transient
-	// value to anything concurrently reading the agent's config.
-	f.Retrained()
-	stats := f.agent.TrainIterations(f, iterations)
-	return stats, nil
 }
 
 // CodeEmbedder exposes the framework's code2vec model as an rl.Embedder,

@@ -220,32 +220,6 @@ func TestLoadRejectsLooplessPrograms(t *testing.T) {
 	}
 }
 
-func TestContinueTrainingRequiresAgent(t *testing.T) {
-	fw := smallFramework(t, 5)
-	if _, err := fw.ContinueTraining(2); err == nil {
-		t.Fatal("expected error before initial training")
-	}
-}
-
-// TestContinueTrainingDrawsFreshStreams: a continuation after Train(m) runs
-// iteration m's (seed, iteration) streams, not iteration 0's again, so its
-// first reward mean is the one CollectBatch draws at iteration m from the
-// same weights.
-func TestContinueTrainingDrawsFreshStreams(t *testing.T) {
-	const m = 3
-	fw := smallFramework(t, 20)
-	fw.Train(fastRL(m))
-	agent := fw.Agent()
-	want := agent.CollectBatch(fw, agent.Cfg.Seed, m, 1).RewardMean()
-	stats, err := fw.ContinueTraining(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.RewardMean[0]; math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("ContinueTraining(1) reward mean = %v, want iteration %d's %v", got, m, want)
-	}
-}
-
 // TestPredictIsServedRule: the in-process greedy decision for a unit is the
 // served one, PredictObs over the unit's embedding.
 func TestPredictIsServedRule(t *testing.T) {
@@ -289,26 +263,13 @@ func TestOnlineTrainingAdaptsToNewLoops(t *testing.T) {
 		return total
 	}
 	before := cyclesAt()
-	if _, err := fw.ContinueTraining(6); err != nil {
-		t.Fatal(err)
-	}
+	fw.Agent().TrainIterations(fw, 6)
+	fw.Retrained()
 	after := cyclesAt()
 	if after > before*1.05 {
 		t.Errorf("online training regressed new loops: %.3g -> %.3g cycles", before, after)
 	}
 	t.Logf("new-loop cycles: %.3g -> %.3g (%.2f%% change)", before, after, 100*(after/before-1))
-}
-
-func TestContinueTrainingKeepsConfigIterations(t *testing.T) {
-	fw := smallFramework(t, 20)
-	fw.Train(fastRL(2))
-	want := fw.Agent().Cfg.Iterations
-	if _, err := fw.ContinueTraining(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := fw.Agent().Cfg.Iterations; got != want {
-		t.Fatalf("ContinueTraining mutated Cfg.Iterations: %d -> %d", want, got)
-	}
 }
 
 // TestNewWithOptions checks that New propagates the configured seed to the

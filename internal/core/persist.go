@@ -118,7 +118,7 @@ func (f *Framework) LoadModelWith(r io.Reader, extra func(dec *gob.Decoder) erro
 // ModelVersion returns the fingerprint of the model most recently saved or
 // loaded, or "" if the framework has neither saved nor loaded a snapshot or
 // its weights have moved since (InitAgent, Train, TrainWithEmbedder,
-// ContinueTraining). The serving layer keys its response cache on this
+// Retrained). The serving layer keys its response cache on this
 // value so a hot-reloaded checkpoint invalidates stale entries.
 func (f *Framework) ModelVersion() string { return f.modelVersion }
 

@@ -172,8 +172,9 @@ func TestRetrainingClearsModelVersion(t *testing.T) {
 	srcs := raceSources(t, 4)
 	for name, retrain := range map[string]func(fw *Framework) error{
 		"ContinueTraining": func(fw *Framework) error {
-			_, err := fw.ContinueTraining(1)
-			return err
+			fw.Agent().TrainIterations(fw, 1)
+			fw.Retrained()
+			return nil
 		},
 		"InitAgent": func(fw *Framework) error {
 			fw.InitAgent(fastRL(1))

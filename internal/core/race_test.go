@@ -205,9 +205,8 @@ func TestModelVersionStamping(t *testing.T) {
 		t.Fatalf("loaded version %q, saved %q", v2, v1)
 	}
 	// More training produces different weights, hence a different stamp.
-	if _, err := fw.ContinueTraining(2); err != nil {
-		t.Fatal(err)
-	}
+	fw.Agent().TrainIterations(fw, 2)
+	fw.Retrained()
 	if err := fw.SaveModelFile(path); err != nil {
 		t.Fatal(err)
 	}

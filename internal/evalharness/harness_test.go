@@ -236,9 +236,8 @@ func TestNoStaleVectorsAfterRetraining(t *testing.T) {
 	before := runJSON(t, h, corpus, opts)
 	changed := false
 	for round := 1; round <= 2; round++ {
-		if _, err := fw.ContinueTraining(5); err != nil {
-			t.Fatal(err)
-		}
+		fw.Agent().TrainIterations(fw, 5)
+		fw.Retrained()
 		if v := fw.ModelVersion(); v != "" {
 			t.Fatalf("in-process retraining produced model version %q", v)
 		}

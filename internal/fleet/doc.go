@@ -34,8 +34,9 @@
 //   - Rolling reload (reload.go): POST /fleet/reload drains, reloads,
 //     verifies, and re-admits each replica in turn, aborting if replicas
 //     diverge on the new checkpoint's version.
-//   - Spawner (spawn.go): `-spawn` mode execs and supervises local replica
-//     processes, restarting crashed ones on their original ports.
+//   - Spawner (spawn.go): without `-join`, `neurovec fleet` execs and
+//     supervises local replica processes, restarting crashed ones on their
+//     original ports.
 //
 // The router deliberately terminates requests rather than proxying bodies
 // verbatim: decomposing batches is what enables per-file sharding, per-file

@@ -63,10 +63,8 @@ func testFixture(t *testing.T) {
 			fixture.err = err
 			return
 		}
-		if _, err := fw.ContinueTraining(1); err != nil {
-			fixture.err = err
-			return
-		}
+		fw.Agent().TrainIterations(fw, 1)
+		fw.Retrained()
 		fixture.model2 = filepath.Join(dir, "model2.gob")
 		if err := fw.SaveModelFile(fixture.model2); err != nil {
 			fixture.err = err

@@ -16,6 +16,10 @@ import (
 // the HTTP surface maps it to 409 Conflict.
 var ErrReloadInProgress = errors.New("fleet: rolling reload already in progress")
 
+// readyTimeout bounds a rolling reload's wait for a reloaded replica to
+// report ready at the roll's target version.
+const readyTimeout = 30 * time.Second
+
 // RollingReload promotes a new checkpoint across the fleet one replica at a
 // time, in configuration order, with zero dropped requests:
 //
@@ -30,7 +34,7 @@ var ErrReloadInProgress = errors.New("fleet: rolling reload already in progress"
 //     target; any later replica reloading to a different version aborts the
 //     roll (the replicas disagree about the checkpoint on disk);
 //  4. readmit — poll the replica's /readyz until it reports ready at the
-//     target version (bounded by ReadyTimeout), then rebuild the ring with
+//     target version (bounded by readyTimeout), then rebuild the ring with
 //     it back in.
 //
 // While the roll is in progress the fleet version is mixed, so the shared
@@ -107,7 +111,7 @@ func (rt *Router) reloadReplica(ctx context.Context, rep *replica, entry *api.Fl
 	}
 
 	// 4. Re-admit once the replica is ready at the target version.
-	readyDeadline := time.Now().Add(rt.cfg.ReadyTimeout)
+	readyDeadline := time.Now().Add(readyTimeout)
 	for {
 		if version, ok := rt.probeReplica(rep); ok && version == *target {
 			break
@@ -116,7 +120,7 @@ func (rt *Router) reloadReplica(ctx context.Context, rep *replica, entry *api.Fl
 			return err
 		}
 		if !time.Now().Before(readyDeadline) {
-			return fmt.Errorf("reload %s: not ready at version %s within %s", rep.addr, *target, rt.cfg.ReadyTimeout)
+			return fmt.Errorf("reload %s: not ready at version %s within %s", rep.addr, *target, readyTimeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -101,9 +101,10 @@ func (rt *Router) probeOnce() {
 	rt.recomputeVersion()
 }
 
-// probeReplica performs one GET /readyz round trip.
+// probeReplica performs one GET /readyz round trip, bounded by the probe
+// cadence capped at 1s.
 func (rt *Router) probeReplica(rep *replica) (version string, ok bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(rt.cfg.ProbeInterval, time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+"/readyz", nil)
 	if err != nil {
@@ -196,7 +197,7 @@ func (rt *Router) rebuildRingLocked() {
 		}
 		rt.metrics.ReplicaUp(rep.addr, up)
 	}
-	rt.ring.Store(NewRing(ready, rt.cfg.VNodes))
+	rt.ring.Store(NewRing(ready))
 	rt.metrics.Rebalance()
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Ring is a consistent-hash ring over replica addresses. Each node is placed
-// at VNodes pseudo-random positions (virtual nodes) on a 64-bit circle; a key
-// routes to the first node clockwise from its own hash. Virtual nodes smooth
-// the key distribution, and consistent hashing gives the fleet its two load
-// properties:
+// at vnodesPerNode pseudo-random positions (virtual nodes) on a 64-bit
+// circle; a key routes to the first node clockwise from its own hash.
+// Virtual nodes smooth the key distribution, and consistent hashing gives the
+// fleet its two load properties:
 //
 //   - affinity: the same (model version, LoopID/source) key always lands on
 //     the same replica, so that replica's per-loop caches stay hot for it;
@@ -35,19 +35,16 @@ type vnode struct {
 	node int // index into nodes
 }
 
-// DefaultVNodes is the virtual-node count used when NewRing is given n <= 0.
-// 128 keeps per-node load within a few percent of uniform for small fleets
-// while building in microseconds.
-const DefaultVNodes = 128
+// vnodesPerNode is the virtual-node count per node. 128 keeps per-node load
+// within a few percent of uniform for small fleets while building in
+// microseconds.
+const vnodesPerNode = 128
 
-// NewRing builds a ring over the given node addresses with vnodes virtual
-// nodes each (vnodes <= 0 means DefaultVNodes). Duplicate addresses collapse
-// to one node; insertion order never matters. An empty membership yields an
-// empty ring whose Lookup returns nil.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring over the given node addresses with vnodesPerNode
+// virtual nodes each. Duplicate addresses collapse to one node; insertion
+// order never matters. An empty membership yields an empty ring whose Lookup
+// returns nil.
+func NewRing(nodes []string) *Ring {
 	distinct := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -57,9 +54,9 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		}
 	}
 	sort.Strings(distinct)
-	r := &Ring{nodes: distinct, vnodes: make([]vnode, 0, len(distinct)*vnodes)}
+	r := &Ring{nodes: distinct, vnodes: make([]vnode, 0, len(distinct)*vnodesPerNode)}
 	for i, n := range distinct {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < vnodesPerNode; v++ {
 			r.vnodes = append(r.vnodes, vnode{pos: hash64(n + "#" + strconv.Itoa(v)), node: i})
 		}
 	}

@@ -30,7 +30,7 @@ var ringNodes = []string{
 // deterministic (SHA-256, no seed), so the observed shares are fixed — the
 // tolerance guards the vnode count and hash choice, not run-to-run noise.
 func TestRingDistributionUniformity(t *testing.T) {
-	r := NewRing(ringNodes, 0)
+	r := NewRing(ringNodes)
 	keys := syntheticLoopIDs(1000)
 	counts := map[string]int{}
 	for _, k := range keys {
@@ -51,7 +51,7 @@ func TestRingDistributionUniformity(t *testing.T) {
 // one node moves only the keys that mapped to it, and re-adding it restores
 // exactly the original assignment.
 func TestRingMinimalMovement(t *testing.T) {
-	full := NewRing(ringNodes, 0)
+	full := NewRing(ringNodes)
 	keys := syntheticLoopIDs(1000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
@@ -59,7 +59,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 
 	ejected := ringNodes[1]
-	reduced := NewRing([]string{ringNodes[0], ringNodes[2]}, 0)
+	reduced := NewRing([]string{ringNodes[0], ringNodes[2]})
 	moved := 0
 	for _, k := range keys {
 		now := owner(reduced, k)
@@ -78,7 +78,7 @@ func TestRingMinimalMovement(t *testing.T) {
 		t.Fatal("ejected node owned no keys; distribution test should have caught this")
 	}
 
-	restored := NewRing(ringNodes, 0)
+	restored := NewRing(ringNodes)
 	for _, k := range keys {
 		if got := owner(restored, k); got != before[k] {
 			t.Errorf("after re-admission key %q routes to %s, originally %s", k, got, before[k])
@@ -91,8 +91,8 @@ func TestRingMinimalMovement(t *testing.T) {
 // yield identical rings, which is what makes routing stable across router
 // restarts.
 func TestRingDeterminism(t *testing.T) {
-	a := NewRing(ringNodes, 0)
-	b := NewRing([]string{ringNodes[2], ringNodes[0], ringNodes[1], ringNodes[0]}, 0)
+	a := NewRing(ringNodes)
+	b := NewRing([]string{ringNodes[2], ringNodes[0], ringNodes[1], ringNodes[0]})
 	for _, k := range syntheticLoopIDs(1000) {
 		if owner(a, k) != owner(b, k) {
 			t.Fatalf("key %q: owner %s vs %s across insertion orders", k, owner(a, k), owner(b, k))
@@ -104,7 +104,7 @@ func TestRingDeterminism(t *testing.T) {
 // returns distinct nodes in preference order, truncated at the membership
 // size, and the first entry is the owner.
 func TestRingLookupDistinctSuccessors(t *testing.T) {
-	r := NewRing(ringNodes, 0)
+	r := NewRing(ringNodes)
 	for _, k := range syntheticLoopIDs(100) {
 		got := r.Lookup(k, 5)
 		if len(got) != len(ringNodes) {
@@ -127,7 +127,7 @@ func TestRingLookupDistinctSuccessors(t *testing.T) {
 // to nil/"" instead of panicking — the router hits this when every replica
 // is ejected.
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if got := r.Lookup("key", 2); got != nil {
 		t.Errorf("empty ring Lookup = %v, want nil", got)
 	}

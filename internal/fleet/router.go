@@ -29,13 +29,9 @@ type Config struct {
 	// Replicas are the backend base URLs (e.g. "http://127.0.0.1:7001") in
 	// stable configuration order — the rolling-reload order.
 	Replicas []string
-	// VNodes is the virtual-node count per replica (<= 0: DefaultVNodes).
-	VNodes int
-	// ProbeInterval is the readiness-probe cadence (default 1s) and
-	// ProbeTimeout bounds each probe round trip (default: ProbeInterval,
-	// capped at 1s).
+	// ProbeInterval is the readiness-probe cadence (default 1s). Each probe
+	// round trip is bounded by ProbeInterval, capped at 1s.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// FailAfter consecutive probe/forward failures eject a replica from the
 	// ring (default 3); ReadyAfter consecutive probe successes re-admit it
 	// (default 2).
@@ -56,14 +52,10 @@ type Config struct {
 	// the replicas' per-file limit because the router accepts whole batches).
 	MaxRequestBytes int64
 	// DrainTimeout bounds how long a rolling reload waits for a draining
-	// replica's in-flight requests (default 10s); ReadyTimeout bounds the
-	// wait for a reloaded replica to become ready again (default 30s).
+	// replica's in-flight requests (default 10s).
 	DrainTimeout time.Duration
-	ReadyTimeout time.Duration
 	// Logger receives router events; nil discards them.
 	Logger *slog.Logger
-	// Transport overrides the forwarding transport (tests).
-	Transport http.RoundTripper
 }
 
 func (c *Config) withDefaults() Config {
@@ -71,17 +63,8 @@ func (c *Config) withDefaults() Config {
 	if out.Logger == nil {
 		out.Logger = slog.New(slog.DiscardHandler)
 	}
-	if out.VNodes <= 0 {
-		out.VNodes = DefaultVNodes
-	}
 	if out.ProbeInterval <= 0 {
 		out.ProbeInterval = time.Second
-	}
-	if out.ProbeTimeout <= 0 {
-		out.ProbeTimeout = out.ProbeInterval
-		if out.ProbeTimeout > time.Second {
-			out.ProbeTimeout = time.Second
-		}
 	}
 	if out.FailAfter <= 0 {
 		out.FailAfter = 3
@@ -100,9 +83,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DrainTimeout <= 0 {
 		out.DrainTimeout = 10 * time.Second
-	}
-	if out.ReadyTimeout <= 0 {
-		out.ReadyTimeout = 30 * time.Second
 	}
 	return out
 }
@@ -171,15 +151,12 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// forwardTransport is the forwarding client's transport: cfg.Transport when
-// set, else a copy of http.DefaultTransport that keeps ReplicaInFlight idle
-// connections per replica, the most the forward semaphore lets the router
-// use at once. The default keeps two, so a busy router would dial a fresh
-// connection for most forwards.
+// forwardTransport is the forwarding client's transport: a copy of
+// http.DefaultTransport that keeps ReplicaInFlight idle connections per
+// replica, the most the forward semaphore lets the router use at once. The
+// default keeps two, so a busy router would dial a fresh connection for most
+// forwards.
 func forwardTransport(cfg Config) http.RoundTripper {
-	if cfg.Transport != nil {
-		return cfg.Transport
-	}
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = cfg.ReplicaInFlight
 	tr.MaxIdleConns = 0 // no total bound: the per-replica one is the limit
@@ -201,9 +178,6 @@ func (rt *Router) Close() {
 	rt.probeWG.Wait()
 	rt.client.CloseIdleConnections()
 }
-
-// Metrics exposes the router's metrics surface.
-func (rt *Router) Metrics() *Metrics { return rt.metrics }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 

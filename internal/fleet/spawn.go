@@ -15,21 +15,17 @@ import (
 	"time"
 )
 
-// SpawnConfig configures a locally spawned replica set (`neurovec fleet
-// -spawn`). The alternative is joining externally managed replicas by
-// address (`-join`), in which case this file is not involved.
+// SpawnConfig configures a locally spawned replica set (`neurovec fleet`
+// without `-join`). The alternative is joining externally managed replicas
+// by address (`-join`), in which case this file is not involved. Every
+// replica runs this process's executable (os.Args[0]) with its stdout
+// discarded and its stderr shared with the parent.
 type SpawnConfig struct {
-	// Bin is the executable to run (normally os.Args[0]); N is the replica
-	// count.
-	Bin string
-	N   int
+	// N is the replica count.
+	N int
 	// Args are appended to "serve -addr <host:port>" on every replica's
 	// command line — the model path, log flags, cache sizing, and so on.
 	Args []string
-	// Stdout and Stderr receive the children's output (default: discard /
-	// the parent's stderr).
-	Stdout io.Writer
-	Stderr io.Writer
 	// Logger receives supervision events; nil discards them.
 	Logger *slog.Logger
 }
@@ -63,15 +59,6 @@ type proc struct {
 func Spawn(cfg SpawnConfig) (*Spawned, error) {
 	if cfg.N <= 0 {
 		return nil, errors.New("fleet: spawn needs at least one replica")
-	}
-	if cfg.Bin == "" {
-		cfg.Bin = os.Args[0]
-	}
-	if cfg.Stderr == nil {
-		cfg.Stderr = os.Stderr
-	}
-	if cfg.Stdout == nil {
-		cfg.Stdout = io.Discard
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
@@ -113,9 +100,9 @@ func freePort() (string, error) {
 // start launches (or relaunches) the child for p.
 func (s *Spawned) start(p *proc) error {
 	args := append([]string{"serve", "-addr", p.addr}, s.cfg.Args...)
-	cmd := exec.Command(s.cfg.Bin, args...)
-	cmd.Stdout = s.cfg.Stdout
-	cmd.Stderr = s.cfg.Stderr
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Stdout = io.Discard
+	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("fleet: spawn replica on %s: %w", p.addr, err)
 	}

@@ -85,15 +85,6 @@ func (t Type) IsArray() bool { return len(t.Dims) > 0 }
 // IsStruct reports whether the type's element type is a named struct.
 func (t Type) IsStruct() bool { return t.StructName != "" }
 
-// Elems returns the total number of scalar elements (1 for scalars).
-func (t Type) Elems() int64 {
-	n := int64(1)
-	for _, d := range t.Dims {
-		n *= d
-	}
-	return n
-}
-
 // String renders the type; array dims are appended as in a declarator.
 func (t Type) String() string {
 	var b strings.Builder
@@ -406,26 +397,6 @@ type Program struct {
 	Structs []*StructDecl
 	Globals []*GlobalDecl
 	Funcs   []*FuncDecl
-}
-
-// Struct returns the struct declaration with the given name, or nil.
-func (p *Program) Struct(name string) *StructDecl {
-	for _, s := range p.Structs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
-// Global returns the global declaration with the given name, or nil.
-func (p *Program) Global(name string) *GlobalDecl {
-	for _, g := range p.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
 }
 
 // Func returns the function with the given name, or nil.

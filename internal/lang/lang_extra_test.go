@@ -104,9 +104,6 @@ func TestStringersAndHelpers(t *testing.T) {
 	if ty.String() != "float[4][8]" {
 		t.Errorf("Type.String = %s", ty)
 	}
-	if ty.Elems() != 32 {
-		t.Errorf("Elems = %d", ty.Elems())
-	}
 	pr := Pragma{}
 	if pr.String() != "#pragma clang loop" {
 		t.Errorf("empty pragma = %q", pr.String())

@@ -56,7 +56,7 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestGaugeSetAdd(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("neurovec_test_gauge", "Test gauge.")
+	g := r.GaugeVec("neurovec_test_gauge", "Test gauge.").With()
 	g.Set(3.5)
 	g.Add(-1.25)
 	if got := g.Value(); got != 2.25 {
@@ -78,7 +78,7 @@ func TestRegisterIdempotentAndKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	//lint:allow metricnames deliberately reuses a counter name to prove kind collisions panic
-	r.Gauge("neurovec_test_idem_total", "Idem.")
+	r.GaugeVec("neurovec_test_idem_total", "Idem.")
 }
 
 // TestExpositionGolden pins the exact text rendering: HELP/TYPE headers,
@@ -88,7 +88,7 @@ func TestExpositionGolden(t *testing.T) {
 	c := r.CounterVec("neurovec_test_requests_total", "Requests by code.", "code")
 	c.With("200").Add(3)
 	c.With("500").Inc()
-	r.Gauge("neurovec_test_depth", "Queue depth.").Set(2)
+	r.GaugeVec("neurovec_test_depth", "Queue depth.").With().Set(2)
 	h := r.HistogramVec("neurovec_test_stage_duration_seconds", "Stage latency.", []float64{0.1, 1}, "stage")
 	h.With("parse").Observe(0.05)
 	h.With("parse").Observe(0.5)

@@ -184,11 +184,6 @@ func (v *CounterVec) With(lvs ...string) *Counter {
 	return c
 }
 
-// Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).With()
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time — the
 // natural shape for queue depth, in-flight counts, and derived ratios.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {

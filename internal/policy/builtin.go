@@ -47,12 +47,6 @@ func newRL(h Host) (Policy, error) {
 
 func (p *rlPolicy) Name() string { return "rl" }
 
-// Probe implements Prober: rl is only usable once an agent exists.
-func (p *rlPolicy) Probe() error {
-	_, err := p.h.Decider()
-	return err
-}
-
 // LoopPure implements policy.LoopPure: the agent's greedy decision is a
 // pure function of the loop's embedding and the trained weights, so it is
 // sound to memoize per (checkpoint, loop) across files.

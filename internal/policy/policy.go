@@ -10,7 +10,7 @@
 //	    Decide(ctx context.Context, req *Request) (*Decision, error)
 //	}
 //
-// Policies are registered by name (Register / Lookup / List) and constructed
+// Policies are registered by name (Register / List) and constructed
 // against a Host — the read-only slice of the framework a policy may consume
 // (architecture, trained agent, loaded corpus). core.Framework implements
 // Host and resolves policies with Framework.Policy(name); the HTTP service
@@ -131,14 +131,6 @@ type LoopPure interface {
 func IsLoopPure(p Policy) bool {
 	lp, ok := p.(LoopPure)
 	return ok && lp.LoopPure()
-}
-
-// Prober is optionally implemented by policies that can cheaply report
-// whether they could serve a decision right now (the discovery endpoint uses
-// it: a registered policy whose backing state is missing — an untrained
-// agent, say — lists as unavailable with the probe error as the reason).
-type Prober interface {
-	Probe() error
 }
 
 // Func adapts a plain function to a Policy.

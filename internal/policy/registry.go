@@ -63,8 +63,8 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// Lookup returns the factory registered under name.
-func Lookup(name string) (Factory, bool) {
+// lookup returns the factory registered under name.
+func lookup(name string) (Factory, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	f, ok := registry[name]
@@ -87,7 +87,7 @@ func List() []string {
 // report ErrUnknown; factory failures are wrapped with ErrUnavailable so
 // callers can distinguish "no such policy" from "not usable right now".
 func New(name string, h Host) (Policy, error) {
-	f, ok := Lookup(name)
+	f, ok := lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("policy: %w %q (available: %s)", ErrUnknown, name, strings.Join(List(), ", "))
 	}

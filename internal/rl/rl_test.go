@@ -128,6 +128,36 @@ func TestTrainingIsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestTrainIterationsDrawsFreshStreams: a continuation after Train(m) runs
+// iteration m's (seed, iteration) streams, not iteration 0's again, so its
+// first reward mean is the one CollectBatch draws at iteration m from the
+// same weights.
+func TestTrainIterationsDrawsFreshStreams(t *testing.T) {
+	const m = 3
+	emb, env, cfg := newToy()
+	cfg.Iterations = m
+	agent := NewAgent(emb, cfg)
+	agent.Train(env)
+	want := agent.CollectBatch(env, agent.Cfg.Seed, m, 1).RewardMean()
+	stats := agent.TrainIterations(env, 1)
+	if got := stats.RewardMean[0]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("TrainIterations(1) reward mean = %v, want iteration %d's %v", got, m, want)
+	}
+}
+
+// TestTrainIterationsKeepsConfigIterations: the count is a parameter, so a
+// continuation never writes it into the config a concurrent reader shares.
+func TestTrainIterationsKeepsConfigIterations(t *testing.T) {
+	emb, env, cfg := newToy()
+	cfg.Iterations = 2
+	agent := NewAgent(emb, cfg)
+	agent.Train(env)
+	agent.TrainIterations(env, 5)
+	if got := agent.Cfg.Iterations; got != 2 {
+		t.Fatalf("TrainIterations mutated Cfg.Iterations: 2 -> %d", got)
+	}
+}
+
 func TestContinuousSpacesTrain(t *testing.T) {
 	for _, space := range []SpaceKind{Continuous1, Continuous2} {
 		emb, env, cfg := newToy()

@@ -80,7 +80,7 @@ func TestPanickingRequestGets500AndProcessSurvives(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if _, err := s.Metrics().WriteTo(&sb); err != nil {
+	if _, err := s.metrics.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "neurovec_pool_panics_total 1") {
@@ -168,7 +168,7 @@ func TestPanicLoggedOnEveryForm(t *testing.T) {
 				t.Errorf("panic log line carries no stack through the panicking policy:\n%s", out)
 			}
 			var metrics strings.Builder
-			if _, err := s.Metrics().WriteTo(&metrics); err != nil {
+			if _, err := s.metrics.WriteTo(&metrics); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(metrics.String(), "neurovec_pool_panics_total 1\n") {

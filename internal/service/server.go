@@ -67,9 +67,6 @@ type Config struct {
 	// their checkpoints. Empty means a temporary directory created on first
 	// use.
 	TrainDir string
-	// MaxTrainIterations caps the iterations one training job may request
-	// (default 200).
-	MaxTrainIterations int
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true. Off by
 	// default: the profile endpoints expose internals and cost CPU, so they
 	// are opt-in (`neurovec serve -pprof`).
@@ -227,9 +224,6 @@ func (s *Server) Close() {
 
 // ModelVersion returns the currently served checkpoint fingerprint.
 func (s *Server) ModelVersion() string { return s.model.Load().version }
-
-// Metrics exposes the registry (for embedding the server in other mains).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // loadModel builds a fresh framework from the configured checkpoint.
 func (s *Server) loadModel() (*model, error) { return s.loadModelFrom(s.cfg.ModelPath) }
@@ -894,13 +888,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	resp := &PoliciesResponse{Default: core.DefaultPolicy, ModelVersion: m.version}
 	for _, name := range policy.List() {
 		st := PolicyStatus{Name: name}
-		p, err := m.fw.Policy(name)
-		if err == nil {
-			if prober, ok := p.(policy.Prober); ok {
-				err = prober.Probe()
-			}
-		}
-		if err != nil {
+		if _, err := m.fw.Policy(name); err != nil {
 			st.Reason = err.Error()
 		} else {
 			st.Available = true

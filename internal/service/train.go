@@ -157,13 +157,9 @@ func (s *Server) validateTrainRequest(req *TrainRequest) error {
 	if req.Iterations <= 0 {
 		req.Iterations = defaultTrainIterations
 	}
-	maxIters := s.cfg.MaxTrainIterations
-	if maxIters <= 0 {
-		maxIters = maxTrainIterationsCap
-	}
-	if req.Iterations > maxIters {
+	if req.Iterations > maxTrainIterationsCap {
 		return &httpError{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("iterations=%d exceeds the cap of %d", req.Iterations, maxIters)}
+			msg: fmt.Sprintf("iterations=%d exceeds the cap of %d", req.Iterations, maxTrainIterationsCap)}
 	}
 	if req.Batch <= 0 {
 		req.Batch = defaultTrainBatch

@@ -47,7 +47,7 @@ void f() {
 	}
 
 	// Scalar plan reports scalar.
-	b = Explain(big, vectorizer.ScalarPlan(big), cfg)
+	b = Explain(big, vectorizer.New(big, cfg.Arch, 1, 1), cfg)
 	if b.Bound != "scalar" {
 		t.Errorf("scalar plan bound = %s", b.Bound)
 	}

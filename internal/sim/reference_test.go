@@ -36,7 +36,7 @@ func refNestCycles(l *ir.Loop, ancestors []*ir.Loop, plans map[string]*vectorize
 	if l.Innermost() {
 		plan := plans[l.Label]
 		if plan == nil {
-			plan = vectorizer.ScalarPlan(l)
+			plan = vectorizer.New(l, cfg.Arch, 1, 1)
 		}
 		return refExplain(l, ancestors, plan, cfg).Total
 	}

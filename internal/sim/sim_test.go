@@ -50,7 +50,7 @@ func TestDotProductGridShape(t *testing.T) {
 		t.Fatalf("baseline choice = (%d,%d), want (4,2) like LLVM on int dot product", choice.VF, choice.IF)
 	}
 	baseline := Explain(l, vectorizer.New(l, cfg.Arch, choice.VF, choice.IF), cfg).Total
-	scalar := Explain(l, vectorizer.ScalarPlan(l), cfg).Total
+	scalar := Explain(l, vectorizer.New(l, cfg.Arch, 1, 1), cfg).Total
 
 	if ratio := scalar / baseline; ratio < 1.5 || ratio > 6 {
 		t.Errorf("baseline speedup over scalar = %.2fx, want within [1.5, 6] (paper: 2.6x)", ratio)

@@ -29,7 +29,9 @@ type checkpointState struct {
 	Dir    string
 
 	// The interleaved-evaluation schedule and spec: part of the math because
-	// the learning curve is part of the checkpoint.
+	// the learning curve is part of the checkpoint. New always writes GenN
+	// and "costmodel" into EvalGenN and EvalBaseline; they stay here so the
+	// checkpoint format, and resume from older checkpoints, do not change.
 	EvalEvery    int
 	EvalCorpus   string
 	EvalGenN     int

@@ -59,12 +59,10 @@ type Config struct {
 	// learning curve of a killed-and-resumed run matches the uninterrupted
 	// one regardless of where the interruption fell.
 	EvalEvery int
-	// EvalCorpus is the evaluation-corpus spec (default: Corpus).
+	// EvalCorpus is the evaluation-corpus spec (default: Corpus). Its
+	// generated suite has GenN programs, and learning-curve speedup is
+	// anchored on the "costmodel" policy.
 	EvalCorpus string
-	// EvalGenN sizes the generated suite for evaluation (default: GenN).
-	EvalGenN int
-	// EvalBaseline anchors learning-curve speedup (default "costmodel").
-	EvalBaseline string
 	// EvalOracle anchors learning-curve regret (default "brute").
 	EvalOracle string
 
@@ -177,8 +175,8 @@ func New(cfg Config) (*Trainer, error) {
 			Dir:          cfg.Dir,
 			EvalEvery:    cfg.EvalEvery,
 			EvalCorpus:   cfg.EvalCorpus,
-			EvalGenN:     cfg.EvalGenN,
-			EvalBaseline: cfg.EvalBaseline,
+			EvalGenN:     cfg.GenN,
+			EvalBaseline: "costmodel",
 			EvalOracle:   cfg.EvalOracle,
 		},
 	}
@@ -232,12 +230,6 @@ func applyDefaults(cfg *Config) {
 	}
 	if cfg.EvalCorpus == "" {
 		cfg.EvalCorpus = cfg.Corpus
-	}
-	if cfg.EvalGenN <= 0 {
-		cfg.EvalGenN = cfg.GenN
-	}
-	if cfg.EvalBaseline == "" {
-		cfg.EvalBaseline = "costmodel"
 	}
 	if cfg.EvalOracle == "" {
 		cfg.EvalOracle = "brute"

@@ -84,11 +84,6 @@ func Effective(l *ir.Loop, arch *machine.Arch, maxLegalVF, vf, ifc int) (int, in
 	return eVF, eIF
 }
 
-// ScalarPlan returns the do-nothing plan (VF=1, IF=1).
-func ScalarPlan(l *ir.Loop) *Plan {
-	return &Plan{Loop: l, RequestedVF: 1, RequestedIF: 1, VF: 1, IF: 1, MaxLegalVF: 1}
-}
-
 func floorPow2(v int) int {
 	if v < 1 {
 		return 1

@@ -113,14 +113,6 @@ func TestFromPragmaNilWithoutPragma(t *testing.T) {
 	}
 }
 
-func TestScalarPlan(t *testing.T) {
-	l := loopFor(t, freeSrc)
-	p := ScalarPlan(l)
-	if !p.Scalar() {
-		t.Fatal("scalar plan not scalar")
-	}
-}
-
 // Property: for any request, the resulting plan is always legal — VF and IF
 // are powers of two within the architecture bounds, VF never exceeds the
 // dependence limit, and VF*IF never exceeds a known trip count.
